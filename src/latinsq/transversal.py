@@ -2,10 +2,13 @@
 
 Decomposing a square into n disjoint transversals is an exact cover problem:
 the n^2 cells must be covered exactly once by cell sets of candidate
-transversals.  The solver is a dancing-links search branching on the
-uncovered cell with fewest remaining candidates; it answers with a definite
-"some"/"none" or an explicit "undecided" when the node budget runs out, so
-statistics never conflate timeouts with nonexistence.
+transversals.  The solver is Knuth's Algorithm X over bitsets: Python ints
+hold the set of candidates still alive and, per cell, the candidates through
+it.  Each node branches on the open cell with the fewest live candidates
+(lowest row-major cell on ties) and tries them in enumeration order.  It
+answers with a definite "some"/"none" or an explicit "undecided" when the
+node budget runs out, so statistics never conflate timeouts with
+nonexistence.
 """
 
 from __future__ import annotations
@@ -28,14 +31,6 @@ DEFAULT_EXACT_BOUND = 9
 
 class ExactSearchRefused(ValueError):
     """Raised instead of silently falling back to a heuristic."""
-
-
-@dataclass(frozen=True)
-class ExactCoverProblem:
-    """Cells of a square as the universe, candidate transversals as rows."""
-
-    n: int
-    rows: tuple[Transversal, ...]
 
 
 @dataclass(frozen=True)
@@ -146,143 +141,6 @@ def max_partial_transversal(
     return PartialTransversal(cells=tuple(best_cells))
 
 
-class _Budget:
-    __slots__ = ("left",)
-
-    def __init__(self, nodes: int):
-        self.left = nodes
-
-    def spend(self) -> bool:
-        self.left -= 1
-        return self.left >= 0
-
-
-class _DancingLinks:
-    """Array-based dancing links over cell columns and transversal rows."""
-
-    def __init__(self, n: int, rows: list[tuple[int, ...]]):
-        ncols = n * n
-        size = ncols + 1 + sum(len(r) for r in rows)
-        self.L = list(range(-1, size - 1))
-        self.R = list(range(1, size + 1))
-        self.U = list(range(size))
-        self.D = list(range(size))
-        self.col = list(range(size))
-        self.rowid = [-1] * size
-        self.len = [0] * ncols
-        head = ncols
-        self.head = head
-        self.L[0] = head
-        self.R[head] = 0
-        self.L[head] = ncols - 1
-        self.R[ncols - 1] = head
-        nxt = ncols + 1
-        for rid, cells in enumerate(rows):
-            first = None
-            for cell in cells:
-                node = nxt
-                nxt += 1
-                self.col[node] = cell
-                self.rowid[node] = rid
-                # insert at bottom of column
-                up = self.U[cell]
-                self.U[node] = up
-                self.D[node] = cell
-                self.D[up] = node
-                self.U[cell] = node
-                self.len[cell] += 1
-                if first is None:
-                    first = node
-                    self.L[node] = self.R[node] = node
-                else:
-                    left = self.L[first]
-                    self.L[node] = left
-                    self.R[node] = first
-                    self.R[left] = node
-                    self.L[first] = node
-
-    def cover(self, c: int) -> None:
-        L, R, U, D = self.L, self.R, self.U, self.D
-        R[L[c]] = R[c]
-        L[R[c]] = L[c]
-        i = D[c]
-        while i != c:
-            j = R[i]
-            while j != i:
-                D[U[j]] = D[j]
-                U[D[j]] = U[j]
-                self.len[self.col[j]] -= 1
-                j = R[j]
-            i = D[i]
-
-    def uncover(self, c: int) -> None:
-        L, R, U, D = self.L, self.R, self.U, self.D
-        i = U[c]
-        while i != c:
-            j = L[i]
-            while j != i:
-                self.len[self.col[j]] += 1
-                D[U[j]] = j
-                U[D[j]] = j
-                j = L[j]
-            i = U[i]
-        R[L[c]] = c
-        L[R[c]] = c
-
-    def search(self, budget: _Budget) -> list[int] | None:
-        """One exact cover as a list of row ids, or None. Raises on budget."""
-        R, D = self.R, self.D
-        head = self.head
-        solution: list[int] = []
-
-        def rec() -> bool:
-            if R[head] == head:
-                return True
-            # column-minimum branching; ties resolved by row-major cell order
-            # because columns are threaded in that order
-            best = R[head]
-            c = R[best]
-            while c != head:
-                if self.len[c] < self.len[best]:
-                    best = c
-                c = R[c]
-            if self.len[best] == 0:
-                return False
-            self.cover(best)
-            i = D[best]
-            while i != best:
-                if not budget.spend():
-                    raise _OutOfBudget
-                solution.append(self.rowid[i])
-                j = R[i]
-                while j != i:
-                    self.cover(self.col[j])
-                    j = R[j]
-                if rec():
-                    return True
-                j = self.L[i]
-                while j != i:
-                    self.uncover(self.col[j])
-                    j = self.L[j]
-                solution.pop()
-                i = D[i]
-            self.uncover(best)
-            return False
-
-        if rec():
-            return solution
-        return None
-
-
-class _OutOfBudget(Exception):
-    pass
-
-
-def _cells_key(square: LatinSquare, t: Transversal) -> tuple[int, ...]:
-    n = square.n
-    return tuple((r - 1) * n + (c - 1) for (r, c) in t.cells)
-
-
 def decompose(
     square: LatinSquare,
     node_budget: int = DEFAULT_NODE_BUDGET,
@@ -295,43 +153,79 @@ def decompose(
     transversal count exceeds `candidate_threshold`, candidates are generated
     lazily during the search instead of being materialised.
     """
+    if node_budget < 0:
+        raise ValueError(f"node budget must be non-negative, got {node_budget}")
     n = square.n
-    budget = _Budget(node_budget)
-
     candidates: list[Transversal] = []
-    overflow = False
     for t in iter_transversals(square):
         candidates.append(t)
         if len(candidates) > candidate_threshold:
-            overflow = True
-            break
-    if overflow:
-        return _decompose_lazy(square, budget)
-
+            return _decompose_lazy(square, node_budget)
     if len(candidates) < n:
         return DecomposeResult(status="none", decomposition=None, nodes=0)
-    rows = [_cells_key(square, t) for t in candidates]
-    dlx = _DancingLinks(n, rows)
-    try:
-        picked = dlx.search(budget)
-    except _OutOfBudget:
-        return DecomposeResult(status="undecided", decomposition=None, nodes=node_budget)
-    nodes = node_budget - budget.left
-    if picked is None:
-        return DecomposeResult(status="none", decomposition=None, nodes=nodes)
+
+    # rows[rid]: the row-major cells of candidate rid, a set for the
+    # membership tests that drop covered cells from the open list
+    rows = [frozenset((r - 1) * n + c - 1 for (r, c) in t.cells) for t in candidates]
+    cellrows = [0] * (n * n)  # bit rid of cellrows[cell]: candidate rid covers cell
+    for rid, cells in enumerate(rows):
+        for cell in cells:
+            cellrows[cell] |= 1 << rid
+    # Iterative, so that no self-referencing closure keeps these structures
+    # alive as cyclic garbage after the call.  frames[k] holds the live row
+    # set, the open cells and the untried rows of the node where picked[k]
+    # was chosen.
+    nodes = 0
+    picked: list[int] = []
+    frames: list[tuple[int, list[int], int]] = []
+    alive, open_cells = (1 << len(rows)) - 1, list(range(n * n))
+    while open_cells:
+        # fewest live candidates, first open cell on ties; a dead cell ends
+        # the branch without spending a node
+        best, fewest = -1, len(rows) + 1
+        for c in open_cells:
+            k = (alive & cellrows[c]).bit_count()
+            if k < fewest:
+                best, fewest = c, k
+                if not k:
+                    break
+        choices = alive & cellrows[best]
+        while not choices:
+            if not frames:
+                return DecomposeResult(status="none", decomposition=None, nodes=nodes)
+            alive, open_cells, choices = frames.pop()
+            picked.pop()
+        if nodes == node_budget:
+            return DecomposeResult(status="undecided", decomposition=None, nodes=nodes)
+        nodes += 1
+        low = choices & -choices
+        rid = low.bit_length() - 1
+        frames.append((alive, open_cells, choices ^ low))
+        picked.append(rid)
+        cells = rows[rid]
+        conflict = 0
+        for cell in cells:
+            conflict |= cellrows[cell]
+        alive &= ~conflict
+        open_cells = [c for c in open_cells if c not in cells]
     parts = tuple(candidates[rid] for rid in sorted(picked))
     return DecomposeResult(status="some", decomposition=Decomposition(parts=parts), nodes=nodes)
 
 
-def _decompose_lazy(square: LatinSquare, budget: _Budget) -> DecomposeResult:
+class _OutOfBudget(Exception):
+    pass
+
+
+def _decompose_lazy(square: LatinSquare, node_budget: int) -> DecomposeResult:
     # Branches on the first uncovered cell in row-major order and generates
-    # the transversals through it on demand; trades the column-minimum
-    # heuristic for bounded memory.
+    # the transversals through it on demand; trades the minimum-remaining-
+    # values rule for bounded memory.
     n = square.n
     sym = _symbol_bits(square)
     full = (1 << n) - 1
     covered = [0] * n  # column bitmask of covered cells per row
     parts: list[Transversal] = []
+    nodes = 0
 
     def transversals_through(r0: int, c0: int) -> Iterator[Transversal]:
         cols: list[int] = []
@@ -360,6 +254,7 @@ def _decompose_lazy(square: LatinSquare, budget: _Budget) -> DecomposeResult:
         yield from rec(0, 0, 0)
 
     def rec_cover() -> bool:
+        nonlocal nodes
         target = None
         for r in range(n):
             free = full & ~covered[r]
@@ -370,8 +265,9 @@ def _decompose_lazy(square: LatinSquare, budget: _Budget) -> DecomposeResult:
             return True
         r0, c0 = target
         for t in transversals_through(r0, c0):
-            if not budget.spend():
+            if nodes == node_budget:
                 raise _OutOfBudget
+            nodes += 1
             for (r, c) in t.cells:
                 covered[r - 1] |= 1 << (c - 1)
             parts.append(t)
@@ -382,12 +278,10 @@ def _decompose_lazy(square: LatinSquare, budget: _Budget) -> DecomposeResult:
                 covered[r - 1] &= ~(1 << (c - 1))
         return False
 
-    start = budget.left
     try:
         found = rec_cover()
     except _OutOfBudget:
-        return DecomposeResult(status="undecided", decomposition=None, nodes=start)
-    nodes = start - budget.left
+        return DecomposeResult(status="undecided", decomposition=None, nodes=nodes)
     if not found:
         return DecomposeResult(status="none", decomposition=None, nodes=nodes)
     return DecomposeResult(
@@ -415,8 +309,3 @@ def verify_decomposition(square: LatinSquare, decomposition: Decomposition) -> t
             if seen[r][c] == 0:
                 return False, f"cell ({r + 1},{c + 1}) uncovered"
     return True, "ok"
-
-
-def exact_cover_problem(square: LatinSquare) -> ExactCoverProblem:
-    """Materialise the decomposition instance: all transversals as rows."""
-    return ExactCoverProblem(n=square.n, rows=tuple(iter_transversals(square)))

@@ -77,6 +77,14 @@ def test_invalid_input_exit_code(tmp_path, capsys):
     assert code == 1 and "error" in err
 
 
+def test_negative_node_budget_exit_code(tmp_path, capsys):
+    sq = tmp_path / "sq.txt"
+    sq.write_text(square_to_text(cyclic_square(3)))
+    code, out, err = run(capsys, "--node-budget", "-5", "decompose", str(sq))
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "node budget" in err
+
+
 def test_tarry_check_small_order(capsys):
     code, out, _ = run(capsys, "--format", "json", "tarry-check", "--order", "2")
     assert code == 0

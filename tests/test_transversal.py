@@ -5,11 +5,11 @@ import pytest
 from latinsq.core import Transversal, cyclic_square, from_grid, to_coloring
 from latinsq.sampler import SeededRng, enumerate_all, enumerate_reduced, sample_uniform
 from latinsq.transversal import (
+    DEFAULT_CANDIDATE_THRESHOLD,
     Decomposition,
     ExactSearchRefused,
     count_transversals,
     decompose,
-    exact_cover_problem,
     iter_transversals,
     max_partial_transversal,
     verify_decomposition,
@@ -26,7 +26,7 @@ def naive_count(square) -> int:
 
 
 def naive_decomposable(square) -> bool:
-    """Exhaustive search over transversal subsets (independent of the DLX)."""
+    """Exhaustive search over transversal subsets (independent of Algorithm X)."""
     n = square.n
     ts = list(iter_transversals(square))
     masks = []
@@ -198,9 +198,47 @@ def test_decompose_output_always_verifies_on_random_samples():
 
 
 def test_undecided_on_tiny_budget():
-    res = decompose(cyclic_square(9), node_budget=1)
-    assert res.status == "undecided"
-    assert res.decomposition is None
+    for budget in (0, 1):
+        for threshold in (DEFAULT_CANDIDATE_THRESHOLD, 2):
+            res = decompose(cyclic_square(9), node_budget=budget, candidate_threshold=threshold)
+            assert (res.status, res.nodes) == ("undecided", budget)
+            assert res.decomposition is None
+
+
+def test_negative_budget_rejected():
+    with pytest.raises(ValueError, match="node budget"):
+        decompose(cyclic_square(3), node_budget=-5)
+    with pytest.raises(ValueError, match="node budget"):
+        decompose(cyclic_square(3), node_budget=-1, candidate_threshold=0)
+
+
+# The first four squares of the order-10 Monte Carlo (master seed 777) with
+# their answers and node counts.  Both pin the branching order: the open cell
+# with the fewest live candidates, lowest row-major cell on ties, candidates
+# tried in enumeration order.
+PANEL = [("none", 27530), ("some", 1354), ("some", 15570), ("none", 20620)]
+
+
+def test_branching_order_pinned_on_order10_panel():
+    for t, expected in enumerate(PANEL):
+        sq = sample_uniform(10, SeededRng(777).derive(t))
+        res = decompose(sq)
+        assert (res.status, res.nodes) == expected, t
+        if res.status == "some":
+            ok, msg = verify_decomposition(sq, res.decomposition)
+            assert ok, msg
+
+
+@pytest.mark.parametrize("threshold", [DEFAULT_CANDIDATE_THRESHOLD, 2], ids=["eager", "lazy"])
+def test_budget_boundary(threshold):
+    sq = cyclic_square(9)
+    full = decompose(sq, candidate_threshold=threshold)
+    assert full.status == "some" and full.nodes > 1
+    exact = decompose(sq, node_budget=full.nodes, candidate_threshold=threshold)
+    assert (exact.status, exact.nodes) == (full.status, full.nodes)
+    short = decompose(sq, node_budget=full.nodes - 1, candidate_threshold=threshold)
+    assert (short.status, short.nodes) == ("undecided", full.nodes - 1)
+    assert short.decomposition is None
 
 
 def test_lazy_mode_matches_eager():
@@ -208,8 +246,10 @@ def test_lazy_mode_matches_eager():
         eager = decompose(sq)
         lazy = decompose(sq, candidate_threshold=2)
         assert eager.status == lazy.status
-        if lazy.status == "some":
-            assert verify_decomposition(sq, lazy.decomposition)[0]
+        for res in (eager, lazy):
+            if res.status == "some":
+                ok, msg = verify_decomposition(sq, res.decomposition)
+                assert ok, msg
 
 
 def test_verify_decomposition_reports():
@@ -223,10 +263,3 @@ def test_verify_decomposition_reports():
     bad = Transversal(cells=((1, 1), (2, 1), (3, 3)))
     ok, msg = verify_decomposition(sq, Decomposition(parts=(t, bad, t)))
     assert not ok and "column 1 used twice" in msg
-
-
-def test_exact_cover_problem_materialisation():
-    prob = exact_cover_problem(cyclic_square(5))
-    assert prob.n == 5
-    assert len(prob.rows) == 15
-    assert all(len(t.cells) == 5 for t in prob.rows)
