@@ -1,12 +1,19 @@
 """Approximately uniform random Latin squares, and exhaustive small-order
 enumeration.
 
-The sampler walks the standard proper/improper incidence-cube chain: states
-are n x n x n 0/1 arrays with all line sums 1, except that one cell may hold
--1 (the improper case).  A move picks a random 0-cell (or the forced -1
-cell) and flips the associated 2x2x2 subcube.  The walk's proper states are
-uniform over all Latin squares in the limit; burn-in and thinning are
-counted in proper-state visits.
+The sampler walks the Jacobson-Matthews proper/improper incidence-cube
+chain: states are n x n x n 0/1 arrays with all line sums 1, except that one
+cell may hold -1 (the improper case).  A move picks a random 0-cell (or the
+forced -1 cell) and flips the 2x2x2 subcube it spans with one 1-entry on
+each of its three lines.  The walk's proper states are uniform over all
+Latin squares in the limit; burn-in and thinning are counted in
+proper-state visits.
+
+The cube is held as three conjugate sets of line masks over its 1-entries
+(cell -> symbols, row and symbol -> columns, column and symbol -> rows), so
+each move reads its partners and flips the subcube in O(1) big-int
+operations.  A line through the -1 cell holds two 1-entries, every other
+line one.
 """
 
 from __future__ import annotations
@@ -25,7 +32,8 @@ class SeededRng:
     """Counter-style reproducible stream: (master seed, stream index).
 
     Distinct stream indices give statistically independent draws; the same
-    pair reproduces the same sequence.  Integer draws are buffered so the
+    pair reproduces the same sequence.  Integer draws are buffered, one
+    8192-draw buffer per bound, refilled when a draw finds it spent, so the
     chain's hot loop amortises generator overhead.
     """
 
@@ -34,7 +42,9 @@ class SeededRng:
         self.stream = int(stream)
         key = np.array([self.seed & (2**64 - 1), self.stream & (2**64 - 1)], dtype=np.uint64)
         self.generator = np.random.Generator(np.random.Philox(key=key))
-        self._buffers: dict[int, tuple[np.ndarray, int]] = {}
+        # bound -> [memoryview of the draws, next position]; indexing the
+        # view yields a Python int without copying the buffer
+        self._buffers: dict[int, list] = {}
 
     def derive(self, stream: int) -> "SeededRng":
         """A fresh independent stream; nested derivation mixes the parent
@@ -45,12 +55,12 @@ class SeededRng:
     def randint(self, k: int) -> int:
         """Uniform integer in [0, k), buffered."""
         buf = self._buffers.get(k)
-        if buf is None or buf[1] >= len(buf[0]):
+        if buf is None or buf[1] == _BUF:
             arr = self.generator.integers(0, k, size=_BUF, dtype=np.int64)
-            buf = (arr, 0)
-        arr, pos = buf
-        self._buffers[k] = (arr, pos + 1)
-        return int(arr[pos])
+            buf = self._buffers[k] = [memoryview(arr), 0]
+        pos = buf[1]
+        buf[1] = pos + 1
+        return buf[0][pos]
 
     def random(self) -> float:
         return float(self.generator.random())
@@ -68,23 +78,29 @@ class SeededRng:
 
 
 class MarkovState:
-    """Incidence-cube state of the walk; mutable, single-owner."""
+    """Incidence-cube state of the walk; mutable, single-owner.
 
-    def __init__(self, n: int, flat: list[int], improper: tuple[int, int, int] | None):
-        self.n = n
-        self.flat = flat  # n^3 entries, value(-1/0/1) at index r*n*n + c*n + s
+    The 1-entries (r, c, s) are held three ways: bit s of `rc[r*n+c]`, bit c
+    of `rs[r*n+s]` and bit r of `cs[c*n+s]`.  The -1 entry, if any, is
+    `improper`.
+    """
+
+    def __init__(self, n: int, rc: list[int], rs: list[int], cs: list[int],
+                 improper: tuple[int, int, int] | None):
+        self.n, self.rc, self.rs, self.cs = n, rc, rs, cs
         self.improper = improper
 
     @classmethod
     def from_square(cls, square: LatinSquare) -> "MarkovState":
         n = square.n
-        flat = [0] * (n * n * n)
+        rc, rs, cs = [0] * (n * n), [0] * (n * n), [0] * (n * n)
         for r in range(n):
-            row = square.cells[r]
-            base = r * n * n
-            for c in range(n):
-                flat[base + c * n + (row[c] - 1)] = 1
-        return cls(n, flat, None)
+            for c, sym in enumerate(square.cells[r]):
+                s = sym - 1
+                rc[r * n + c] = 1 << s
+                rs[r * n + s] = 1 << c
+                cs[c * n + s] = 1 << r
+        return cls(n, rc, rs, cs, None)
 
     @property
     def is_proper(self) -> bool:
@@ -93,40 +109,36 @@ class MarkovState:
     def to_square(self) -> LatinSquare:
         if self.improper is not None:
             raise ValidationError("improper state does not project to a square")
-        n = self.n
-        flat = self.flat
-        grid = [[0] * n for _ in range(n)]
-        for r in range(n):
-            base = r * n * n
-            for c in range(n):
-                off = base + c * n
-                for s in range(n):
-                    if flat[off + s] == 1:
-                        grid[r][c] = s + 1
-                        break
-        return _trusted_square(grid)
+        n, rc = self.n, self.rc
+        return _trusted_square([[rc[r * n + c].bit_length() for c in range(n)] for r in range(n)])
 
     def line_sums_ok(self) -> bool:
-        """All 3n^2 line sums equal 1 and values are in {-1, 0, 1}."""
+        """The three mask sets hold the same 1-entries, and the 0/+-1 cube
+        they describe with `improper` has all 3n^2 line sums equal to 1."""
         n = self.n
-        flat = self.flat
-        if any(v not in (-1, 0, 1) for v in flat):
-            return False
-        if sum(1 for v in flat if v == -1) != (0 if self.improper is None else 1):
-            return False
+        rc, rs, cs = self.rc, self.rs, self.cs
+        cube = [0] * n**3  # entry (r, c, s) at (r*n + c)*n + s
         for r in range(n):
             for c in range(n):
-                if sum(flat[r * n * n + c * n + s] for s in range(n)) != 1:
-                    return False
-        for r in range(n):
-            for s in range(n):
-                if sum(flat[r * n * n + c * n + s] for c in range(n)) != 1:
-                    return False
-        for c in range(n):
-            for s in range(n):
-                if sum(flat[r * n * n + c * n + s] for r in range(n)) != 1:
-                    return False
-        return True
+                for s in range(n):
+                    one = rc[r * n + c] >> s & 1
+                    if one != rs[r * n + s] >> c & 1 or one != cs[c * n + s] >> r & 1:
+                        return False
+                    cube[(r * n + c) * n + s] = one
+        if any(m >> n for m in rc + rs + cs):
+            return False
+        if self.improper is not None:
+            r, c, s = self.improper
+            if not (0 <= r < n and 0 <= c < n and 0 <= s < n) or cube[(r * n + c) * n + s]:
+                return False
+            cube[(r * n + c) * n + s] = -1
+        return all(
+            sum(cube[(a * n + b) * n + t] for t in range(n)) == 1
+            and sum(cube[(a * n + t) * n + b] for t in range(n)) == 1
+            and sum(cube[(t * n + a) * n + b] for t in range(n)) == 1
+            for a in range(n)
+            for b in range(n)
+        )
 
 
 def jm_step(state: MarkovState, rng: SeededRng) -> MarkovState:
@@ -134,77 +146,54 @@ def jm_step(state: MarkovState, rng: SeededRng) -> MarkovState:
     n = state.n
     if n == 1:
         return state  # single square, nothing to move
-    flat = state.flat
-    n2 = n * n
-    n3 = n2 * n
+    rc, rs, cs = state.rc, state.rs, state.cs
     if state.improper is None:
+        n3 = n * n * n
         while True:
-            idx = rng.randint(n3)
-            if flat[idx] == 0:
+            rcx, s = divmod(rng.randint(n3), n)  # rcx = r*n + c
+            if not rc[rcx] >> s & 1:
                 break
-        r, rest = divmod(idx, n2)
-        c, s = divmod(rest, n)
-        r1 = c1 = s1 = -1
-        off = c * n + s
-        for rr in range(n):
-            if flat[rr * n2 + off] == 1:
-                r1 = rr
-                break
-        base = r * n2
-        for cc in range(n):
-            if flat[base + cc * n + s] == 1:
-                c1 = cc
-                break
-        off = base + c * n
-        for ss in range(n):
-            if flat[off + ss] == 1:
-                s1 = ss
-                break
+        r, c = divmod(rcx, n)
+        rn, cn = rcx - c, c * n
+        # each line through the 0-cell holds one 1-entry
+        r1 = cs[cn + s].bit_length() - 1
+        c1 = rs[rn + s].bit_length() - 1
+        s1 = rc[rcx].bit_length() - 1
+        a = 1  # (r, c, s) turns from 0 to 1
     else:
         r, c, s = state.improper
-        # each line through the -1 cell holds exactly two 1-entries; pick one
-        # uniformly per axis (scan stops at the picked entry)
-        off = c * n + s
-        pick = rng.randint(2)
-        rr = 0
-        while True:
-            if flat[rr * n2 + off] == 1:
-                if pick == 0:
-                    r1 = rr
-                    break
-                pick -= 1
-            rr += 1
-        base = r * n2
-        pick = rng.randint(2)
-        cc = 0
-        while True:
-            if flat[base + cc * n + s] == 1:
-                if pick == 0:
-                    c1 = cc
-                    break
-                pick -= 1
-            cc += 1
-        off = base + c * n
-        pick = rng.randint(2)
-        ss = 0
-        while True:
-            if flat[off + ss] == 1:
-                if pick == 0:
-                    s1 = ss
-                    break
-                pick -= 1
-            ss += 1
-    # flip the 2x2x2 subcube spanned by (r,c,s) and (r1,c1,s1)
-    flat[r * n2 + c * n + s] += 1
-    flat[r * n2 + c1 * n + s1] += 1
-    flat[r1 * n2 + c * n + s1] += 1
-    flat[r1 * n2 + c1 * n + s] += 1
-    flat[r1 * n2 + c * n + s] -= 1
-    flat[r * n2 + c1 * n + s] -= 1
-    flat[r * n2 + c * n + s1] -= 1
-    apex = r1 * n2 + c1 * n + s1
-    flat[apex] -= 1
-    state.improper = (r1, c1, s1) if flat[apex] == -1 else None
+        rn, cn = r * n, c * n
+        # each line through the -1 cell holds two 1-entries; draw 0 picks
+        # the lower index, 1 the higher
+        m = cs[cn + s]
+        r1 = (m if rng.randint(2) else m & -m).bit_length() - 1
+        m = rs[rn + s]
+        c1 = (m if rng.randint(2) else m & -m).bit_length() - 1
+        m = rc[rn + c]
+        s1 = (m if rng.randint(2) else m & -m).bit_length() - 1
+        a = 0  # (r, c, s) turns from -1 to 0
+    # flip the 2x2x2 subcube spanned by (r,c,s) and (r1,c1,s1): each of its
+    # 12 lines XORs the two entries whose 1-status changes, except that
+    # (r,c,s) keeps it when it was -1 (a = 0) and the apex (r1,c1,s1) when
+    # it becomes -1 (z = 0)
+    r1n, c1n = r1 * n, c1 * n
+    z = rc[r1n + c1] >> s1 & 1
+    b, b1 = 1 << s, 1 << s1
+    rc[rn + c] ^= a << s | b1
+    rc[r1n + c1] ^= b | z << s1
+    rc[rn + c1] ^= b | b1
+    rc[r1n + c] ^= b | b1
+    b, b1 = 1 << c, 1 << c1
+    rs[rn + s] ^= a << c | b1
+    rs[r1n + s1] ^= b | z << c1
+    rs[rn + s1] ^= b | b1
+    rs[r1n + s] ^= b | b1
+    b, b1 = 1 << r, 1 << r1
+    cs[cn + s] ^= a << r | b1
+    cs[c1n + s1] ^= b | z << r1
+    cs[cn + s1] ^= b | b1
+    cs[c1n + s] ^= b | b1
+    state.improper = None if z else (r1, c1, s1)
     return state
 
 
@@ -216,6 +205,14 @@ def _advance_to_proper_visits(state: MarkovState, rng: SeededRng, visits: int) -
             seen += 1
 
 
+def _check_walk_args(n: int, **counts: int) -> None:
+    if n < 1:
+        raise ValidationError("order must be at least 1")
+    for name, value in counts.items():
+        if value < 0:
+            raise ValueError(f"{name} must be non-negative, got {value}")
+
+
 def sample_uniform(
     n: int, rng: SeededRng, burnin: int | None = None
 ) -> LatinSquare:
@@ -224,10 +221,9 @@ def sample_uniform(
     Starts the walk at the cyclic square and runs `burnin` proper-state
     visits (default 10 * n^3); deterministic given (rng state, burnin).
     """
-    if n < 1:
-        raise ValidationError("order must be at least 1")
     if burnin is None:
         burnin = DEFAULT_BURNIN_FACTOR * n**3
+    _check_walk_args(n, burnin=burnin)
     state = MarkovState.from_square(cyclic_square(n))
     _advance_to_proper_visits(state, rng, burnin)
     return state.to_square()
@@ -240,23 +236,21 @@ def sample_squares(
     burnin: int | None = None,
     thin: int | None = None,
 ) -> Iterator[LatinSquare]:
-    """A stream of `count` samples from one walk; thinned between samples."""
-    if n < 1:
-        raise ValidationError("order must be at least 1")
+    """A stream of `count` samples from one walk; thinned between samples.
+    The arguments are checked when the iterator is made."""
     if burnin is None:
         burnin = DEFAULT_BURNIN_FACTOR * n**3
     if thin is None:
         thin = n**3
-    state = MarkovState.from_square(cyclic_square(n))
-    if n == 1:
-        for _ in range(count):
+    _check_walk_args(n, count=count, burnin=burnin, thin=thin)
+
+    def walk() -> Iterator[LatinSquare]:
+        state = MarkovState.from_square(cyclic_square(n))
+        for i in range(count):
+            _advance_to_proper_visits(state, rng, thin if i else burnin)
             yield state.to_square()
-        return
-    _advance_to_proper_visits(state, rng, burnin)
-    yield state.to_square()
-    for _ in range(count - 1):
-        _advance_to_proper_visits(state, rng, thin)
-        yield state.to_square()
+
+    return walk()
 
 
 # --- exhaustive enumeration of small orders ---------------------------------

@@ -32,6 +32,18 @@ def test_sample_deterministic(tmp_path, capsys):
     assert a.read_text() == b.read_text()
 
 
+def test_sample_count_zero_writes_nothing(capsys):
+    code, out, err = run(capsys, "sample", "--order", "4", "--count", "0")
+    assert code == 0 and out == "" and err == ""
+
+
+def test_sample_negative_arguments_exit_code(capsys):
+    for flag in ("--count", "--burnin", "--thin"):
+        code, out, err = run(capsys, "sample", "--order", "4", flag, "-1")
+        assert code == 1 and out == "", flag
+        assert err.startswith("error: ") and flag[2:] in err, err
+
+
 def test_count_transversals_cli(tmp_path, capsys):
     path = tmp_path / "sq.txt"
     path.write_text(square_to_text(cyclic_square(7)))

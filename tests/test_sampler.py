@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from latinsq.core import ValidationError, cyclic_square, from_grid
@@ -22,6 +24,54 @@ def test_seeded_rng_reproducible_and_stream_independent():
     ]
 
 
+# Values recorded from the flat-cube walk and the tuple-buffered RNG that the
+# mask walk and the memoryview buffers replaced: the random stream and every
+# square drawn from it must not change.
+PANEL_SQUARE_0 = (
+    (7, 10, 3, 2, 4, 8, 1, 5, 6, 9),
+    (10, 3, 8, 7, 9, 1, 2, 6, 5, 4),
+    (2, 5, 7, 1, 8, 10, 6, 9, 4, 3),
+    (5, 1, 4, 10, 7, 6, 8, 3, 9, 2),
+    (9, 7, 1, 6, 3, 4, 5, 10, 2, 8),
+    (3, 6, 10, 9, 1, 2, 7, 4, 8, 5),
+    (4, 8, 6, 5, 2, 9, 10, 7, 3, 1),
+    (8, 2, 5, 4, 6, 3, 9, 1, 10, 7),
+    (6, 4, 9, 8, 5, 7, 3, 2, 1, 10),
+    (1, 9, 2, 3, 10, 5, 4, 8, 7, 6),
+)
+MIXED_BOUND_DRAWS = [
+    1, 999, 0, 0, 196, 6, 1, 741, 1, 0, 141, 6, 0, 679, 0,
+    1, 703, 0, 0, 619, 3, 0, 384, 4, 1, 967, 3, 0, 797, 0,
+]
+SHUFFLE_400_SHA256 = "4e18201cc937f37d823234823a13e5dc20c70d5e9791ce4dd6732e6974aa1064"
+
+
+def test_stream_pinned_order10_panel_square():
+    assert sample_uniform(10, SeededRng(777).derive(0)).cells == PANEL_SQUARE_0
+
+
+def test_stream_pinned_mixed_bound_draws():
+    rng = SeededRng(99, 0)
+    draws = [rng.randint(k) for _ in range(10) for k in (2, 1000, 7)]
+    assert draws == MIXED_BOUND_DRAWS
+    assert all(type(d) is int for d in draws)
+
+
+def test_stream_pinned_shuffle():
+    items = list(range(400))
+    SeededRng(99, 0).shuffle(items)
+    assert items[:8] == [310, 78, 307, 366, 332, 390, 354, 74]
+    assert hashlib.sha256(repr(items).encode()).hexdigest() == SHUFFLE_400_SHA256
+
+
+def test_buffer_refills_after_8192_draws():
+    # the 8193rd draw of a bound refills its buffer from the generator
+    a, b = SeededRng(6), SeededRng(6)
+    first = [a.randint(3) for _ in range(8192 + 5)]
+    fills = [b.generator.integers(0, 3, size=8192, dtype="int64") for _ in range(2)]
+    assert first == [int(v) for v in fills[0]] + [int(v) for v in fills[1][:5]]
+
+
 def test_derive_paths_do_not_collide():
     root = SeededRng(5)
     s1 = root.derive(1).derive(2)
@@ -31,19 +81,95 @@ def test_derive_paths_do_not_collide():
 
 def test_jm_step_order1_is_identity():
     st = MarkovState.from_square(cyclic_square(1))
-    before = list(st.flat)
+    before = (list(st.rc), list(st.rs), list(st.cs))
     jm_step(st, SeededRng(0))
-    assert st.flat == before and st.is_proper
+    assert (st.rc, st.rs, st.cs) == before and st.is_proper
+    assert st.line_sums_ok() and st.to_square() == cyclic_square(1)
 
 
 def test_jm_step_preserves_invariants():
-    rng = SeededRng(12)
-    st = MarkovState.from_square(cyclic_square(5))
-    for k in range(5000):
-        jm_step(st, rng)
-        if k % 500 == 0:
-            assert st.line_sums_ok()
-    assert st.line_sums_ok()
+    # checked after every step, through both proper and improper states
+    for n, steps in ((2, 3000), (3, 3000), (4, 3000), (5, 5000), (6, 3000), (7, 3000)):
+        rng = SeededRng(12).derive(n)
+        st = MarkovState.from_square(cyclic_square(n))
+        improper_seen = 0
+        for _ in range(steps):
+            jm_step(st, rng)
+            assert st.line_sums_ok(), (n, st.improper)
+            improper_seen += not st.is_proper
+        assert improper_seen < steps and (improper_seen > 0) == (n > 2)  # order 2 stays proper
+
+
+def test_line_sums_ok_rejects_broken_states():
+    def broken(edit):
+        st = MarkovState.from_square(cyclic_square(4))
+        edit(st)
+        return not st.line_sums_ok()
+
+    def second_symbol(st):  # entry (0, 0, 1) added consistently to all three masks
+        st.rc[0] |= 1 << 1
+        st.rs[1] |= 1 << 0
+        st.cs[1] |= 1 << 0
+
+    assert not broken(lambda st: None)
+    assert broken(lambda st: st.rc.__setitem__(0, 0b11))  # conjugates disagree
+    assert broken(lambda st: st.rc.__setitem__(0, 1 << 4))  # bit beyond the order
+    assert broken(second_symbol)
+    assert broken(lambda st: setattr(st, "improper", (0, 0, 0)))  # -1 on a 1-entry
+    assert broken(lambda st: setattr(st, "improper", (0, 0, 1)))  # sums off by -1
+    assert broken(lambda st: setattr(st, "improper", (4, 0, 0)))  # outside the cube
+
+
+def _flat_jm_step(n, flat, improper, rng):
+    """Reference move on the flat n^3 cube (value at r*n*n + c*n + s); the
+    scan-based form the mask walk replaced.  Returns the new -1 cell."""
+    n2 = n * n
+    n3 = n2 * n
+    if improper is None:
+        while True:
+            idx = rng.randint(n3)
+            if flat[idx] == 0:
+                break
+        r, rest = divmod(idx, n2)
+        c, s = divmod(rest, n)
+        r1 = next(rr for rr in range(n) if flat[rr * n2 + c * n + s] == 1)
+        c1 = next(cc for cc in range(n) if flat[r * n2 + cc * n + s] == 1)
+        s1 = next(ss for ss in range(n) if flat[r * n2 + c * n + ss] == 1)
+    else:
+        r, c, s = improper
+        # each line through the -1 cell holds two 1-entries; the draw picks
+        # the first or the second in scan order
+        r1 = [rr for rr in range(n) if flat[rr * n2 + c * n + s] == 1][rng.randint(2)]
+        c1 = [cc for cc in range(n) if flat[r * n2 + cc * n + s] == 1][rng.randint(2)]
+        s1 = [ss for ss in range(n) if flat[r * n2 + c * n + ss] == 1][rng.randint(2)]
+    for (x, y, z), d in (
+        ((r, c, s), 1), ((r, c1, s1), 1), ((r1, c, s1), 1), ((r1, c1, s), 1),
+        ((r1, c, s), -1), ((r, c1, s), -1), ((r, c, s1), -1), ((r1, c1, s1), -1),
+    ):
+        flat[x * n2 + y * n + z] += d
+    return (r1, c1, s1) if flat[r1 * n2 + c1 * n + s1] == -1 else None
+
+
+def _cube(st):
+    """The flat 0/+-1 cube a mask state describes."""
+    n = st.n
+    flat = [st.rc[r * n + c] >> s & 1 for r in range(n) for c in range(n) for s in range(n)]
+    if st.improper is not None:
+        r, c, s = st.improper
+        flat[(r * n + c) * n + s] = -1
+    return flat
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_jm_step_matches_flat_cube_reference(n):
+    for seed in (1, 2, 3):
+        st = MarkovState.from_square(cyclic_square(n))
+        flat, improper = _cube(st), None
+        rng_mask, rng_flat = SeededRng(seed).derive(n), SeededRng(seed).derive(n)
+        for step in range(5000):
+            jm_step(st, rng_mask)
+            improper = _flat_jm_step(n, flat, improper, rng_flat)
+            assert st.improper == improper and _cube(st) == flat, (seed, step)
 
 
 def test_order2_proper_states_are_the_two_squares():
@@ -73,6 +199,28 @@ def test_sample_stream_thins_deterministically():
     got2 = [sq.cells for sq in sample_squares(4, SeededRng(8).derive(0), 5)]
     assert got1 == got2
     assert len(set(got1)) > 1  # thinning actually moves
+
+
+def test_sample_squares_count_zero_yields_nothing():
+    for n in (1, 4):
+        assert list(sample_squares(n, SeededRng(1), 0)) == []
+    assert len(list(sample_squares(4, SeededRng(1), 1))) == 1
+
+
+def test_negative_walk_arguments_rejected():
+    with pytest.raises(ValueError, match="count"):
+        sample_squares(4, SeededRng(1), -1)
+    with pytest.raises(ValueError, match="burnin"):
+        sample_squares(4, SeededRng(1), 2, burnin=-1)
+    with pytest.raises(ValueError, match="thin"):
+        sample_squares(4, SeededRng(1), 2, thin=-1)
+    with pytest.raises(ValueError, match="burnin"):
+        sample_uniform(4, SeededRng(1), burnin=-1)
+    with pytest.raises(ValidationError):
+        sample_squares(0, SeededRng(1), 1)
+    # zero burn-in and zero thinning are allowed: the walk starts at the cyclic square
+    assert sample_uniform(4, SeededRng(1), burnin=0) == cyclic_square(4)
+    assert len(set(sq.cells for sq in sample_squares(4, SeededRng(1), 3, thin=0))) == 1
 
 
 def test_single_cell_marginal_order5():
