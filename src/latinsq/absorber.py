@@ -58,6 +58,8 @@ class CorrectionInstance:
 
     def __post_init__(self):
         uni = set(self.universe)
+        if len(uni) != len(self.universe) or len(set(self.indices)) != len(self.indices):
+            raise ValueError("the universe and the indices must not repeat")
         all_chosen: Counter = Counter()
         all_surplus: Counter = Counter()
         for i in self.indices:
@@ -131,39 +133,82 @@ class DirectedColoredMultigraph:
     def add(self, tail, head, color, mult: int = 1) -> None:
         self.edges[(tail, head, color)] += mult
 
-    def remove(self, tail, head, color) -> None:
-        key = (tail, head, color)
-        self.edges[key] -= 1
-        if self.edges[key] == 0:
-            del self.edges[key]
-        elif self.edges[key] < 0:
-            raise KeyError(f"arc {key} not present")
-
-    def net_degree(self, vertex, color) -> int:
-        out = sum(m for (t, _h, c), m in self.edges.items() if t == vertex and c == color)
-        inc = sum(m for (_t, h, c), m in self.edges.items() if h == vertex and c == color)
-        return out - inc
-
-    def copy(self) -> "DirectedColoredMultigraph":
-        return DirectedColoredMultigraph(edges=Counter(self.edges))
-
 
 def check_conservation(graph: DirectedColoredMultigraph, inst: CorrectionInstance) -> list:
     """Violations of the per-colour net-degree contract: +1 on surplus
-    vertices, -1 on chosen vertices, 0 elsewhere."""
+    vertices, -1 on chosen vertices, 0 elsewhere, ordered as `inst.indices`
+    and then `inst.universe`.  Only keys with an arc or a nonzero target
+    are visited; every other (vertex, colour) reads 0 and wants 0."""
     net: dict = {}
     for (t, h, c), m in graph.edges.items():
         net[(t, c)] = net.get((t, c), 0) + m
         net[(h, c)] = net.get((h, c), 0) - m
+    want = {(u, i): -1 for i in inst.indices for u in inst.chosen.get(i, ())}
+    want.update(((u, i), 1) for i in inst.indices for u in inst.surplus.get(i, ()))
+    ipos, upos = _positions(inst)
     bad = []
-    for i in inst.indices:
-        sur = inst.surplus.get(i, frozenset())
-        cho = inst.chosen.get(i, frozenset())
-        for u in inst.universe:
-            want = 1 if u in sur else (-1 if u in cho else 0)
-            if net.get((u, i), 0) != want:
-                bad.append((i, u, net.get((u, i), 0), want))
+    for pi, pu in sorted((ipos[i], upos[u]) for (u, i) in net.keys() | want.keys()
+                         if i in ipos and u in upos):
+        i, u = inst.indices[pi], inst.universe[pu]
+        if net.get((u, i), 0) != want.get((u, i), 0):
+            bad.append((i, u, net.get((u, i), 0), want.get((u, i), 0)))
     return bad
+
+
+def _positions(inst: CorrectionInstance) -> tuple[dict, dict]:
+    """Index -> position in `inst.indices`, vertex -> position in `inst.universe`."""
+    return {i: k for k, i in enumerate(inst.indices)}, {u: k for k, u in enumerate(inst.universe)}
+
+
+def random_correction_instance(
+    rng: SeededRng, num_indices: int = 20, universe_size: int = 400, max_surplus: int = 3
+) -> CorrectionInstance:
+    """A random feasible instance: surpluses drawn freely, then the same
+    multiset dealt back out as chosen reservoir vertices.  Raises ValueError
+    for a negative size, or when 10000 shuffles find no feasible deal."""
+    for name, size in (("indices", num_indices), ("universe", universe_size),
+                       ("max_surplus", max_surplus)):
+        if size < 0:
+            raise ValueError(f"{name} must be non-negative, got {size}")
+    indices = tuple(range(1, num_indices + 1))
+    universe = tuple(range(1, universe_size + 1))
+    surplus = {}
+    for i in indices:
+        k = rng.randint(max_surplus + 1)
+        surplus[i] = frozenset(rng.sample(universe, k))
+    pool = [u for i in indices for u in sorted(surplus[i])]
+    for _ in range(10000):
+        rng.shuffle(pool)
+        chosen: dict = {}
+        pos = 0
+        ok = True
+        for i in indices:
+            k = len(surplus[i])
+            picks = pool[pos:pos + k]
+            pos += k
+            if len(set(picks)) != k or set(picks) & surplus[i]:
+                ok = False
+                break
+            chosen[i] = frozenset(picks)
+        if ok:
+            break
+    else:
+        raise ValueError("could not deal a feasible chosen assignment")
+    reservoir = {}
+    for i in indices:
+        extra = [
+            u
+            for u in rng.sample(universe, min(universe_size, len(chosen[i]) + 4))
+            if u not in surplus[i] and u not in chosen[i]
+        ]
+        reservoir[i] = frozenset(set(chosen[i]) | set(extra[:4]))
+    return CorrectionInstance(
+        indices=indices,
+        universe=universe,
+        reservoir=reservoir,
+        surplus=surplus,
+        chosen=chosen,
+    )
 
 
 def _decompose_into_cycles(edges: list) -> list[list]:
@@ -497,25 +542,27 @@ def verify_corrections(inst: CorrectionInstance, cset: CorrectionSet) -> tuple[b
     """Check all five conclusion groups; violations come back as
     (rule, index, vertex) triples."""
     violations: list = []
-    uni = set(inst.universe)
-    idx = set(inst.indices)
+    ipos, upos = _positions(inst)
+    out_count: Counter = Counter()
+    in_count: Counter = Counter()
     for p in cset.pairs:
         (i, u), (j, v) = tuple(p)
         for (a, x), (b, y) in ((( i, u), (j, v)), ((j, v), (i, u))):
-            if a not in idx or x not in uni:
+            if a not in ipos or x not in upos:
                 violations.append(("membership", a, x))
                 continue
             # x plays "switch out of a, into b": x not in reservoir_a nor surplus_b
             if x in inst.reservoir.get(a, frozenset()) or x in inst.surplus.get(b, frozenset()):
                 violations.append(("membership", a, x))
-    out_count: Counter = Counter()
-    in_count: Counter = Counter()
-    for p in cset.pairs:
-        (i, u), (j, v) = tuple(p)
         out_count[(i, u)] += 1
         out_count[(j, v)] += 1
         in_count[(j, u)] += 1
         in_count[(i, v)] += 1
+    # A1-4 holds at (0, 0), so only vertices some pair touches need a look
+    touched: dict = {}
+    for (i, u) in out_count.keys() | in_count.keys():
+        if u in upos:
+            touched.setdefault(i, []).append(upos[u])
     for i in inst.indices:
         for u in sorted(inst.surplus.get(i, ())):
             if out_count.get((i, u), 0) != 1:
@@ -528,7 +575,8 @@ def verify_corrections(inst: CorrectionInstance, cset: CorrectionSet) -> tuple[b
             if in_count.get((i, u), 0) != 0:
                 violations.append(("A1-3", i, u))
         res_sur = inst.reservoir.get(i, frozenset()) | inst.surplus.get(i, frozenset())
-        for u in inst.universe:
+        for pu in sorted(touched.get(i, ())):
+            u = inst.universe[pu]
             if u in res_sur:
                 continue
             if (out_count.get((i, u), 0), in_count.get((i, u), 0)) not in ((0, 0), (1, 1)):

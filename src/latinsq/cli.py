@@ -27,6 +27,7 @@ from .absorber import (
     RoutingError,
     build_connector,
     decompose_corrections,
+    random_correction_instance,
     route_pairs,
     verify_corrections,
 )
@@ -304,58 +305,14 @@ def cmd_probe_subgraph(args) -> int:
 # --- absorber-demo ------------------------------------------------------------
 
 
-def random_correction_instance(
-    rng: SeededRng, num_indices: int = 20, universe_size: int = 400, max_surplus: int = 3
-) -> CorrectionInstance:
-    """A random feasible instance: surpluses drawn freely, then the same
-    multiset dealt back out as chosen reservoir vertices."""
-    indices = tuple(range(1, num_indices + 1))
-    universe = tuple(range(1, universe_size + 1))
-    surplus = {}
-    for i in indices:
-        k = rng.randint(max_surplus + 1)
-        surplus[i] = frozenset(rng.sample(list(universe), k))
-    pool = [u for i in indices for u in sorted(surplus[i])]
-    for _ in range(10000):
-        rng.shuffle(pool)
-        chosen: dict = {}
-        pos = 0
-        ok = True
-        for i in indices:
-            k = len(surplus[i])
-            picks = pool[pos:pos + k]
-            pos += k
-            if len(set(picks)) != k or set(picks) & surplus[i]:
-                ok = False
-                break
-            chosen[i] = frozenset(picks)
-        if ok:
-            break
-    else:
-        raise RuntimeError("could not deal a feasible chosen assignment")
-    reservoir = {}
-    for i in indices:
-        extra = [
-            u
-            for u in rng.sample(list(universe), len(chosen[i]) + 4)
-            if u not in surplus[i] and u not in chosen[i]
-        ]
-        reservoir[i] = frozenset(set(chosen[i]) | set(extra[:4]))
-    return CorrectionInstance(
-        indices=indices,
-        universe=universe,
-        reservoir=reservoir,
-        surplus=surplus,
-        chosen=chosen,
-    )
-
-
 def cmd_absorber_demo(args) -> int:
     t0 = time.perf_counter()
     rng = SeededRng(args.seed)
     records = []
     artifacts = []
     failures = 0
+    if args.count < 0:
+        raise ValueError(f"count must be non-negative, got {args.count}")
     if args.instance:
         with open(args.instance) as fh:
             instances = [CorrectionInstance.from_json(fh.read())]

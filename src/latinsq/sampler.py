@@ -32,9 +32,9 @@ class SeededRng:
     """Counter-style reproducible stream: (master seed, stream index).
 
     Distinct stream indices give statistically independent draws; the same
-    pair reproduces the same sequence.  Integer draws are buffered, one
-    8192-draw buffer per bound, refilled when a draw finds it spent, so the
-    chain's hot loop amortises generator overhead.
+    pair reproduces the same sequence.  `randint` buffers 8192 draws per
+    bound, refilled when spent, for the chain's hot loop; `shuffle` and
+    `sample` need a new bound at every step and bypass the buffers.
     """
 
     def __init__(self, seed: int, stream: int = 0):
@@ -66,12 +66,12 @@ class SeededRng:
         return float(self.generator.random())
 
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates using this stream."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randint(i + 1)
-            items[i], items[j] = items[j], items[i]
+        """In-place unbiased Fisher-Yates in O(len(items)), not buffered."""
+        self.generator.shuffle(items)
 
     def sample(self, items: list, k: int) -> list:
+        if not 0 <= k <= len(items):
+            raise ValueError(f"sample size {k} outside 0..{len(items)}")
         pool = list(items)
         self.shuffle(pool)
         return pool[:k]

@@ -1,17 +1,21 @@
+import random
+from collections import Counter
+
 import pytest
 
 from latinsq.absorber import (
     CorrectionInstance,
     CorrectionSet,
+    DirectedColoredMultigraph,
     InfeasibleError,
     build_connector,
     check_conservation,
     connector_depth,
     decompose_corrections,
+    random_correction_instance,
     route_pairs,
     verify_corrections,
 )
-from latinsq.cli import random_correction_instance
 from latinsq.rainbow import is_le1_balanced, make_pair
 from latinsq.sampler import SeededRng
 
@@ -43,6 +47,16 @@ def test_instance_validation():
             surplus={1: frozenset({1})},
             chosen={1: frozenset({3})},
         )
+    with pytest.raises(ValueError, match="repeat"):
+        CorrectionInstance(
+            indices=(1, 2),
+            universe=(1, 2, 2),
+            reservoir={},
+            surplus={},
+            chosen={},
+        )
+    with pytest.raises(ValueError, match="repeat"):
+        CorrectionInstance(indices=(1, 1), universe=(1, 2), reservoir={}, surplus={}, chosen={})
     with pytest.raises(ValueError, match="multiset"):
         CorrectionInstance(
             indices=(1, 2),
@@ -158,6 +172,127 @@ def test_instance_json_round_trip():
     cset = decompose_corrections(inst, SeededRng(78))
     back_set = CorrectionSet.from_json(cset.to_json())
     assert back_set == cset
+
+
+# The dense checks that the sparse ones replaced, kept as references: every
+# (index, vertex) pair of the instance, in the order of `indices` and `universe`.
+
+
+def _dense_conservation(graph, inst):
+    net = Counter()
+    for (t, h, c), m in graph.edges.items():
+        net[(t, c)] += m
+        net[(h, c)] -= m
+    bad = []
+    for i in inst.indices:
+        for u in inst.universe:
+            want = 1 if u in inst.surplus.get(i, ()) else (-1 if u in inst.chosen.get(i, ()) else 0)
+            if net[(u, i)] != want:
+                bad.append((i, u, net[(u, i)], want))
+    return bad
+
+
+def _dense_verify(inst, cset):
+    bad, uni, idx = [], set(inst.universe), set(inst.indices)
+    outs, ins = Counter(), Counter()
+    for p in cset.pairs:
+        (i, u), (j, v) = tuple(p)
+        for (a, x), b in (((i, u), j), ((j, v), i)):
+            if (a not in idx or x not in uni or x in inst.reservoir.get(a, ())
+                    or x in inst.surplus.get(b, ())):
+                bad.append(("membership", a, x))
+    for p in cset.pairs:
+        (i, u), (j, v) = tuple(p)
+        outs.update([(i, u), (j, v)])
+        ins.update([(j, u), (i, v)])
+    for i in inst.indices:
+        res, sur = inst.reservoir.get(i, frozenset()), inst.surplus.get(i, frozenset())
+        cho = inst.chosen.get(i, frozenset())
+        bad += [("A1-1", i, u) for u in sorted(sur) if outs[(i, u)] != 1]
+        bad += [("A1-2", i, u) for u in sorted(cho) if ins[(i, u)] != 1]
+        bad += [("A1-3", i, u) for u in sorted(set(res) - set(cho)) if ins[(i, u)] != 0]
+        bad += [("A1-4", i, u) for u in inst.universe if u not in res | sur
+                and (outs[(i, u)], ins[(i, u)]) not in ((0, 0), (1, 1))]
+    return not bad, bad
+
+
+def _permuted(inst, rnd):
+    """The same instance with its indices and universe listed in another order."""
+    indices, universe = list(inst.indices), list(inst.universe)
+    rnd.shuffle(indices)
+    rnd.shuffle(universe)
+    return CorrectionInstance(tuple(indices), tuple(universe), inst.reservoir, inst.surplus,
+                              inst.chosen)
+
+
+def _equivalence_cases(count):
+    """(instance, stage graphs, correction set) for `count` random instances;
+    every other one lists its indices and universe out of order."""
+    rng, rnd = SeededRng(4242), random.Random(4242)
+    for t in range(count):
+        inst = random_correction_instance(
+            rng.derive(t), num_indices=rnd.randint(10, 14), universe_size=rnd.randint(40, 80)
+        )
+        cset, stages = decompose_corrections(inst, rng.derive(500 + t), collect_stages=True)
+        yield (_permuted(inst, rnd) if t % 2 else inst), [g for _n, g in stages], cset, rnd
+
+
+def _mutated_graph(graph, inst, rnd):
+    """A copy of the stage graph with arcs added, removed or redirected,
+    some of them at vertices or colours outside the instance."""
+    edges = Counter(graph.edges)
+    uni, idx = list(inst.universe) + [10**6, "x"], list(inst.indices) + [0, 99]
+    for _ in range(rnd.randint(1, 4)):
+        move = rnd.choice(("add", "remove", "redirect") if edges else ("add",))
+        if move == "add":
+            edges[(rnd.choice(uni), rnd.choice(uni), rnd.choice(idx))] += rnd.randint(1, 2)
+            continue
+        t, h, c = rnd.choice(sorted(edges, key=repr))
+        edges[(t, h, c)] -= 1
+        if not edges[(t, h, c)]:
+            del edges[(t, h, c)]
+        if move == "redirect":
+            edges[rnd.choice(((t, rnd.choice(uni), c), (t, h, rnd.choice(idx))))] += 1
+    return DirectedColoredMultigraph(edges=edges)
+
+
+def _mutated_set(cset, inst, rnd):
+    """The correction set with pairs dropped and pairs added, some of them
+    naming indices or vertices outside the instance."""
+    pairs = sorted(cset.pairs, key=lambda p: sorted(p))
+    rnd.shuffle(pairs)
+    pairs = pairs[rnd.randint(0, 2):]
+    uni, idx = list(inst.universe) + [10**6], list(inst.indices) + [0]
+    for _ in range(rnd.randint(0, 3)):
+        i, j = rnd.sample(idx, 2)
+        u, v = rnd.sample(uni, 2)
+        pairs.append(make_pair(i, u, j, v))
+    return CorrectionSet(pairs=frozenset(pairs))
+
+
+def test_sparse_conservation_matches_dense():
+    broken = 0
+    for inst, graphs, _cset, rnd in _equivalence_cases(60):
+        for graph in graphs:
+            assert check_conservation(graph, inst) == _dense_conservation(graph, inst) == []
+            for _ in range(3):
+                bad = _mutated_graph(graph, inst, rnd)
+                got = check_conservation(bad, inst)
+                assert got == _dense_conservation(bad, inst)
+                broken += bool(got)
+    assert broken > 500  # most mutants break conservation; the checks agree on them all
+
+
+def test_sparse_verify_matches_dense():
+    rules = Counter()
+    for inst, _graphs, cset, rnd in _equivalence_cases(60):
+        assert verify_corrections(inst, cset) == _dense_verify(inst, cset) == (True, [])
+        for _ in range(6):
+            bad = _mutated_set(cset, inst, rnd)
+            got = verify_corrections(inst, bad)
+            assert got == _dense_verify(inst, bad)
+            rules.update(rule for rule, _i, _u in got[1])
+    assert set(rules) == {"membership", "A1-1", "A1-2", "A1-3", "A1-4"}, rules
 
 
 # --- connector ----------------------------------------------------------------

@@ -9,8 +9,14 @@ import random
 import time
 from collections import Counter
 
-from latinsq.absorber import build_connector, decompose_corrections, route_pairs, verify_corrections, check_conservation
-from latinsq.cli import random_correction_instance
+from latinsq.absorber import (
+    build_connector,
+    check_conservation,
+    decompose_corrections,
+    random_correction_instance,
+    route_pairs,
+    verify_corrections,
+)
 from latinsq.core import cyclic_decomposition, cyclic_square, to_coloring
 from latinsq.links import (
     census_path_pairs,

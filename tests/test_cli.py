@@ -186,7 +186,7 @@ def test_absorber_demo_roundtrip(tmp_path, capsys):
 
 
 def test_absorber_demo_instance_file(tmp_path, capsys):
-    from latinsq.cli import random_correction_instance
+    from latinsq.absorber import random_correction_instance
     from latinsq.sampler import SeededRng
 
     inst = random_correction_instance(SeededRng(1).derive(0), num_indices=6, universe_size=40)
@@ -197,6 +197,20 @@ def test_absorber_demo_instance_file(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(out)["summary"]["verified"] == 1
+
+
+def test_absorber_demo_bad_input_exit_code(capsys):
+    for argv, message in (
+        (("--universe", "3"), "could not deal"),
+        (("--indices", "1"), "could not deal"),
+        (("--max-surplus", "-1"), "max_surplus must be non-negative"),
+        (("--indices", "-1"), "indices must be non-negative"),
+        (("--universe", "-5"), "universe must be non-negative"),
+        (("--count", "-2"), "count must be non-negative"),
+    ):
+        code, out, err = run(capsys, "absorber-demo", "--count", "2", *argv)
+        assert code == 1 and out == "", argv
+        assert err.startswith("error: ") and message in err, (argv, err)
 
 
 def test_connector_demo(capsys):

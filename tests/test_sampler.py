@@ -1,4 +1,6 @@
 import hashlib
+import itertools
+from collections import Counter
 
 import pytest
 
@@ -26,7 +28,8 @@ def test_seeded_rng_reproducible_and_stream_independent():
 
 # Values recorded from the flat-cube walk and the tuple-buffered RNG that the
 # mask walk and the memoryview buffers replaced: the random stream and every
-# square drawn from it must not change.
+# square drawn from it must not change.  The shuffle pin is recorded from the
+# generator's own Fisher-Yates, which `shuffle` calls directly.
 PANEL_SQUARE_0 = (
     (7, 10, 3, 2, 4, 8, 1, 5, 6, 9),
     (10, 3, 8, 7, 9, 1, 2, 6, 5, 4),
@@ -43,7 +46,7 @@ MIXED_BOUND_DRAWS = [
     1, 999, 0, 0, 196, 6, 1, 741, 1, 0, 141, 6, 0, 679, 0,
     1, 703, 0, 0, 619, 3, 0, 384, 4, 1, 967, 3, 0, 797, 0,
 ]
-SHUFFLE_400_SHA256 = "4e18201cc937f37d823234823a13e5dc20c70d5e9791ce4dd6732e6974aa1064"
+SHUFFLE_400_SHA256 = "2d53c6bc0a25c456360d5886afb1162cbb5c9bb8b3fae5ddf5d432c9a73f1b45"
 
 
 def test_stream_pinned_order10_panel_square():
@@ -60,8 +63,44 @@ def test_stream_pinned_mixed_bound_draws():
 def test_stream_pinned_shuffle():
     items = list(range(400))
     SeededRng(99, 0).shuffle(items)
-    assert items[:8] == [310, 78, 307, 366, 332, 390, 354, 74]
+    assert items[:8] == [216, 399, 157, 141, 109, 398, 340, 391]
     assert hashlib.sha256(repr(items).encode()).hexdigest() == SHUFFLE_400_SHA256
+
+
+# chi-square upper 1e-4 quantile on 23 degrees of freedom (24 orderings of 4)
+CHI2_CRIT_23_1E4 = 57.07
+
+
+def test_shuffle_orderings_uniform():
+    rng = SeededRng(2718)
+    draws = 24_000
+    counts = Counter()
+    for _ in range(draws):
+        items = [0, 1, 2, 3]
+        rng.shuffle(items)
+        counts[tuple(items)] += 1
+    assert set(counts) == set(itertools.permutations(range(4)))
+    expected = draws / 24
+    chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
+    assert chi2 < CHI2_CRIT_23_1E4, chi2
+
+
+def test_sample_distinct_members_and_size_checked():
+    rng = SeededRng(5)
+    items = tuple(range(100, 130))
+    for k in (0, 1, 7, 30):
+        got = rng.sample(items, k)
+        assert len(got) == k and len(set(got)) == k and set(got) <= set(items)
+    for k in (-1, 31):
+        with pytest.raises(ValueError, match="sample size"):
+            rng.sample(items, k)
+
+
+def test_shuffle_and_sample_leave_randint_buffers_alone():
+    rng = SeededRng(8)
+    rng.shuffle(list(range(400)))
+    rng.sample(range(50), 10)
+    assert rng._buffers == {}
 
 
 def test_buffer_refills_after_8192_draws():
