@@ -207,6 +207,16 @@ def cmd_tarry_check(args) -> int:
 
 def cmd_census_links(args) -> int:
     t0 = time.perf_counter()
+    if args.order < 2:
+        raise ValueError(f"order must be at least 2 to pick distinct endpoints, got {args.order}")
+    if args.pairs < 0:
+        raise ValueError(f"pairs must be non-negative, got {args.pairs}")
+    if args.length is None:
+        pattern = repeat_pattern(args.k)
+    elif args.length < 1:
+        raise ValueError(f"path length must be positive, got {args.length}")
+    elif args.length % 2 == 0:
+        raise ValueError(f"path length must be odd, got {args.length}")
     rng = SeededRng(args.seed)
     square = sample_uniform(args.order, rng.derive(0), burnin=args.burnin)
     host = to_coloring(square)
@@ -224,7 +234,7 @@ def cmd_census_links(args) -> int:
                 if v != u:
                     break
             ts = time.perf_counter()
-            count = count_links(host, u, v, repeat_pattern(args.k))
+            count = count_links(host, u, v, pattern)
             dt = time.perf_counter() - ts
             param = f"k={args.k}"
             urep, vrep = f"{u[0]}{u[1]}", f"{v[0]}{v[1]}"

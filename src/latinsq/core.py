@@ -11,6 +11,8 @@ as a 3-partite triple system on rows/columns/symbols.  Everything here is
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 
 class ValidationError(ValueError):
@@ -52,6 +54,22 @@ class ProperColoring:
     def edge_color(self, a: int, b: int) -> int:
         return self.color[a - 1][b - 1]
 
+    @cached_property
+    def partners(self) -> "PartnerTable":
+        """Integer-vertex lookups, built once per colouring: row a is vertex
+        a - 1 and column b is vertex n + b - 1."""
+        n = self.n
+        m = 2 * n
+        via = [-1] * (m * (n + 1))
+        color = [0] * (m * m)
+        for a, row in enumerate(self.color):
+            for b, c in enumerate(row):
+                w = n + b
+                via[a * (n + 1) + c] = w
+                via[w * (n + 1) + c] = a
+                color[a * m + w] = color[w * m + a] = c
+        return PartnerTable(via, color)
+
     def color_matching(self, c: int) -> list[tuple[int, int]]:
         """The perfect matching formed by the colour-c edges, as (a, b) pairs."""
         return [
@@ -60,6 +78,15 @@ class ProperColoring:
             for b in range(self.n)
             if self.color[a][b] == c
         ]
+
+
+class PartnerTable(NamedTuple):
+    """``via[v * (n + 1) + c]`` is the vertex joined to v by colour c, and
+    ``color[v * 2n + w]`` is the colour of the edge vw, 0 when v and w lie
+    in one class."""
+
+    via: list[int]
+    color: list[int]
 
 
 @dataclass(frozen=True)

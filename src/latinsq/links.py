@@ -5,8 +5,19 @@ are grouped into colour classes.  An embedding (a "link") maps the pattern
 injectively into the host so that all edges of one class receive a single
 host colour, distinct across classes.  The repeating-colour path family
 ``repeat_pattern(k)`` (a path of length 2k whose k edge classes repeat in
-order) is the workhorse: counting its embeddings reduces to forced colour
-walks, which is what makes the censuses here near-linear per seed vertex.
+order) is the workhorse.
+
+Counting and enumeration share one backtracking engine on integer vertices
+(row a is a - 1, column b is n + b - 1) over the colouring's cached
+``ProperColoring.partners`` table.  A per-call plan fixes, for each step of
+the elimination order, which placed neighbours bind a colour class and
+which only check it; a step with an already-bound class has one forced
+candidate and is followed in a loop, and every other step branches over
+one side in ascending id order, i.e. in (side, index) order.  The cost is
+that of the branching steps: for ``repeat_pattern(k)`` the first k interior
+vertices branch and the other k - 1 are forced, so one endpoint pair costs
+O(n^k) table lookups, not near-linear time.  The path-pair census and the
+closed-walk count read the same table.
 """
 
 from __future__ import annotations
@@ -16,8 +27,8 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import LatinSquare, ProperColoring, to_coloring
-from .rainbow import Vertex, same_side
+from .core import LatinSquare, ProperColoring
+from .rainbow import Vertex, _check_vertex
 from .sampler import SeededRng, enumerate_all, sample_squares
 
 INT64_MAX = 2**63 - 1
@@ -76,9 +87,6 @@ def repeat_pattern(k: int) -> Pattern:
         raise ValueError("k must be positive")
     edges = tuple((t, t + 1, (t % k) + 1) for t in range(2 * k))
     return Pattern(num_vertices=2 * k + 1, edges=edges, start=0, end=2 * k)
-
-
-make_repeat_pattern = repeat_pattern
 
 
 @dataclass(frozen=True)
@@ -152,150 +160,142 @@ def _elimination_order(pat: Pattern) -> list[int]:
     return placed
 
 
-class _LinkSearch:
-    """Shared backtracking core for enumerate/count."""
+def _vertex_id(n: int, v: Vertex) -> int:
+    side, i = _check_vertex(n, v)
+    return i - 1 if side == "A" else n + i - 1
 
-    def __init__(self, host: ProperColoring, u: Vertex, v: Vertex, pat: Pattern):
-        if u == v:
-            raise ValueError("endpoints must be distinct")
-        self.host = host
-        self.n = host.n
-        self.pat = pat
-        self.u = u
-        self.v = v
-        # colour lookups: partner on the other side via a given colour
-        n = self.n
-        self.col_by_rowcolor = [[0] * (n + 1) for _ in range(n + 1)]
-        self.row_by_colcolor = [[0] * (n + 1) for _ in range(n + 1)]
-        for a in range(1, n + 1):
-            for b in range(1, n + 1):
-                c = host.edge_color(a, b)
-                self.col_by_rowcolor[a][c] = b
-                self.row_by_colcolor[b][c] = a
-        self.order = _elimination_order(pat)
-        self.adj: dict[int, list[tuple[int, int]]] = {w: [] for w in range(pat.num_vertices)}
-        for (a, b, cls) in pat.edges:
-            self.adj[a].append((b, cls))
-            self.adj[b].append((a, cls))
 
-    def _feasible(self) -> bool:
-        ok, forced = _bipartition_parity(self.pat)
-        if not ok:
-            return False
-        if forced is None:
-            return True
-        return forced == same_side(self.u, self.v)
+def _vertex_of(n: int, x: int) -> Vertex:
+    return ("A", x + 1) if x < n else ("B", x - n + 1)
 
-    def _neighbor_via(self, w: Vertex, color: int) -> Vertex:
-        if w[0] == "A":
-            return ("B", self.col_by_rowcolor[w[1]][color])
-        return ("A", self.row_by_colcolor[w[1]][color])
 
-    def run(self, limit=None, count_only=False):
-        links: list[Link] = []
-        count = 0
-        if not self._feasible():
-            return (0, links)
-        pat = self.pat
-        psi: dict[int, Vertex] = {pat.start: self.u, pat.end: self.v}
-        used = {self.u, self.v}
-        class_color: dict[int, int] = {}
-        color_class: dict[int, int] = {}
-        order = self.order
+def _plan(pat: Pattern):
+    """One step per vertex of the elimination order after start and end:
+    (w, forced_from, forced_slot, checks).  A class is bound at the first
+    step that closes one of its edges, which the order alone decides, so
+    each check knows statically whether it binds its class (``True``) or
+    compares with the bound colour.  ``forced_slot`` >= 0 names a class
+    bound before the step, whose colour forces w's image from the image of
+    ``forced_from``; otherwise w branches over the side opposite its first
+    placed neighbour, or over every vertex when it has none.  Also returns
+    the checks of the end against the start, and the sorted classes."""
+    order = _elimination_order(pat)
+    pos = {w: i for i, w in enumerate(order)}
+    classes = sorted({cls for (_a, _b, cls) in pat.edges})
+    slot = {cls: k for k, cls in enumerate(classes)}
+    adj: dict[int, list[tuple[int, int]]] = {w: [] for w in range(pat.num_vertices)}
+    for (a, b, cls) in pat.edges:
+        adj[a].append((b, slot[cls]))
+        adj[b].append((a, slot[cls]))
+    bound: set[int] = set()
+    steps = []
+    for i, w in enumerate(order):
+        placed = [(z, k) for (z, k) in adj[w] if pos[z] < i]
+        forced = next(((z, k) for (z, k) in placed if k in bound), (-1, -1))
+        checks = []
+        for (z, k) in placed:
+            if (z, k) != forced:
+                checks.append((z, k, k not in bound))
+                bound.add(k)
+        steps.append((w, *forced, tuple(checks)))
+    return steps[2:], steps[1][3], classes
 
-        def close_edges(w: int) -> list[int] | None:
-            # assign classes for edges from w into placed vertices; returns
-            # the classes newly bound here, or None if inconsistent
-            bound: list[int] = []
-            for (z, cls) in self.adj[w]:
-                if z not in psi:
-                    continue
-                pw, pz = psi[w], psi[z]
-                if same_side(pw, pz):
-                    for b in bound:
-                        color_class.pop(class_color.pop(b))
-                    return None
-                a, b = (pw[1], pz[1]) if pw[0] == "A" else (pz[1], pw[1])
-                c = self.host.edge_color(a, b)
-                if cls in class_color:
-                    if class_color[cls] != c:
-                        for bb in bound:
-                            color_class.pop(class_color.pop(bb))
-                        return None
-                else:
-                    if c in color_class:
-                        for bb in bound:
-                            color_class.pop(class_color.pop(bb))
-                        return None
-                    class_color[cls] = c
-                    color_class[c] = cls
-                    bound.append(cls)
-            return bound
 
-        def unbind(bound: list[int]) -> None:
-            for cls in bound:
-                color_class.pop(class_color.pop(cls))
+def _search(host: ProperColoring, u: Vertex, v: Vertex, pat: Pattern, limit, emit: bool):
+    """Count the (u, v)-embeddings of pat, and list them when ``emit``, in
+    the order of the elimination steps with candidates by ascending vertex
+    id, i.e. by (side, index).  Returns (count, links)."""
+    if u == v:
+        raise ValueError("endpoints must be distinct")
+    n = host.n
+    ui, vi = _vertex_id(n, u), _vertex_id(n, v)
+    links: list[Link] = []
+    ok, forced_side = _bipartition_parity(pat)
+    if not ok or forced_side not in (None, (ui < n) == (vi < n)):
+        return 0, links
+    via, color = host.partners
+    m, s = 2 * n, n + 1
+    steps, end_checks, classes = _plan(pat)
+    cap = limit if limit is not None else float("inf")
+    emb = [0] * pat.num_vertices
+    emb[pat.start], emb[pat.end] = ui, vi
+    cc = [0] * len(classes)  # class slot -> colour
+    cmask = 0  # colours bound to some class
+    for (z, k, _bind) in end_checks:  # a start-end edge binds its class
+        c = color[vi * m + emb[z]]
+        if not c:
+            return 0, links
+        cc[k], cmask = c, 1 << c
+    last = len(steps)
+    count = 0
 
-        def candidates(w: int) -> list[Vertex]:
-            forced: set[Vertex] | None = None
-            side_req: str | None = None
-            for (z, cls) in self.adj[w]:
-                if z not in psi:
-                    continue
-                pz = psi[z]
-                side_req = "B" if pz[0] == "A" else "A"
-                if cls in class_color:
-                    cand = self._neighbor_via(pz, class_color[cls])
-                    forced = {cand} if forced is None else (forced & {cand})
-            if forced is not None:
-                return sorted(forced)
-            if side_req is not None:
-                return [(side_req, t) for t in range(1, self.n + 1)]
-            # disconnected component start: either side
-            return [("A", t) for t in range(1, self.n + 1)] + [
-                ("B", t) for t in range(1, self.n + 1)
-            ]
-
-        def rec(idx: int) -> bool:
-            nonlocal count
-            if idx == len(order):
-                count += 1
-                if not count_only:
-                    links.append(
-                        Link(
-                            pattern=pat,
-                            embedding=tuple(psi[w] for w in range(pat.num_vertices)),
-                            class_colors=tuple(sorted(class_color.items())),
-                        )
-                    )
-                return limit is not None and count >= limit
-            w = order[idx]
-            if w in psi:  # start/end preassigned
-                bound = close_edges(w)
-                if bound is None:
+    def rec(i: int, used: int, cmask: int) -> bool:
+        nonlocal count
+        while i < last:
+            w, fz, fk, checks = steps[i]
+            if fk >= 0:  # forced: followed in this loop, no new frame
+                x = via[emb[fz] * s + cc[fk]]
+                if used >> x & 1:
                     return False
-                stop = rec(idx + 1)
-                unbind(bound)
-                return stop
-            for cand in candidates(w):
-                if cand in used:
+                row = x * m
+                for (z, k, bind) in checks:
+                    c = color[row + emb[z]]
+                    if bind:
+                        if not c or cmask >> c & 1:
+                            return False
+                        cc[k] = c
+                        cmask |= 1 << c
+                    elif c != cc[k]:
+                        return False
+                emb[w] = x
+                used |= 1 << x
+                i += 1
+                continue
+            if not checks:  # a component without start or end: any vertex
+                for x in range(m):
+                    if not used >> x & 1:
+                        emb[w] = x
+                        if rec(i + 1, used | 1 << x, cmask):
+                            return True
+                return False
+            # the first placed neighbour's class is unbound: it binds to the
+            # colour of each candidate on the opposite side
+            (z0, k0, _bind), rest = checks[0], checks[1:]
+            e0 = emb[z0]
+            lo = n if e0 < n else 0
+            for x, c0 in enumerate(color[e0 * m + lo:e0 * m + lo + n], lo):
+                if used >> x & 1 or cmask >> c0 & 1:
                     continue
-                psi[w] = cand
-                used.add(cand)
-                bound = close_edges(w)
-                if bound is not None:
-                    if rec(idx + 1):
-                        unbind(bound)
-                        used.discard(cand)
-                        del psi[w]
+                cc[k0] = c0
+                cm = cmask | 1 << c0
+                row = x * m
+                for (z, k, bind) in rest:
+                    c = color[row + emb[z]]
+                    if bind:
+                        if not c or cm >> c & 1:
+                            break
+                        cc[k] = c
+                        cm |= 1 << c
+                    elif c != cc[k]:
+                        break
+                else:
+                    emb[w] = x
+                    if rec(i + 1, used | 1 << x, cm):
                         return True
-                    unbind(bound)
-                used.discard(cand)
-                del psi[w]
             return False
+        count += 1
+        if emit:
+            links.append(
+                Link(
+                    pattern=pat,
+                    embedding=tuple(_vertex_of(n, x) for x in emb),
+                    class_colors=tuple(zip(classes, cc)),
+                )
+            )
+        return count >= cap
 
-        rec(0)
-        return (count, links)
+    rec(0, 1 << ui | 1 << vi, cmask)
+    return count, links
 
 
 def enumerate_links(
@@ -303,14 +303,12 @@ def enumerate_links(
 ):
     """Every embedding of pat with start at u and end at v, exactly once, in
     a fixed deterministic order.  Parity-impossible requests yield nothing."""
-    _count, links = _LinkSearch(host, u, v, pat).run(limit=limit, count_only=False)
-    return links
+    return _search(host, u, v, pat, limit, emit=True)[1]
 
 
 def count_links(host: ProperColoring, u: Vertex, v: Vertex, pat: Pattern) -> int:
     """Number of (u, v)-embeddings of pat, without materialising them."""
-    count, _ = _LinkSearch(host, u, v, pat).run(count_only=True)
-    return count
+    return _search(host, u, v, pat, None, emit=False)[0]
 
 
 def closed_alternating_walks(host: ProperColoring, u: Vertex) -> int:
@@ -320,45 +318,19 @@ def closed_alternating_walks(host: ProperColoring, u: Vertex) -> int:
     sum over v of count_links(u, v, repeat_pattern(2)) plus this quantity
     equals n(n-1)."""
     n = host.n
-    # direct walk: u -> x1 (colour a) -> x2 (colour b) -> x3 (colour a) -> u?
+    via, color = host.partners
+    m, s = 2 * n, n + 1
+    x = _vertex_id(n, u)
+    lo = n if x < n else 0
     total = 0
-    for x1_idx in range(1, n + 1):
-        x1 = ("B", x1_idx) if u[0] == "A" else ("A", x1_idx)
-        a = host.edge_color(u[1], x1_idx) if u[0] == "A" else host.edge_color(x1_idx, u[1])
-        for x2 in _others(host, x1, u):
-            b = _ecol(host, x1, x2)
-            if b == a:
-                continue
-            x3 = _via(host, x2, a)
-            back = _via(host, x3, b)
-            if back == u:
-                total += 1
-    return total
-
-
-def _ecol(host: ProperColoring, p: Vertex, q: Vertex) -> int:
-    return host.edge_color(p[1], q[1]) if p[0] == "A" else host.edge_color(q[1], p[1])
-
-
-def _others(host: ProperColoring, at: Vertex, exclude: Vertex):
-    side = "B" if at[0] == "A" else "A"
-    for t in range(1, host.n + 1):
-        w = (side, t)
-        if w != exclude:
-            yield w
-
-
-def _via(host: ProperColoring, at: Vertex, color: int) -> Vertex:
-    n = host.n
-    if at[0] == "A":
+    # u -> x1 (colour a) -> x2 (colour b != a) -> x3 (colour a) -> u?
+    for x1 in range(lo, lo + n):
+        a = color[x * m + x1]
         for b in range(1, n + 1):
-            if host.edge_color(at[1], b) == color:
-                return ("B", b)
-    else:
-        for a in range(1, n + 1):
-            if host.edge_color(a, at[1]) == color:
-                return ("A", a)
-    raise AssertionError("proper colouring must realise every colour at every vertex")
+            if b != a:
+                x3 = via[via[x1 * s + b] * s + a]
+                total += via[x3 * s + b] == x
+    return total
 
 
 def census_path_pairs(
@@ -371,60 +343,58 @@ def census_path_pairs(
     sequence: P1 from x1 to y1, P2 from x2 to y2, both of the given odd
     length.  P1 is enumerated; P2 is the forced colour walk from x2.
     """
-    if length < 1 or length % 2 == 0:
+    if length < 1:
+        raise ValueError("path length must be positive")
+    if length % 2 == 0:
         raise ValueError("path length must be odd")
-    x1, y1, x2, y2 = endpoints
-    if len({x1, y1, x2, y2}) != 4:
+    if len(set(endpoints)) != 4:
         raise ValueError("the four endpoints must be distinct")
     t0 = time.perf_counter()
     params = {"length": length, "endpoints": [list(p) for p in endpoints]}
-    if same_side(x1, y1) or same_side(x2, y2):
-        return CensusResult(params=params, count=0, elapsed=time.perf_counter() - t0)
     n = host.n
+    x1, y1, x2, y2 = (_vertex_id(n, p) for p in endpoints)
+    if (x1 < n) == (y1 < n) or (x2 < n) == (y2 < n):
+        return CensusResult(params=params, count=0, elapsed=time.perf_counter() - t0)
+    via, color = host.partners
+    m, s = 2 * n, n + 1
+    cap = limit if limit is not None else float("inf")
+    colors = [0] * length
     count = 0
     saturated = False
-    path1: list[Vertex] = [x1]
 
-    def walk_forced(colors: list[int], p1_set: frozenset[Vertex]) -> bool:
-        if x2 in p1_set:
+    def walk_forced(p1: int) -> bool:
+        # the walk from x2 along P1's colours: a path, disjoint from P1, to y2
+        if p1 >> x2 & 1:
             return False
-        cur = x2
-        seen = {x2}
+        cur, seen = x2, p1 | 1 << x2
         for c in colors:
-            cur = _via(host, cur, c)
-            if cur in seen or cur in p1_set:
+            cur = via[cur * s + c]
+            if seen >> cur & 1:
                 return False
-            seen.add(cur)
+            seen |= 1 << cur
         return cur == y2
 
-    def rec(cur: Vertex, depth: int, colors: list[int]) -> bool:
+    def rec(cur: int, depth: int, p1: int) -> bool:
         nonlocal count, saturated
         if depth == length - 1:
-            c = _ecol(host, cur, y1)
-            colors.append(c)
-            p1 = frozenset(path1) | {y1}
-            if y1 not in path1 and walk_forced(colors, p1):
+            colors[depth] = color[cur * m + y1]
+            if walk_forced(p1 | 1 << y1):
                 if count >= INT64_MAX:
                     saturated = True
                 else:
                     count += 1
-            colors.pop()
-            return limit is not None and count >= limit
-        side = "B" if cur[0] == "A" else "A"
-        for t in range(1, n + 1):
-            nxt = (side, t)
-            if nxt in path1 or nxt == y1:
+            return count >= cap
+        lo = n if cur < n else 0
+        row = cur * m
+        for nxt in range(lo, lo + n):
+            if p1 >> nxt & 1 or nxt == y1:
                 continue
-            colors.append(_ecol(host, cur, nxt))
-            path1.append(nxt)
-            stop = rec(nxt, depth + 1, colors)
-            path1.pop()
-            colors.pop()
-            if stop:
+            colors[depth] = color[row + nxt]
+            if rec(nxt, depth + 1, p1 | 1 << nxt):
                 return True
         return False
 
-    rec(x1, 0, [])
+    rec(x1, 0, 1 << x1)
     return CensusResult(
         params=params, count=count, elapsed=time.perf_counter() - t0, saturated=saturated
     )
@@ -499,27 +469,3 @@ def subgraph_probability_probe(
     p = hits / trials
     stderr = (p * (1 - p) / trials) ** 0.5
     return ProbeResult(estimate=p, stderr=stderr, hits=hits, trials=trials)
-
-
-def pattern_census(
-    square: LatinSquare,
-    k: int,
-    pairs: list[tuple[Vertex, Vertex]],
-) -> list[CensusResult]:
-    """Repeat-pattern counts for a list of endpoint pairs on one square."""
-    host = to_coloring(square)
-    pat = repeat_pattern(k)
-    out = []
-    for (u, v) in pairs:
-        t0 = time.perf_counter()
-        raw = count_links(host, u, v, pat)
-        saturated = raw > INT64_MAX
-        out.append(
-            CensusResult(
-                params={"k": k, "u": list(u), "v": list(v), "n": square.n},
-                count=min(raw, INT64_MAX),
-                elapsed=time.perf_counter() - t0,
-                saturated=saturated,
-            )
-        )
-    return out

@@ -236,3 +236,31 @@ def test_report_determinism_census(capsys):
     b1.pop("elapsed_seconds")
     b2.pop("elapsed_seconds")
     assert b1 == b2
+
+
+def test_census_links_bad_input_exit_code(capsys):
+    for argv, message in (
+        (("--order", "1", "--pairs", "1"), "order must be at least 2"),
+        (("--order", "1", "--length", "3"), "order must be at least 2"),
+        (("--order", "0"), "order must be at least 2"),
+        (("--order", "6", "--pairs", "-3"), "pairs must be non-negative"),
+        (("--order", "6", "--length", "-1"), "path length must be positive"),
+        (("--order", "6", "--length", "0"), "path length must be positive"),
+        (("--order", "6", "--length", "4"), "path length must be odd"),
+        (("--order", "6", "--k", "0"), "k must be positive"),
+    ):
+        code, out, err = run(capsys, "--seed", "1", "census-links", *argv)
+        assert code == 1 and out == "", argv
+        assert err.startswith("error: ") and message in err, (argv, err)
+
+
+def test_census_links_zero_pairs_and_order2(capsys):
+    code, out, _ = run(
+        capsys, "--seed", "1", "--format", "json", "census-links", "--order", "6", "--pairs", "0"
+    )
+    assert code == 0 and json.loads(out)["trials"] == []
+    code, out, _ = run(
+        capsys, "--seed", "1", "--format", "json",
+        "census-links", "--order", "2", "--length", "3", "--pairs", "2",
+    )
+    assert code == 0 and [t["count"] for t in json.loads(out)["trials"]] == [0, 0]

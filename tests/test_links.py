@@ -305,3 +305,151 @@ def test_pattern_validation():
         Pattern(num_vertices=2, edges=((0, 1, 0),), start=0, end=1)
     with pytest.raises(ValueError):
         Pattern(num_vertices=2, edges=((0, 1, 1),), start=0, end=0)
+
+
+def _link_text(link):
+    emb = " ".join(f"{side}{i}" for side, i in link.embedding)
+    return emb + " | " + " ".join(f"{cls}:{c}" for cls, c in link.class_colors)
+
+
+# First six embeddings of enumerate_links(..., limit=6) and the full count,
+# recorded from the tuple-vertex search that preceded the integer engine.
+# The rainbow tests and criterion 7 pick links by position, so the order is
+# part of the contract: ascending (side, index) per elimination step.
+PINNED_LINKS = [
+    ("rp2", ("A", 1), ("A", 5), 6, [
+        "A1 B1 A8 B6 A5 | 1:3 2:1",
+        "A1 B5 A2 B7 A5 | 1:7 2:4",
+        "A1 B5 A6 B2 A5 | 1:7 2:5",
+        "A1 B7 A2 B4 A5 | 1:6 2:7",
+        "A1 B8 A3 B2 A5 | 1:4 2:5",
+        "A1 B8 A8 B4 A5 | 1:4 2:7",
+    ]),
+    ("rp2", ("B", 2), ("B", 7), 7, [
+        "B2 A1 B4 A7 B7 | 1:1 2:5",
+        "B2 A4 B3 A5 B7 | 1:6 2:4",
+        "B2 A4 B5 A8 B7 | 1:6 2:2",
+        "B2 A5 B5 A6 B7 | 1:5 2:8",
+        "B2 A5 B8 A3 B7 | 1:5 2:3",
+        "B2 A6 B3 A3 B7 | 1:7 2:3",
+    ]),
+    ("rp3", ("A", 3), ("A", 8), 36, [
+        "A3 B1 A4 B4 A2 B6 A8 | 1:6 2:5 3:3",
+        "A3 B1 A5 B4 A2 B8 A8 | 1:6 2:2 3:7",
+        "A3 B2 A1 B3 A4 B7 A8 | 1:4 2:1 3:2",
+        "A3 B2 A2 B7 A5 B8 A8 | 1:4 2:3 3:7",
+        "A3 B2 A4 B6 A7 B8 A8 | 1:4 2:6 3:7",
+        "A3 B2 A6 B3 A4 B6 A8 | 1:4 2:7 3:3",
+    ]),
+    ("rp3", ("B", 4), ("B", 1), 36, [
+        "B4 A1 B2 A3 B8 A6 B1 | 1:5 2:1 3:4",
+        "B4 A1 B2 A8 B3 A2 B1 | 1:5 2:1 3:8",
+        "B4 A1 B5 A3 B8 A8 B1 | 1:5 2:7 3:1",
+        "B4 A1 B5 A8 B3 A3 B1 | 1:5 2:7 3:6",
+        "B4 A1 B6 A5 B2 A8 B1 | 1:5 2:8 3:1",
+        "B4 A1 B6 A7 B7 A6 B1 | 1:5 2:8 3:4",
+    ]),
+    # start and end in different components, plus a third free component
+    # whose first vertex tries rows before columns
+    ("split", ("A", 6), ("B", 3), 420, [
+        "A6 B1 B3 A1 A2 B5 | 1:4 2:2",
+        "A6 B1 B3 A1 A3 B2 | 1:4 2:2",
+        "A6 B1 B3 A1 A5 B7 | 1:4 2:2",
+        "A6 B1 B3 A1 A7 B6 | 1:4 2:2",
+        "A6 B1 B3 A1 A8 B4 | 1:4 2:2",
+        "A6 B1 B3 A1 B2 A3 | 1:4 2:2",
+    ]),
+]
+
+
+@pytest.mark.parametrize("case", PINNED_LINKS, ids=lambda c: f"{c[0]}-{c[1][0]}{c[2][0]}")
+def test_enumeration_order_pinned(case):
+    name, u, v, total, first = case
+    host = to_coloring(sample_uniform(8, SeededRng(808).derive(0), burnin=1000))
+    pat = {
+        "rp2": repeat_pattern(2),
+        "rp3": repeat_pattern(3),
+        "split": Pattern(num_vertices=6, edges=((0, 1, 1), (2, 3, 2), (4, 5, 1)), start=0, end=2),
+    }[name]
+    assert [_link_text(link) for link in enumerate_links(host, u, v, pat, limit=6)] == first
+    assert count_links(host, u, v, pat) == total
+    assert [_link_text(link) for link in enumerate_links(host, u, v, pat)][:6] == first
+
+
+def test_repeat3_counts_match_forced_walks_order13():
+    # For repeat_pattern(3) from row r0 every ordered triple of distinct
+    # colours (a, b, c) forces the walk a, b, c, a, b, c; it is a link
+    # exactly when its seven vertices are distinct.  Tally walks by end row.
+    n = 13
+    sq = sample_uniform(n, SeededRng(1313).derive(0), burnin=10 * n * n)
+    col_of = {(r, sq.symbol(r, c)): c for r in range(1, n + 1) for c in range(1, n + 1)}
+    row_of = {(c, sq.symbol(r, c)): r for r in range(1, n + 1) for c in range(1, n + 1)}
+    r0 = 4
+    ends = {r: 0 for r in range(1, n + 1)}
+    for a, b, c in itertools.permutations(range(1, n + 1), 3):
+        r, rows, cols = r0, {r0}, set()
+        for x, y in ((a, b), (c, a), (b, c)):
+            col = col_of[r, x]
+            r = row_of[col, y]
+            if col in cols or r in rows:
+                break
+            cols.add(col)
+            rows.add(r)
+        else:
+            ends[r] += 1
+    host = to_coloring(sq)
+    pat = repeat_pattern(3)
+    got = {v: count_links(host, ("A", r0), ("A", v), pat) for v in range(1, n + 1) if v != r0}
+    assert got == {v: ends[v] for v in got}
+    assert sum(got.values()) > 0
+
+
+def test_census_length5_matches_naive_oracle_order6():
+    # two disjoint length-5 paths cover all twelve vertices of K_{6,6}, so
+    # most endpoint sets count 0; the total over these is positive
+    total = 0
+    for seed in (5656, 5657):
+        host = to_coloring(sample_uniform(6, SeededRng(seed).derive(0), burnin=400))
+        for endpoints in [
+            (("A", 1), ("B", 1), ("A", 2), ("B", 2)),
+            (("B", 3), ("A", 5), ("B", 6), ("A", 2)),
+            (("A", 1), ("B", 2), ("A", 3), ("B", 4)),
+        ]:
+            want = naive_path_pairs(host, 5, endpoints)
+            assert census_path_pairs(host, 5, endpoints).count == want
+            total += want
+    assert total > 0
+
+
+def test_partner_table_inverts_edge_color():
+    for host in (
+        to_coloring(cyclic_square(1)),
+        to_coloring(cyclic_square(4)),
+        to_coloring(sample_uniform(9, SeededRng(99).derive(0), burnin=800)),
+    ):
+        n = host.n
+        table = host.partners
+        assert host.partners is table  # built once per colouring
+        via, color = table
+        for x in range(2 * n):
+            side, i = ("A", x + 1) if x < n else ("B", x - n + 1)
+            for c in range(1, n + 1):
+                y = via[x * (n + 1) + c]
+                j = y + 1 if y < n else y - n + 1
+                assert (y < n) != (x < n)
+                assert (host.edge_color(i, j) if side == "A" else host.edge_color(j, i)) == c
+                assert color[x * 2 * n + y] == color[y * 2 * n + x] == c
+            for y in range(2 * n):
+                if (y < n) == (x < n):
+                    assert color[x * 2 * n + y] == 0
+
+
+def test_link_functions_reject_bad_vertices():
+    host = to_coloring(cyclic_square(7))
+    for bad in (("A", 0), ("A", 8), ("C", 1), ["A", 1]):
+        with pytest.raises(ValueError, match="bad vertex"):
+            count_links(host, bad, ("A", 2), repeat_pattern(2))
+        with pytest.raises(ValueError, match="bad vertex"):
+            closed_alternating_walks(host, bad)
+    with pytest.raises(ValueError, match="bad vertex"):
+        census_path_pairs(host, 3, (("A", 1), ("B", 0), ("A", 2), ("B", 2)))
