@@ -9,7 +9,6 @@ from .core import (
     PartialTransversal,
     ProperColoring,
     Transversal,
-    TripleSystem,
     ValidationError,
     cyclic_decomposition,
     cyclic_square,
@@ -18,7 +17,6 @@ from .core import (
     square_from_text,
     square_to_text,
     to_coloring,
-    to_triple_system,
 )
 from .sampler import SeededRng, enumerate_all, enumerate_reduced, sample_uniform
 from .transversal import (
@@ -38,7 +36,6 @@ __all__ = [
     "ProperColoring",
     "SeededRng",
     "Transversal",
-    "TripleSystem",
     "ValidationError",
     "count_transversals",
     "cyclic_decomposition",
@@ -54,6 +51,5 @@ __all__ = [
     "square_from_text",
     "square_to_text",
     "to_coloring",
-    "to_triple_system",
     "verify_decomposition",
 ]

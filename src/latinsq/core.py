@@ -1,11 +1,11 @@
-"""Latin squares and their two equivalent views.
+"""Latin squares and their proper-colouring view.
 
 A Latin square of order n is an n x n grid over the symbols 1..n with each
 symbol exactly once per row and per column.  The same object can be read as
 an optimal proper edge colouring of K_{n,n} (rows = one vertex class, columns
-= the other, the symbol of a cell = the colour of the corresponding edge), or
-as a 3-partite triple system on rows/columns/symbols.  Everything here is
-1-based at the API surface and immutable after construction.
+= the other, the symbol of a cell = the colour of the corresponding edge).
+Everything here is 1-based at the API surface and immutable after
+construction.
 """
 
 from __future__ import annotations
@@ -44,8 +44,7 @@ class ProperColoring:
     A and b in the column class B.  Properness (no two edges at a shared
     vertex alike) plus optimality (each colour on exactly n edges) make this
     matrix exactly a Latin square; the two types are kept distinct because
-    the vocabulary differs (colours, matchings) and per-colour matchings are
-    derived on demand.
+    the vocabulary differs (colours, matchings).
     """
 
     n: int
@@ -70,15 +69,6 @@ class ProperColoring:
                 color[a * m + w] = color[w * m + a] = c
         return PartnerTable(via, color)
 
-    def color_matching(self, c: int) -> list[tuple[int, int]]:
-        """The perfect matching formed by the colour-c edges, as (a, b) pairs."""
-        return [
-            (a + 1, b + 1)
-            for a in range(self.n)
-            for b in range(self.n)
-            if self.color[a][b] == c
-        ]
-
 
 class PartnerTable(NamedTuple):
     """``via[v * (n + 1) + c]`` is the vertex joined to v by colour c, and
@@ -87,14 +77,6 @@ class PartnerTable(NamedTuple):
 
     via: list[int]
     color: list[int]
-
-
-@dataclass(frozen=True)
-class TripleSystem:
-    """3-partite triple view: one triple (row, column, symbol) per cell."""
-
-    n: int
-    triples: frozenset[tuple[int, int, int]]
 
 
 @dataclass(frozen=True)
@@ -204,15 +186,6 @@ def from_coloring(coloring: ProperColoring) -> LatinSquare:
         return from_grid(coloring.color)
     except ValidationError as exc:
         raise ValidationError(f"colouring is not proper: {exc}") from exc
-
-
-def to_triple_system(square: LatinSquare) -> TripleSystem:
-    """Triples (row, column, symbol), one per cell."""
-    n = square.n
-    triples = frozenset(
-        (r + 1, c + 1, square.cells[r][c]) for r in range(n) for c in range(n)
-    )
-    return TripleSystem(n=n, triples=triples)
 
 
 def check_transversal(square: LatinSquare, cells, partial: bool = False) -> str | None:

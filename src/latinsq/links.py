@@ -211,7 +211,7 @@ def _search(host: ProperColoring, u: Vertex, v: Vertex, pat: Pattern, limit, emi
     ui, vi = _vertex_id(n, u), _vertex_id(n, v)
     links: list[Link] = []
     ok, forced_side = _bipartition_parity(pat)
-    if not ok or forced_side not in (None, (ui < n) == (vi < n)):
+    if limit == 0 or not ok or forced_side not in (None, (ui < n) == (vi < n)):
         return 0, links
     via, color = host.partners
     m, s = 2 * n, n + 1
@@ -302,7 +302,10 @@ def enumerate_links(
     host: ProperColoring, u: Vertex, v: Vertex, pat: Pattern, limit: int | None = None
 ):
     """Every embedding of pat with start at u and end at v, exactly once, in
-    a fixed deterministic order.  Parity-impossible requests yield nothing."""
+    a fixed deterministic order, or the first `limit` of them.
+    Parity-impossible requests yield nothing."""
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be non-negative, got {limit}")
     return _search(host, u, v, pat, limit, emit=True)[1]
 
 
@@ -341,7 +344,8 @@ def census_path_pairs(
 ) -> CensusResult:
     """Ordered pairs (P1, P2) of vertex-disjoint paths with the same colour
     sequence: P1 from x1 to y1, P2 from x2 to y2, both of the given odd
-    length.  P1 is enumerated; P2 is the forced colour walk from x2.
+    length.  P1 is enumerated; P2 is the forced colour walk from x2.  The
+    count stops at `limit` pairs when one is given.
     """
     if length < 1:
         raise ValueError("path length must be positive")
@@ -349,11 +353,13 @@ def census_path_pairs(
         raise ValueError("path length must be odd")
     if len(set(endpoints)) != 4:
         raise ValueError("the four endpoints must be distinct")
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be non-negative, got {limit}")
     t0 = time.perf_counter()
     params = {"length": length, "endpoints": [list(p) for p in endpoints]}
     n = host.n
     x1, y1, x2, y2 = (_vertex_id(n, p) for p in endpoints)
-    if (x1 < n) == (y1 < n) or (x2 < n) == (y2 < n):
+    if limit == 0 or (x1 < n) == (y1 < n) or (x2 < n) == (y2 < n):
         return CensusResult(params=params, count=0, elapsed=time.perf_counter() - t0)
     via, color = host.partners
     m, s = 2 * n, n + 1

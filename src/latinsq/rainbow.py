@@ -175,15 +175,6 @@ class Switcher:
     def even_edges(self) -> tuple[Edge, ...]:
         return self.path[1::2]
 
-    def vertex_sequence(self) -> list[Vertex]:
-        seq = [self.x]
-        cur = self.x
-        for (a, b, _c) in self.path:
-            ea, eb = ("A", a), ("B", b)
-            cur = eb if cur == ea else ea
-            seq.append(cur)
-        return seq
-
     def transposed(self) -> "Switcher":
         """The same path read from y; applying both restores a family."""
         return Switcher(i=self.i, j=self.j, x=self.y, y=self.x, path=self.path[::-1])

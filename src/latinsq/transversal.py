@@ -1,5 +1,13 @@
 """Transversal enumeration, maximum partial transversals, and decomposition.
 
+One engine, `_transversals`, finds transversals row by row with bitmasks for
+the columns and symbols already used.  It counts them and, on request, emits
+each as an n^2-bit row-major cell mask, in lexicographic column order.
+`count_transversals`, `iter_transversals` and both paths of `decompose`
+call it.  `max_partial_transversal` keeps its own branch and bound: it may
+leave a row uncovered and prunes against the best size found so far, and
+neither belongs in a search that only ever takes complete transversals.
+
 Decomposing a square into n disjoint transversals is an exact cover problem:
 the n^2 cells must be covered exactly once by cell sets of candidate
 transversals.  The solver is Knuth's Algorithm X over bitsets: Python ints
@@ -9,6 +17,12 @@ it.  Each node branches on the open cell with the fewest live candidates
 answers with a definite "some"/"none" or an explicit "undecided" when the
 node budget runs out, so statistics never conflate timeouts with
 nonexistence.
+
+The eager path collects at most candidate_threshold + 1 masks.  Past that it
+gives way to the lazy path, which branches on the first uncovered cell in
+row-major order and asks the engine only for the transversals through that
+cell that avoid covered cells.  It holds one such list per level of the
+cover: at most n lists, none longer than the transversals through one cell.
 """
 
 from __future__ import annotations
@@ -44,72 +58,91 @@ def _symbol_bits(square: LatinSquare) -> list[list[int]]:
     return [[1 << s for s in row] for row in square.cells]
 
 
-def iter_transversals(square: LatinSquare, limit: int | None = None) -> Iterator[Transversal]:
-    """All transversals, lexicographic in the column chosen for rows 1..n."""
-    n = square.n
-    sym = _symbol_bits(square)
-    full = (1 << n) - 1
-    cols: list[int] = []
+class _Stop(Exception):
+    """Unwinds a search: enough masks collected, or the node budget spent."""
 
-    def rec(r: int, colmask: int, symmask: int) -> Iterator[Transversal]:
+
+def _transversals(
+    sym: list[list[int]],
+    allowed: Optional[list[int]] = None,
+    out: Optional[list[int]] = None,
+    limit: Optional[int] = None,
+) -> int:
+    """The number of transversals that take a column of ``allowed[r]`` (all
+    by default) in each row r.  Appends each one's cell mask, bit r * n + c
+    for 0-based cell (r, c), to ``out`` if given, lexicographic in the
+    columns of rows 0..n-1, and stops once ``out`` holds ``limit`` masks."""
+    n = len(sym)
+    if allowed is None:
+        allowed = [(1 << n) - 1] * n
+
+    def rec(r: int, colmask: int, symmask: int, cells: int) -> int:
         if r == n:
-            yield Transversal(cells=tuple((i + 1, c + 1) for i, c in enumerate(cols)))
-            return
-        avail = full & ~colmask
-        srow = sym[r]
-        while avail:
-            low = avail & -avail
-            c = low.bit_length() - 1
-            avail ^= low
-            sb = srow[c]
-            if not (symmask & sb):
-                cols.append(c)
-                yield from rec(r + 1, colmask | low, symmask | sb)
-                cols.pop()
-
-    count = 0
-    for t in rec(0, 0, 0):
-        yield t
-        count += 1
-        if limit is not None and count >= limit:
-            return
-
-
-def count_transversals(square: LatinSquare) -> int:
-    """Number of transversals, without materialising them."""
-    n = square.n
-    sym = _symbol_bits(square)
-    full = (1 << n) - 1
-
-    def rec(r: int, colmask: int, symmask: int) -> int:
-        if r == n:
+            if out is not None:
+                out.append(cells)
+                if len(out) == limit:
+                    raise _Stop
             return 1
         total = 0
-        avail = full & ~colmask
+        avail = allowed[r] & ~colmask
         srow = sym[r]
+        shift = r * n
         while avail:
             low = avail & -avail
             avail ^= low
             sb = srow[low.bit_length() - 1]
-            if not (symmask & sb):
-                total += rec(r + 1, colmask | low, symmask | sb)
+            if not symmask & sb:
+                total += rec(r + 1, colmask | low, symmask | sb, cells | low << shift)
         return total
 
-    return rec(0, 0, 0)
+    try:
+        return rec(0, 0, 0, 0)
+    except _Stop:
+        return len(out)
+    finally:
+        del rec  # it refers to itself; free out with the caller's reference
 
 
-def max_partial_transversal(
-    square: LatinSquare, exact_bound: int = DEFAULT_EXACT_BOUND
-) -> PartialTransversal:
+def _cells(mask: int) -> list[int]:
+    """The set bits of mask, ascending."""
+    cells = []
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        cells.append(low.bit_length() - 1)
+    return cells
+
+
+def _transversal(mask: int, n: int) -> Transversal:
+    return Transversal(cells=tuple((cell // n + 1, cell % n + 1) for cell in _cells(mask)))
+
+
+def iter_transversals(square: LatinSquare, limit: int | None = None) -> Iterator[Transversal]:
+    """All transversals, or the first `limit` of them, lexicographic in the
+    column chosen for rows 1..n."""
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be non-negative, got {limit}")
+    masks: list[int] = []
+    if limit != 0:
+        _transversals(_symbol_bits(square), out=masks, limit=limit)
+    return (_transversal(mask, square.n) for mask in masks)
+
+
+def count_transversals(square: LatinSquare) -> int:
+    """Number of transversals, without materialising them."""
+    return _transversals(_symbol_bits(square))
+
+
+def max_partial_transversal(square: LatinSquare) -> PartialTransversal:
     """A maximum-size partial transversal, by branch and bound.
 
-    Exact search only: orders above `exact_bound` are refused rather than
-    answered heuristically.
+    Exact search only: orders above DEFAULT_EXACT_BOUND are refused rather
+    than answered heuristically.
     """
     n = square.n
-    if n > exact_bound:
+    if n > DEFAULT_EXACT_BOUND:
         raise ExactSearchRefused(
-            f"exact search refused: order {n} exceeds the bound {exact_bound}"
+            f"exact search refused: order {n} exceeds the bound {DEFAULT_EXACT_BOUND}"
         )
     sym = _symbol_bits(square)
     full = (1 << n) - 1
@@ -156,17 +189,17 @@ def decompose(
     if node_budget < 0:
         raise ValueError(f"node budget must be non-negative, got {node_budget}")
     n = square.n
-    candidates: list[Transversal] = []
-    for t in iter_transversals(square):
-        candidates.append(t)
-        if len(candidates) > candidate_threshold:
-            return _decompose_lazy(square, node_budget)
-    if len(candidates) < n:
+    sym = _symbol_bits(square)
+    masks: list[int] = []
+    _transversals(sym, out=masks, limit=max(candidate_threshold, 0) + 1)
+    if len(masks) > candidate_threshold:
+        return _decompose_lazy(sym, node_budget)
+    if len(masks) < n:
         return DecomposeResult(status="none", decomposition=None, nodes=0)
 
     # rows[rid]: the row-major cells of candidate rid, a set for the
     # membership tests that drop covered cells from the open list
-    rows = [frozenset((r - 1) * n + c - 1 for (r, c) in t.cells) for t in candidates]
+    rows = [frozenset(_cells(mask)) for mask in masks]
     cellrows = [0] * (n * n)  # bit rid of cellrows[cell]: candidate rid covers cell
     for rid, cells in enumerate(rows):
         for cell in cells:
@@ -208,85 +241,47 @@ def decompose(
             conflict |= cellrows[cell]
         alive &= ~conflict
         open_cells = [c for c in open_cells if c not in cells]
-    parts = tuple(candidates[rid] for rid in sorted(picked))
+    parts = tuple(_transversal(masks[rid], n) for rid in sorted(picked))
     return DecomposeResult(status="some", decomposition=Decomposition(parts=parts), nodes=nodes)
 
 
-class _OutOfBudget(Exception):
-    pass
-
-
-def _decompose_lazy(square: LatinSquare, node_budget: int) -> DecomposeResult:
-    # Branches on the first uncovered cell in row-major order and generates
-    # the transversals through it on demand; trades the minimum-remaining-
-    # values rule for bounded memory.
-    n = square.n
-    sym = _symbol_bits(square)
+def _decompose_lazy(sym: list[list[int]], node_budget: int) -> DecomposeResult:
+    # Trades the minimum-remaining-values rule for bounded memory (see the
+    # module docstring).
+    n = len(sym)
     full = (1 << n) - 1
-    covered = [0] * n  # column bitmask of covered cells per row
-    parts: list[Transversal] = []
+    everything = (1 << n * n) - 1
+    parts: list[int] = []
     nodes = 0
 
-    def transversals_through(r0: int, c0: int) -> Iterator[Transversal]:
-        cols: list[int] = []
-
-        def rec(r: int, colmask: int, symmask: int) -> Iterator[Transversal]:
-            if r == n:
-                yield Transversal(cells=tuple((i + 1, c + 1) for i, c in enumerate(cols)))
-                return
-            if r == r0:
-                options = 1 << c0
-            else:
-                options = full & ~colmask & ~covered[r]
-            srow = sym[r]
-            while options:
-                low = options & -options
-                c = low.bit_length() - 1
-                options ^= low
-                if colmask & low:
-                    return
-                sb = srow[c]
-                if not (symmask & sb):
-                    cols.append(c)
-                    yield from rec(r + 1, colmask | low, symmask | sb)
-                    cols.pop()
-
-        yield from rec(0, 0, 0)
-
-    def rec_cover() -> bool:
+    def cover(covered: int) -> bool:
         nonlocal nodes
-        target = None
-        for r in range(n):
-            free = full & ~covered[r]
-            if free:
-                target = (r, (free & -free).bit_length() - 1)
-                break
-        if target is None:
+        free = everything & ~covered
+        if not free:
             return True
-        r0, c0 = target
-        for t in transversals_through(r0, c0):
+        r0, c0 = divmod((free & -free).bit_length() - 1, n)
+        allowed = [full & ~(covered >> r * n) for r in range(n)]
+        allowed[r0] = 1 << c0
+        through: list[int] = []
+        _transversals(sym, allowed, through)
+        for mask in through:
             if nodes == node_budget:
-                raise _OutOfBudget
+                raise _Stop
             nodes += 1
-            for (r, c) in t.cells:
-                covered[r - 1] |= 1 << (c - 1)
-            parts.append(t)
-            if rec_cover():
+            parts.append(mask)
+            if cover(covered | mask):
                 return True
             parts.pop()
-            for (r, c) in t.cells:
-                covered[r - 1] &= ~(1 << (c - 1))
         return False
 
     try:
-        found = rec_cover()
-    except _OutOfBudget:
+        found = cover(0)
+    except _Stop:
         return DecomposeResult(status="undecided", decomposition=None, nodes=nodes)
     if not found:
         return DecomposeResult(status="none", decomposition=None, nodes=nodes)
-    return DecomposeResult(
-        status="some", decomposition=Decomposition(parts=tuple(parts)), nodes=nodes
-    )
+    decomposition = Decomposition(parts=tuple(_transversal(mask, n) for mask in parts))
+    return DecomposeResult(status="some", decomposition=decomposition, nodes=nodes)
 
 
 def verify_decomposition(square: LatinSquare, decomposition: Decomposition) -> tuple[bool, str]:

@@ -13,7 +13,6 @@ from latinsq.core import (
     square_to_text,
     squares_from_text,
     to_coloring,
-    to_triple_system,
     ProperColoring,
 )
 from latinsq.sampler import enumerate_all
@@ -74,15 +73,6 @@ def test_to_coloring_transcribes_cells():
     assert col.edge_color(2, 2) == 1
 
 
-def test_color_classes_are_perfect_matchings():
-    col = to_coloring(cyclic_square(9))
-    for c in range(1, 10):
-        matching = col.color_matching(c)
-        assert len(matching) == 9
-        assert len({a for a, _ in matching}) == 9
-        assert len({b for _, b in matching}) == 9
-
-
 def test_coloring_round_trip_on_all_order4_squares():
     for sq in enumerate_all(4):
         col = to_coloring(sq)
@@ -109,22 +99,6 @@ def test_from_coloring_rejects_improper():
     bad = ProperColoring(n=2, color=((1, 1), (2, 2)))
     with pytest.raises(ValidationError):
         from_coloring(bad)
-
-
-def test_triple_system_order1():
-    ts = to_triple_system(from_grid([[1]]))
-    assert ts.triples == frozenset({(1, 1, 1)})
-
-
-def test_triple_system_cross_pair_coverage():
-    ts = to_triple_system(cyclic_square(3))
-    assert len(ts.triples) == 9
-    # every pair from two different classes appears in exactly one triple
-    for x in range(1, 4):
-        for y in range(1, 4):
-            assert sum(1 for (a, b, c) in ts.triples if a == x and b == y) == 1
-            assert sum(1 for (a, b, c) in ts.triples if a == x and c == y) == 1
-            assert sum(1 for (a, b, c) in ts.triples if b == x and c == y) == 1
 
 
 def test_decomposition_induces_triple_perfect_matchings():
@@ -192,3 +166,11 @@ def test_decomposition_grid_text_round_trip():
         for c in range(1, 10)
     }
     assert len(seen_pairs) == 81
+
+
+def test_every_exported_name_resolves():
+    import latinsq
+
+    missing = [name for name in latinsq.__all__ if not hasattr(latinsq, name)]
+    assert missing == []
+    assert len(set(latinsq.__all__)) == len(latinsq.__all__)

@@ -247,6 +247,27 @@ def test_census_symmetry_and_parity():
     assert zero.count == 0  # same-class endpoints cannot carry odd paths
 
 
+def test_census_limit():
+    host = to_coloring(sample_uniform(8, SeededRng(56).derive(1), burnin=300))
+    endpoints = (("A", 1), ("B", 1), ("A", 2), ("B", 2))
+    assert census_path_pairs(host, 5, endpoints).count == 29
+    assert census_path_pairs(host, 5, endpoints, limit=2).count == 2
+    assert census_path_pairs(host, 5, endpoints, limit=0).count == 0
+    with pytest.raises(ValueError, match="limit must be non-negative"):
+        census_path_pairs(host, 5, endpoints, limit=-1)
+
+
+def test_enumerate_links_limit():
+    host = to_coloring(cyclic_square(7))
+    u, v, pat = ("A", 1), ("A", 2), repeat_pattern(2)
+    links = enumerate_links(host, u, v, pat)
+    assert len(links) == 7
+    assert enumerate_links(host, u, v, pat, limit=3) == links[:3]
+    assert enumerate_links(host, u, v, pat, limit=0) == []
+    with pytest.raises(ValueError, match="limit must be non-negative"):
+        enumerate_links(host, u, v, pat, limit=-2)
+
+
 def test_census_order2_too_small():
     host = to_coloring(cyclic_square(2))
     res = census_path_pairs(host, 3, (("A", 1), ("B", 1), ("A", 2), ("B", 2)))

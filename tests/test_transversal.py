@@ -91,6 +91,14 @@ def test_enumeration_is_canonical_and_duplicate_free():
     assert list(iter_transversals(sq, limit=4)) == ts[:4]
 
 
+def test_iter_transversals_limit_zero_and_negative():
+    sq = cyclic_square(5)
+    assert list(iter_transversals(sq, limit=0)) == []
+    for limit in (-1, -2):
+        with pytest.raises(ValueError, match="limit must be non-negative"):
+            iter_transversals(sq, limit=limit)
+
+
 def test_max_partial_sizes():
     assert max_partial_transversal(cyclic_square(2)).size == 1
     assert max_partial_transversal(cyclic_square(5)).size == 5
@@ -227,6 +235,49 @@ def test_branching_order_pinned_on_order10_panel():
         if res.status == "some":
             ok, msg = verify_decomposition(sq, res.decomposition)
             assert ok, msg
+
+
+# Parts of the decomposition of each odd cyclic square that the lazy path
+# finds, each part as its column sequence, in the order the search chose them.
+LAZY_CYCLIC_PARTS = {
+    1: ["1"],
+    3: ["123", "231", "312"],
+    5: ["12345", "23451", "34512", "45123", "51234"],
+    7: ["1234567", "2345671", "3456712", "4567123", "5671234", "6712345", "7123456"],
+    9: [
+        "123456789", "231564897", "312645978", "456789123", "564897231",
+        "645978312", "789123456", "897231564", "978312645",
+    ],
+}
+
+
+@pytest.mark.parametrize("threshold", [0, 2])
+def test_lazy_path_pinned_on_cyclic_squares(threshold):
+    # An even cyclic square has no transversal, so decompose answers before
+    # the lazy path starts; at threshold 2 the single transversal of order 1
+    # stays on the eager path.
+    for n in range(1, 10):
+        res = decompose(cyclic_square(n), candidate_threshold=threshold)
+        if n % 2 == 0:
+            assert (res.status, res.nodes, res.decomposition) == ("none", 0, None), n
+            continue
+        parts = ["".join(str(c) for _r, c in t.cells) for t in res.decomposition.parts]
+        assert (res.status, res.nodes, parts) == ("some", n, LAZY_CYCLIC_PARTS[n]), n
+
+
+# n: (resolvable reduced squares, reduced squares, total nodes on the eager
+# path, total nodes on the lazy path)
+RESOLVABLE_REDUCED = {1: (1, 1, 1, 1), 2: (0, 1, 0, 0), 3: (1, 1, 3, 3), 4: (1, 4, 4, 4), 5: (6, 56, 30, 60)}
+
+
+@pytest.mark.parametrize("path", ["eager", "lazy"])
+def test_resolvable_counts_over_reduced_squares(path):
+    threshold = DEFAULT_CANDIDATE_THRESHOLD if path == "eager" else 0
+    for n, (some, total, eager_nodes, lazy_nodes) in RESOLVABLE_REDUCED.items():
+        results = [decompose(sq, candidate_threshold=threshold) for sq in enumerate_reduced(n)]
+        assert sum(res.status == "some" for res in results) == some, n
+        assert len(results) == total, n
+        assert sum(res.nodes for res in results) == (eager_nodes if path == "eager" else lazy_nodes), n
 
 
 @pytest.mark.parametrize("threshold", [DEFAULT_CANDIDATE_THRESHOLD, 2], ids=["eager", "lazy"])
