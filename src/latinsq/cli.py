@@ -122,6 +122,10 @@ def _mc_trial(task) -> dict:
 
 def cmd_mc_decomposable(args) -> int:
     t0 = time.perf_counter()
+    if args.trials < 1:
+        raise ValueError(f"trials must be positive, got {args.trials}")
+    if args.workers < 1:
+        raise ValueError(f"workers must be positive, got {args.workers}")
     tasks = [(args.seed, args.order, t, args.node_budget) for t in range(args.trials)]
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
@@ -286,11 +290,21 @@ def cmd_census_links(args) -> int:
 # --- probe-subgraph -----------------------------------------------------------
 
 
+def _read_probe_edges(path: str) -> list[tuple[int, int, int]]:
+    with open(path) as fh:
+        data = json.load(fh)
+    edges = data.get("edges") if isinstance(data, dict) else None
+    if not isinstance(edges, list):
+        raise ValueError("graph file must hold an object with an `edges` list")
+    for e in edges:
+        if not (isinstance(e, list) and len(e) == 3 and all(type(x) is int for x in e)):
+            raise ValueError(f"edge {e!r} is not a [row, column, colour] list of integers")
+    return [tuple(e) for e in edges]
+
+
 def cmd_probe_subgraph(args) -> int:
     t0 = time.perf_counter()
-    with open(args.graph) as fh:
-        data = json.load(fh)
-    edges = [tuple(e) for e in data["edges"]]
+    edges = _read_probe_edges(args.graph)
     rng = SeededRng(args.seed)
     result = subgraph_probability_probe(edges, args.order, args.trials, rng.derive(0))
     summary = {

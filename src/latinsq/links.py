@@ -468,6 +468,8 @@ def subgraph_probability_probe(
         frac = Fraction(hits, total)
         return ProbeResult(estimate=float(frac), stderr=0.0, hits=hits, trials=total, exact=frac)
 
+    if trials < 1:
+        raise ValueError(f"trials must be positive, got {trials}")
     hits = 0
     for sq in sample_squares(n, rng, trials):
         if contains(sq):

@@ -9,11 +9,15 @@ each of its three lines.  The walk's proper states are uniform over all
 Latin squares in the limit; burn-in and thinning are counted in
 proper-state visits.
 
-The cube is held as three conjugate sets of line masks over its 1-entries
-(cell -> symbols, row and symbol -> columns, column and symbol -> rows), so
-each move reads its partners and flips the subcube in O(1) big-int
-operations.  A line through the -1 cell holds two 1-entries, every other
-line one.
+The stored form of the cube, which `MarkovState` holds and checks, is three
+conjugate sets of line masks over its 1-entries (cell -> symbols, row and
+symbol -> columns, column and symbol -> rows).  A line through the -1 cell
+holds two 1-entries, every other line one.  The walk's working form is three
+plain int arrays (the symbol of each cell, the column of each row/symbol
+pair, the row of each column/symbol pair), with the two members of each
+doubled line held in locals, so a move is about a dozen list stores.  `_walk`
+unpacks the masks on entry and packs them back on exit, O(n^2) per call;
+`jm_step` is one move of the same loop.
 """
 
 from __future__ import annotations
@@ -141,68 +145,121 @@ class MarkovState:
         )
 
 
-def jm_step(state: MarkovState, rng: SeededRng) -> MarkovState:
-    """One move of the chain, in place; returns the state for chaining."""
+def _low_high(m: int) -> tuple[int, int]:
+    """The two set bits of a doubled line's mask, lower first."""
+    return (m & -m).bit_length() - 1, m.bit_length() - 1
+
+
+def _walk(state: MarkovState, rng: SeededRng, visits: int, one_move: bool = False) -> None:
+    """Run the chain in place until it has made `visits` proper-state
+    visits, or a single move when `one_move` is set.
+
+    The masks are unpacked into `sym[r*n+c]` (the symbol of a cell),
+    `col[r*n+s]` (the column of a row/symbol pair) and `row[c*n+s]` (the row
+    of a column/symbol pair), and packed back on exit.  While the state is
+    improper at (r, c, s), the entries of its three doubled lines are stale
+    and their two members are held as (low, high) pairs in locals instead.
+    """
     n = state.n
-    if n == 1:
-        return state  # single square, nothing to move
-    rc, rs, cs = state.rc, state.rs, state.cs
-    if state.improper is None:
-        n3 = n * n * n
-        while True:
-            rcx, s = divmod(rng.randint(n3), n)  # rcx = r*n + c
-            if not rc[rcx] >> s & 1:
-                break
-        r, c = divmod(rcx, n)
-        rn, cn = rcx - c, c * n
-        # each line through the 0-cell holds one 1-entry
-        r1 = cs[cn + s].bit_length() - 1
-        c1 = rs[rn + s].bit_length() - 1
-        s1 = rc[rcx].bit_length() - 1
-        a = 1  # (r, c, s) turns from 0 to 1
-    else:
+    if n == 1 or visits <= 0:
+        return  # a single square has nothing to move
+    sym = [m.bit_length() - 1 for m in state.rc]
+    col = [m.bit_length() - 1 for m in state.rs]
+    row = [m.bit_length() - 1 for m in state.cs]
+    proper = state.improper is None
+    if not proper:
         r, c, s = state.improper
         rn, cn = r * n, c * n
-        # each line through the -1 cell holds two 1-entries; draw 0 picks
-        # the lower index, 1 the higher
-        m = cs[cn + s]
-        r1 = (m if rng.randint(2) else m & -m).bit_length() - 1
-        m = rs[rn + s]
-        c1 = (m if rng.randint(2) else m & -m).bit_length() - 1
-        m = rc[rn + c]
-        s1 = (m if rng.randint(2) else m & -m).bit_length() - 1
-        a = 0  # (r, c, s) turns from -1 to 0
-    # flip the 2x2x2 subcube spanned by (r,c,s) and (r1,c1,s1): each of its
-    # 12 lines XORs the two entries whose 1-status changes, except that
-    # (r,c,s) keeps it when it was -1 (a = 0) and the apex (r1,c1,s1) when
-    # it becomes -1 (z = 0)
-    r1n, c1n = r1 * n, c1 * n
-    z = rc[r1n + c1] >> s1 & 1
-    b, b1 = 1 << s, 1 << s1
-    rc[rn + c] ^= a << s | b1
-    rc[r1n + c1] ^= b | z << s1
-    rc[rn + c1] ^= b | b1
-    rc[r1n + c] ^= b | b1
-    b, b1 = 1 << c, 1 << c1
-    rs[rn + s] ^= a << c | b1
-    rs[r1n + s1] ^= b | z << c1
-    rs[rn + s1] ^= b | b1
-    rs[r1n + s] ^= b | b1
-    b, b1 = 1 << r, 1 << r1
-    cs[cn + s] ^= a << r | b1
-    cs[c1n + s1] ^= b | z << r1
-    cs[cn + s1] ^= b | b1
-    cs[c1n + s] ^= b | b1
-    state.improper = None if z else (r1, c1, s1)
+        r_lo, r_hi = _low_high(state.cs[cn + s])
+        c_lo, c_hi = _low_high(state.rs[rn + s])
+        s_lo, s_hi = _low_high(state.rc[rn + c])
+    randint = rng.randint
+    n3 = n * n * n
+    while True:
+        if proper:
+            while True:
+                x = randint(n3)
+                rcx = x // n  # rcx = r*n + c
+                s = x - rcx * n
+                s1 = sym[rcx]
+                if s1 != s:
+                    break
+            r = rcx // n
+            c = rcx - r * n
+            rn, cn = rcx - c, c * n
+            # each line through the 0-cell holds one 1-entry; (r, c, s)
+            # turns from 0 to 1 and becomes the entry left on its lines
+            r1, c1 = row[cn + s], col[rn + s]
+            r0, c0, s0 = r, c, s
+        else:
+            # each line through the -1 cell holds two 1-entries; draw 0 picks
+            # the lower index, 1 the higher, and the other one stays on the
+            # line once (r, c, s) turns from -1 to 0
+            if randint(2):
+                r1, r0 = r_hi, r_lo
+            else:
+                r1, r0 = r_lo, r_hi
+            if randint(2):
+                c1, c0 = c_hi, c_lo
+            else:
+                c1, c0 = c_lo, c_hi
+            if randint(2):
+                s1, s0 = s_hi, s_lo
+            else:
+                s1, s0 = s_lo, s_hi
+        # flip the 2x2x2 subcube spanned by (r,c,s) and (r1,c1,s1): on each
+        # of its 12 lines the 1-entry moves to the other corner, except on
+        # the three lines through the apex (r1,c1,s1) when it becomes -1
+        r1n, c1n = r1 * n, c1 * n
+        sym[rn + c] = s0
+        sym[rn + c1] = sym[r1n + c] = s1
+        col[rn + s] = c0
+        col[rn + s1] = col[r1n + s] = c1
+        row[cn + s] = r0
+        row[cn + s1] = row[c1n + s] = r1
+        t = sym[r1n + c1]
+        if t == s1:
+            sym[r1n + c1], col[r1n + s1], row[c1n + s1] = s, c, r
+            proper = True
+            visits -= 1
+            if not visits:
+                break
+        else:
+            # the apex turns from 0 to -1; each of its lines keeps its old
+            # 1-entry and gains the one the flip put there
+            u, w = col[r1n + s1], row[c1n + s1]
+            if s < t:
+                s_lo, s_hi = s, t
+            else:
+                s_lo, s_hi = t, s
+            if c < u:
+                c_lo, c_hi = c, u
+            else:
+                c_lo, c_hi = u, c
+            if r < w:
+                r_lo, r_hi = r, w
+            else:
+                r_lo, r_hi = w, r
+            r, c, s, rn, cn = r1, c1, s1, r1n, c1n
+            proper = False
+            if one_move:
+                break
+    state.rc[:] = [1 << v for v in sym]
+    state.rs[:] = [1 << v for v in col]
+    state.cs[:] = [1 << v for v in row]
+    if proper:
+        state.improper = None
+    else:
+        state.rc[rn + c] = 1 << s_lo | 1 << s_hi
+        state.rs[rn + s] = 1 << c_lo | 1 << c_hi
+        state.cs[cn + s] = 1 << r_lo | 1 << r_hi
+        state.improper = (r, c, s)
+
+
+def jm_step(state: MarkovState, rng: SeededRng) -> MarkovState:
+    """One move of the chain, in place; returns the state for chaining."""
+    _walk(state, rng, 1, one_move=True)
     return state
-
-
-def _advance_to_proper_visits(state: MarkovState, rng: SeededRng, visits: int) -> None:
-    seen = 0
-    while seen < visits:
-        jm_step(state, rng)
-        if state.improper is None:
-            seen += 1
 
 
 def _check_walk_args(n: int, **counts: int) -> None:
@@ -225,7 +282,7 @@ def sample_uniform(
         burnin = DEFAULT_BURNIN_FACTOR * n**3
     _check_walk_args(n, burnin=burnin)
     state = MarkovState.from_square(cyclic_square(n))
-    _advance_to_proper_visits(state, rng, burnin)
+    _walk(state, rng, burnin)
     return state.to_square()
 
 
@@ -247,7 +304,7 @@ def sample_squares(
     def walk() -> Iterator[LatinSquare]:
         state = MarkovState.from_square(cyclic_square(n))
         for i in range(count):
-            _advance_to_proper_visits(state, rng, thin if i else burnin)
+            _walk(state, rng, thin if i else burnin)
             yield state.to_square()
 
     return walk()

@@ -132,6 +132,20 @@ def test_mc_decomposable_deterministic_across_workers(capsys):
             assert record["verified"]
 
 
+def test_mc_decomposable_bad_counts_exit_code(capsys):
+    for argv, message in (
+        (("mc-decomposable", "--order", "5", "--trials", "0"), "trials must be positive"),
+        (("mc-decomposable", "--order", "5", "--trials", "-4"), "trials must be positive"),
+        (("--workers", "0", "mc-decomposable", "--order", "5", "--trials", "2"),
+         "workers must be positive"),
+        (("--workers", "-3", "mc-decomposable", "--order", "5", "--trials", "2"),
+         "workers must be positive"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "", argv
+        assert err.startswith("error: ") and message in err, (argv, err)
+
+
 def test_census_links_csv(tmp_path, capsys):
     out = tmp_path / "census.csv"
     code, _o, _e = run(
@@ -168,6 +182,26 @@ def test_probe_subgraph_exact(tmp_path, capsys):
     assert code == 0
     body = json.loads(out)
     assert body["summary"]["exact"] == "1/4"
+
+
+def test_probe_subgraph_bad_input_exit_code(tmp_path, capsys):
+    graph = tmp_path / "h.json"
+    graph.write_text(json.dumps({"edges": [[1, 1, 1]]}))
+    code, out, err = run(capsys, "probe-subgraph", str(graph), "--order", "7", "--trials", "0")
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "trials must be positive" in err, err
+    for body, message in (
+        ({"nodes": [[1, 1, 1]]}, "`edges` list"),
+        ([[1, 1, 1]], "`edges` list"),
+        ({"edges": {"1": [1, 1]}}, "`edges` list"),
+        ({"edges": "1 1 1"}, "`edges` list"),
+        ({"edges": [[1, 1]]}, "[row, column, colour]"),
+        ({"edges": [[1, "a", 1]]}, "[row, column, colour]"),
+    ):
+        graph.write_text(json.dumps(body))
+        code, out, err = run(capsys, "probe-subgraph", str(graph), "--order", "5")
+        assert code == 1 and out == "", body
+        assert err.startswith("error: ") and message in err, (body, err)
 
 
 def test_absorber_demo_roundtrip(tmp_path, capsys):

@@ -311,6 +311,12 @@ def test_probe_rejects_improper():
         )
 
 
+def test_probe_sampled_needs_a_trial():
+    for trials in (0, -3):
+        with pytest.raises(ValueError, match="trials must be positive"):
+            subgraph_probability_probe([(1, 1, 1)], 7, trials, SeededRng(0))
+
+
 def test_pattern_json_round_trip():
     pat = repeat_pattern(3)
     back = Pattern.from_json(pat.to_json())

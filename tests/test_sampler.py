@@ -8,6 +8,7 @@ from latinsq.core import ValidationError, cyclic_square, from_grid
 from latinsq.sampler import (
     MarkovState,
     SeededRng,
+    _walk,
     enumerate_all,
     enumerate_reduced,
     jm_step,
@@ -51,6 +52,33 @@ SHUFFLE_400_SHA256 = "2d53c6bc0a25c456360d5886afb1162cbb5c9bb8b3fae5ddf5d432c9a7
 
 def test_stream_pinned_order10_panel_square():
     assert sample_uniform(10, SeededRng(777).derive(0)).cells == PANEL_SQUARE_0
+
+
+# Recorded before the walk moved from line masks onto symbol/column/row
+# arrays: an order-31 square, and the number of `randint` calls behind the
+# first panel square (a walk that stopped drawing through `randint` would
+# hide its draws from a counting subclass).
+ORDER31_SQUARE_SHA256 = "b64690bc7457f74f2eae1ce38bdf8056eb96e11eb016cc89a3f0b0c6fa72e0b7"
+PANEL_SQUARE_0_RANDINT_CALLS = 280_197
+
+
+def test_stream_pinned_order31_square():
+    cells = sample_uniform(31, SeededRng(777).derive(3), burnin=9610).cells
+    assert hashlib.sha256(repr(cells).encode()).hexdigest() == ORDER31_SQUARE_SHA256
+
+
+def test_walk_draws_through_randint():
+    class CountingRng(SeededRng):
+        calls = 0
+
+        def randint(self, k):
+            self.calls += 1
+            return super().randint(k)
+
+    panel = SeededRng(777).derive(0)
+    rng = CountingRng(panel.seed, panel.stream)
+    assert sample_uniform(10, rng).cells == PANEL_SQUARE_0
+    assert rng.calls == PANEL_SQUARE_0_RANDINT_CALLS
 
 
 def test_stream_pinned_mixed_bound_draws():
@@ -209,6 +237,38 @@ def test_jm_step_matches_flat_cube_reference(n):
             jm_step(st, rng_mask)
             improper = _flat_jm_step(n, flat, improper, rng_flat)
             assert st.improper == improper and _cube(st) == flat, (seed, step)
+
+
+def _visits_by_steps(st, rng, visits):
+    while visits:
+        jm_step(st, rng)
+        visits -= st.is_proper
+
+
+@pytest.mark.parametrize("n", [*range(2, 9), 31])
+def test_walk_matches_repeated_jm_step(n):
+    # one _walk call per segment against one jm_step per move, on the same
+    # stream; odd segments first step both states into an improper one
+    # (order 2 has none) and the zero-visit segment leaves it so for the
+    # next, so a lost doubled line in the unpack or the pack shows
+    for seed in (1, 2):
+        stepped = MarkovState.from_square(cyclic_square(n))
+        walked = MarkovState.from_square(cyclic_square(n))
+        rng_step, rng_walk = SeededRng(seed).derive(n), SeededRng(seed).derive(n)
+        for i, visits in enumerate((1, 0, 3, 2 * n, 1, 5)):
+            while i % 2 and stepped.is_proper and n > 2:
+                jm_step(stepped, rng_step)
+                jm_step(walked, rng_walk)
+            entered_improper = not walked.is_proper
+            _visits_by_steps(stepped, rng_step, visits)
+            _walk(walked, rng_walk, visits)
+            assert (walked.rc, walked.rs, walked.cs) == (stepped.rc, stepped.rs, stepped.cs)
+            assert walked.improper == stepped.improper, (seed, i)
+            assert walked.is_proper or (entered_improper and visits == 0)
+            assert walked.line_sums_ok()
+        next_draws = [[rng.randint(k) for k in (2, n**3) for _ in range(5)]
+                      for rng in (rng_step, rng_walk)]
+        assert next_draws[0] == next_draws[1]
 
 
 def test_order2_proper_states_are_the_two_squares():
