@@ -172,6 +172,8 @@ def cmd_tarry_check(args) -> int:
     undecided = 0
     offender = None
     transversal_histogram: dict[int, int] = {}
+    if not 0 <= args.cyclic_prefix_rows <= n:
+        raise ValueError(f"cyclic prefix rows must be in 0..{n}, got {args.cyclic_prefix_rows}")
     prefix = None
     if args.cyclic_prefix_rows:
         prefix = [list(cyclic_square(n).row(r)) for r in range(1, args.cyclic_prefix_rows + 1)]

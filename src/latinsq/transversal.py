@@ -1,8 +1,17 @@
 """Transversal enumeration, maximum partial transversals, and decomposition.
 
-One engine, `_transversals`, finds transversals row by row with bitmasks for
-the columns and symbols already used.  It counts them and, on request, emits
-each as an n^2-bit row-major cell mask, in lexicographic column order.
+One engine, `_transversals`, finds transversals by meeting in the middle
+(Horowitz and Sahni, J. ACM 21, 1974), with bitmasks for the columns and
+symbols in use.  It first builds a table of the last rows, from the bottom
+row up: each partial transversal of those rows, keyed by its column and
+symbol bits, maps to its cell masks, or to their number when only counting.
+A depth-first search over the first rows then joins each of its partial
+transversals with the table entries under the complementary key.  The table
+covers at most n // 2 rows and holds at most min(limit,
+DEFAULT_CANDIDATE_THRESHOLD) entries; a row that would take it past that is
+left to the search, so a small limit leaves a plain depth-first search.  The
+engine counts transversals and, on request, emits each as an n^2-bit
+row-major cell mask, in lexicographic column order.
 `count_transversals`, `iter_transversals` and both paths of `decompose`
 call it.  `max_partial_transversal` keeps its own branch and bound: it may
 leave a row uncovered and prunes against the best size found so far, and
@@ -55,7 +64,7 @@ class DecomposeResult:
 
 
 def _symbol_bits(square: LatinSquare) -> list[list[int]]:
-    return [[1 << s for s in row] for row in square.cells]
+    return [[1 << s - 1 for s in row] for row in square.cells]
 
 
 class _Stop(Exception):
@@ -73,34 +82,119 @@ def _transversals(
     for 0-based cell (r, c), to ``out`` if given, lexicographic in the
     columns of rows 0..n-1, and stops once ``out`` holds ``limit`` masks."""
     n = len(sym)
+    full = (1 << n) - 1
     if allowed is None:
-        allowed = [(1 << n) - 1] * n
+        allowed = [full] * n
+    # picks[r]: the used bits of each allowed cell of row r in column order,
+    # its column bit and its symbol bit shifted up by n; the lowest, u & -u,
+    # shifted up by r * n is the cell's mask bit
+    picks = [
+        [1 << c | srow[c] << n for c in range(n) if allowed_r >> c & 1]
+        for srow, allowed_r in zip(sym, allowed)
+    ]
+    counting = out is None
+    bound = DEFAULT_CANDIDATE_THRESHOLD
+    if limit is not None:
+        bound = min(limit, bound)
+    top, table = _table(picks, bound, counting)
+    complement = full | full << n
+    get = table.get
 
-    def rec(r: int, colmask: int, symmask: int, cells: int) -> int:
-        if r == n:
-            if out is not None:
-                out.append(cells)
-                if len(out) == limit:
-                    raise _Stop
-            return 1
+    def rec(r: int, used: int, cells: int) -> int:
         total = 0
-        avail = allowed[r] & ~colmask
-        srow = sym[r]
         shift = r * n
-        while avail:
-            low = avail & -avail
-            avail ^= low
-            sb = srow[low.bit_length() - 1]
-            if not symmask & sb:
-                total += rec(r + 1, colmask | low, symmask | sb, cells | low << shift)
+        if r + 1 < top:
+            for u in picks[r]:
+                if not used & u:
+                    total += rec(r + 1, used | u, cells | (u & -u) << shift)
+        elif counting:
+            for u in picks[r]:
+                if not used & u:
+                    total += get((used | u) ^ complement, 0)
+        else:
+            for u in picks[r]:
+                if not used & u:
+                    group = get((used | u) ^ complement)
+                    if group:
+                        cells_r = cells | (u & -u) << shift
+                        for m in group:
+                            out.append(cells_r | m)
+                            if len(out) == limit:
+                                raise _Stop
+                        total += len(group)
         return total
 
     try:
-        return rec(0, 0, 0, 0)
+        return rec(0, 0, 0)
     except _Stop:
         return len(out)
     finally:
         del rec  # it refers to itself; free out with the caller's reference
+
+
+def _table(picks: list[list[int]], bound: int, counting: bool) -> tuple[int, dict]:
+    """The first row top of the table, and the table: the used bits of each
+    partial transversal of rows top..n-1 mapped to its count, or to its cell
+    masks in lexicographic order.  It grows from the bottom row up to n // 2
+    rows, and by no row that would take it past bound entries."""
+    n = len(picks)
+    top = n
+    level = {0: 1} if counting else ([0], [0])
+    while top > n - n // 2:
+        row = picks[top - 1]
+        if counting:
+            grown = _grow_counts(level, row, bound)
+        else:
+            grown = _grow_masks(level, row, (top - 1) * n, bound)
+        if grown is None:
+            break
+        level, top = grown, top - 1
+    if counting:
+        return top, level
+    groups: dict[int, list[int]] = {}
+    for key, mask in zip(*level):
+        group = groups.get(key)
+        if group is None:
+            groups[key] = [mask]
+        else:
+            group.append(mask)
+    return top, groups
+
+
+def _grow_counts(
+    counts: dict[int, int], row: list[int], bound: int
+) -> Optional[dict[int, int]]:
+    """counts extended by one more significant row, equal keys merged, or
+    None past bound keys."""
+    grown: dict[int, int] = {}
+    get = grown.get
+    for u in row:
+        for key, count in counts.items():
+            if not key & u:
+                grown[key | u] = get(key | u, 0) + count
+        if len(grown) > bound:
+            return None
+    return grown
+
+
+def _grow_masks(
+    level: tuple[list[int], list[int]], row: list[int], shift: int, bound: int
+) -> Optional[tuple[list[int], list[int]]]:
+    """The keys and masks extended by one more significant row, the row at
+    bit shift of the masks, or None past bound masks.  The new row is the
+    outer loop, so the masks stay lexicographic."""
+    keys: list[int] = []
+    masks: list[int] = []
+    add_key, add_mask = keys.append, masks.append
+    for u in row:
+        cell = (u & -u) << shift
+        for key, mask in zip(*level):
+            if not key & u:
+                add_key(key | u)
+                add_mask(cell | mask)
+        if len(masks) > bound:
+            return None
+    return keys, masks
 
 
 def _cells(mask: int) -> list[int]:
@@ -188,10 +282,12 @@ def decompose(
     """
     if node_budget < 0:
         raise ValueError(f"node budget must be non-negative, got {node_budget}")
+    if candidate_threshold < 0:
+        raise ValueError(f"candidate threshold must be non-negative, got {candidate_threshold}")
     n = square.n
     sym = _symbol_bits(square)
     masks: list[int] = []
-    _transversals(sym, out=masks, limit=max(candidate_threshold, 0) + 1)
+    _transversals(sym, out=masks, limit=candidate_threshold + 1)
     if len(masks) > candidate_threshold:
         return _decompose_lazy(sym, node_budget)
     if len(masks) < n:

@@ -106,6 +106,18 @@ def test_tarry_check_small_order(capsys):
     assert body["summary"]["undecided"] == 0
 
 
+def test_tarry_check_cyclic_prefix_rows(capsys):
+    code, out, _ = run(
+        capsys, "--format", "json", "tarry-check", "--order", "6", "--cyclic-prefix-rows", "6"
+    )
+    assert code == 0
+    assert json.loads(out)["summary"]["examined"] == 1
+    for rows in ("9", "7", "-2"):
+        code, out, err = run(capsys, "tarry-check", "--order", "6", "--cyclic-prefix-rows", rows)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and "cyclic prefix rows" in err
+
+
 def test_tarry_check_order4_finds_resolvables(capsys):
     # order 4 has resolvable squares, so the reproduction claim fails there
     code, out, _ = run(capsys, "--format", "json", "tarry-check", "--order", "4")

@@ -1,13 +1,17 @@
+import random
+import tracemalloc
 from itertools import permutations
 
 import pytest
 
-from latinsq.core import Transversal, cyclic_square, from_grid, to_coloring
+from latinsq.core import Transversal, check_transversal, cyclic_square, from_grid, to_coloring
 from latinsq.sampler import SeededRng, enumerate_all, enumerate_reduced, sample_uniform
 from latinsq.transversal import (
     DEFAULT_CANDIDATE_THRESHOLD,
     Decomposition,
     ExactSearchRefused,
+    _symbol_bits,
+    _transversals,
     count_transversals,
     decompose,
     iter_transversals,
@@ -53,6 +57,115 @@ def naive_decomposable(square) -> bool:
         return False
 
     return rec(0, 0)
+
+
+class _Enough(Exception):
+    pass
+
+
+def _reference_transversals(sym, allowed=None, out=None, limit=None):
+    """Reference for _transversals: plain depth first over rows 0..n-1, the
+    form the meet-in-the-middle engine replaced.  Same contract."""
+    n = len(sym)
+    if allowed is None:
+        allowed = [(1 << n) - 1] * n
+
+    def rec(r, colmask, symmask, cells):
+        if r == n:
+            if out is not None:
+                out.append(cells)
+                if len(out) == limit:
+                    raise _Enough
+            return 1
+        total = 0
+        for c in range(n):
+            sb = sym[r][c]
+            if allowed[r] >> c & 1 and not colmask >> c & 1 and not symmask & sb:
+                total += rec(r + 1, colmask | 1 << c, symmask | sb, cells | 1 << r * n + c)
+        return total
+
+    try:
+        return rec(0, 0, 0, 0)
+    except _Enough:
+        return len(out)
+
+
+def _reference_squares():
+    yield from enumerate_reduced(5)
+    yield from list(enumerate_reduced(6))[::97]
+    for n in (7, 8, 9):
+        for t in range(3):
+            yield sample_uniform(n, SeededRng(55).derive(n * 10 + t), burnin=300)
+    for n in range(1, 10):
+        yield cyclic_square(n)
+
+
+@pytest.mark.parametrize("limit", [0, 1, 3, None, DEFAULT_CANDIDATE_THRESHOLD + 1])
+def test_engine_matches_reference(limit):
+    # counts and ordered masks, on whole squares and under random allowed
+    # columns per row (as the lazy decompose path asks)
+    rng = random.Random(2024)
+    for k, sq in enumerate(_reference_squares()):
+        n = sq.n
+        sym = _symbol_bits(sq)
+        for allowed in (None, [rng.getrandbits(n) | rng.getrandbits(n) for _ in range(n)]):
+            count = _reference_transversals(sym, allowed)
+            assert _transversals(sym, allowed) == count, (k, n, allowed)
+            got, want = [], []
+            assert (_transversals(sym, allowed, got, limit), got) == (
+                _reference_transversals(sym, allowed, want, limit), want
+            ), (k, n, allowed)
+
+
+def test_limit_stops_inside_a_join():
+    # Past the table's size, so the engine joins; on cyclic order 9 some of
+    # these limits fall between two masks of one table group.
+    sym = _symbol_bits(cyclic_square(9))
+    every: list[int] = []
+    assert _reference_transversals(sym, out=every) == 2025
+    for limit in range(400, 500):
+        got: list[int] = []
+        assert (_transversals(sym, out=got, limit=limit), got) == (limit, every[:limit]), limit
+
+
+# The order-6 Tarry scan over all 9408 reduced squares: the histogram of
+# transversal counts and the total decompose node count.
+TARRY_HISTOGRAM = {0: 2100, 8: 7020, 24: 108, 32: 180}
+TARRY_NODES = 2124
+
+
+def test_order6_scan_pinned():
+    histogram: dict[int, int] = {}
+    nodes = 0
+    for sq in enumerate_reduced(6):
+        count = count_transversals(sq)
+        histogram[count] = histogram.get(count, 0) + 1
+        assert len(list(iter_transversals(sq))) == count
+        res = decompose(sq)
+        assert res.status == "none"
+        nodes += res.nodes
+    assert (histogram, nodes) == (TARRY_HISTOGRAM, TARRY_NODES)
+
+
+def test_counts_pinned_at_orders_11_and_12():
+    for n, t, expected in ((11, 0, 3430), (11, 1, 3527), (12, 0, 15898)):
+        sq = sample_uniform(n, SeededRng(3).derive(t), burnin=2000)
+        assert count_transversals(sq) == expected, (n, t)
+
+
+def test_small_limit_at_order_30():
+    # The first transversal only, with no table: one grown up to the
+    # candidate threshold would take hundreds of megabytes here, and one
+    # grown to n // 2 rows would not finish.
+    sq = sample_uniform(30, SeededRng(3).derive(0), burnin=2000)
+    tracemalloc.start()
+    try:
+        (t,) = iter_transversals(sq, limit=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert check_transversal(sq, t.cells) is None
+    assert peak < 1 << 20
 
 
 def test_zero_transversals_for_even_cyclic():
@@ -218,6 +331,9 @@ def test_negative_budget_rejected():
         decompose(cyclic_square(3), node_budget=-5)
     with pytest.raises(ValueError, match="node budget"):
         decompose(cyclic_square(3), node_budget=-1, candidate_threshold=0)
+    for threshold in (-1, -7):
+        with pytest.raises(ValueError, match="candidate threshold"):
+            decompose(cyclic_square(3), candidate_threshold=threshold)
 
 
 # The first four squares of the order-10 Monte Carlo (master seed 777) with
