@@ -11,9 +11,9 @@ repair repeated colours so every cycle is rainbow, triangulate long cycles
 with fresh-coloured chords, and replace every rainbow triangle by a fixed
 nine-edge gadget on three fresh vertices and one fresh colour, after which
 the whole graph is a disjoint union of rainbow 2-cycles that read off as the
-answer.  Greedy colour/vertex choices run under configurable caps with a
-bounded randomised retry loop, replacing asymptotic slack with desk-scale
-feasibility.
+answer.  Greedy colour/vertex choices run under a colour cap computed from
+the instance, with a bounded randomised retry loop, replacing asymptotic
+slack with desk-scale feasibility.
 
 `build_connector` wires up a sparse routing graph: stacked levels of size
 2^depth forming interleaved binary trees (max degree 4), plus one attachment
@@ -30,6 +30,10 @@ from dataclasses import dataclass, field
 
 from .rainbow import make_pair
 from .sampler import SeededRng
+
+_RETRIES = 32  # fresh-stream retries of the greedy stages before giving up
+_FEASIBILITY_FACTOR = 4.0  # free vertices each index needs, per unit of mean demand
+_CERTIFICATION_ROUNDS = 100  # random pairings per stream that certify a root count
 
 
 class InfeasibleError(RuntimeError):
@@ -93,15 +97,26 @@ class CorrectionInstance:
 
     @classmethod
     def from_json(cls, text: str) -> "CorrectionInstance":
+        """Parse `to_json`'s form; raises ValueError naming a missing or
+        ill-typed field."""
         d = json.loads(text)
-        idx = tuple(d["indices"])
-        return cls(
-            indices=idx,
-            universe=tuple(d["universe"]),
-            reservoir={i: frozenset(d["reservoir"][str(i)]) for i in idx},
-            surplus={i: frozenset(d["surplus"][str(i)]) for i in idx},
-            chosen={i: frozenset(d["chosen"][str(i)]) for i in idx},
-        )
+        if not isinstance(d, dict):
+            raise ValueError("a correction instance must be a JSON object")
+        idx = _int_tuple(d.get("indices"), "indices")
+        universe = _int_tuple(d.get("universe"), "universe")
+        sets = {}
+        for name in ("reservoir", "surplus", "chosen"):
+            table = d.get(name)
+            if not isinstance(table, dict):
+                raise ValueError(f"field '{name}' must be an object keyed by index")
+            sets[name] = {i: frozenset(_int_tuple(table.get(str(i)), f"{name}.{i}")) for i in idx}
+        return cls(indices=idx, universe=universe, **sets)
+
+
+def _int_tuple(value, name: str) -> tuple[int, ...]:
+    if not isinstance(value, list) or not all(type(x) is int for x in value):
+        raise ValueError(f"field '{name}' must be a list of integers")
+    return tuple(value)
 
 
 @dataclass(frozen=True)
@@ -300,12 +315,10 @@ def _zigzag_triangles(length: int) -> tuple[list[tuple[int, int]], list[tuple[in
 
 
 class _GreedyState:
-    """Caps shared by the chord and gadget stages."""
+    """Slots taken by the chord and gadget stages."""
 
-    def __init__(self, inst: CorrectionInstance, color_cap: int, rng: SeededRng):
+    def __init__(self, inst: CorrectionInstance):
         self.inst = inst
-        self.cap = color_cap
-        self.rng = rng
         self.chord_cover: dict = {i: set() for i in inst.indices}  # colour -> vertices
         self.used_pairs: set = set()  # (colour, vertex) slots taken by chords/gadgets
 
@@ -321,9 +334,6 @@ class _GreedyState:
 def decompose_corrections(
     inst: CorrectionInstance,
     rng: SeededRng,
-    color_cap: int | None = None,
-    retries: int = 32,
-    feasibility_factor: float = 4.0,
     collect_stages: bool = False,
 ):
     """Decompose balanced correction requirements into pair requests.
@@ -333,12 +343,11 @@ def decompose_corrections(
     stage, for external conservation checks.  Raises InfeasibleError when a
     greedy stage exhausts its candidates in every retry.
     """
-    if color_cap is None:
-        biggest = max((len(inst.surplus.get(i, ())) for i in inst.indices), default=0)
-        color_cap = max(8, 2 * biggest)
+    biggest = max((len(inst.surplus.get(i, ())) for i in inst.indices), default=0)
+    color_cap = max(8, 2 * biggest)
     demand = sum(len(inst.surplus.get(i, ())) for i in inst.indices)
     if inst.indices and demand:
-        margin = feasibility_factor * demand / len(inst.indices)
+        margin = _FEASIBILITY_FACTOR * demand / len(inst.indices)
         for i in inst.indices:
             free = (
                 len(inst.universe)
@@ -352,7 +361,7 @@ def decompose_corrections(
                 )
 
     last_error: InfeasibleError | None = None
-    for attempt in range(retries + 1):
+    for attempt in range(_RETRIES + 1):
         try:
             return _decompose_once(inst, rng.derive(1000 + attempt), color_cap, attempt, collect_stages)
         except InfeasibleError as exc:
@@ -390,7 +399,7 @@ def _decompose_once(
     cycles = _repair_rainbow(cycles)
     snapshot("rainbow", [e for cyc in cycles for e in cyc])
 
-    state = _GreedyState(inst, color_cap, rng)
+    state = _GreedyState(inst)
     universe_sorted = sorted(inst.universe)
     colors_sorted = sorted(inst.indices)
 
@@ -647,7 +656,6 @@ def build_connector(
     roots: int,
     spread: float = 10.0,
     rng: SeededRng | None = None,
-    certification_rounds: int = 100,
 ) -> ConnectorGraph:
     """Build the routing graph on vertex set [size] with the given number of
     attached roots, then certify (and record) the largest root count whose
@@ -685,26 +693,28 @@ def build_connector(
     )
     if rng is None:
         rng = SeededRng(0)
-    graph.certified_roots = _certify(graph, rng, certification_rounds)
+    graph.certified_roots = _certify(graph, rng)
     return graph
 
 
-def _random_maximal_pairing(items: list, rng: SeededRng) -> list[tuple]:
+def random_maximal_pairing(items: list, rng: SeededRng) -> list[tuple]:
+    """Shuffle `items` and pair them off in order; an odd one out is left."""
     pool = list(items)
     rng.shuffle(pool)
     return [(pool[2 * t], pool[2 * t + 1]) for t in range(len(pool) // 2)]
 
 
-def _certify(graph: ConnectorGraph, rng: SeededRng, rounds: int) -> int:
-    """Largest m such that `rounds` random maximal pairings of the first m
-    roots all route, confirmed on a second independent stream."""
+def _certify(graph: ConnectorGraph, rng: SeededRng) -> int:
+    """Largest m such that `_CERTIFICATION_ROUNDS` random maximal pairings
+    of the first m roots all route, confirmed on a second independent
+    stream."""
     for m in range(len(graph.roots), 0, -1):
         prefix = list(graph.roots[:m])
         ok = True
         for stream in (1, 2):
             sub = rng.derive(7000 + stream)
-            for _ in range(rounds):
-                pairs = _random_maximal_pairing(prefix, sub)
+            for _ in range(_CERTIFICATION_ROUNDS):
+                pairs = random_maximal_pairing(prefix, sub)
                 try:
                     route_pairs(graph, pairs)
                 except RoutingError:

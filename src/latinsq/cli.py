@@ -28,6 +28,7 @@ from .absorber import (
     build_connector,
     decompose_corrections,
     random_correction_instance,
+    random_maximal_pairing,
     route_pairs,
     verify_corrections,
 )
@@ -406,11 +407,8 @@ def cmd_connector_demo(args) -> int:
     failed = 0
     prefix = list(graph.roots[: graph.certified_roots])
     for _ in range(args.pairings):
-        pool = list(prefix)
-        stress.shuffle(pool)
-        pairs = [(pool[2 * t], pool[2 * t + 1]) for t in range(len(pool) // 2)]
         try:
-            route_pairs(graph, pairs)
+            route_pairs(graph, random_maximal_pairing(prefix, stress))
             routed += 1
         except RoutingError:
             failed += 1

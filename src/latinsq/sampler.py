@@ -17,11 +17,18 @@ plain int arrays (the symbol of each cell, the column of each row/symbol
 pair, the row of each column/symbol pair), with the two members of each
 doubled line held in locals, so a move is about a dozen list stores.  `_walk`
 unpacks the masks on entry and packs them back on exit, O(n^2) per call;
-`jm_step` is one move of the same loop.
+`jm_step` is one move of the same loop, and `sample_squares` drives it.
+
+The enumerators build squares row by row.  Each row is a permutation of
+1..n with an n^2-bit code (bit c*n + s - 1 for symbol s in column c), so a
+row fits under the rows above iff its code shares no bit with theirs.
+Taking rows from lexicographically sorted lists gives the squares in
+row-major lexicographic order.
 """
 
 from __future__ import annotations
 
+import itertools
 from typing import Iterator
 
 import numpy as np
@@ -262,14 +269,6 @@ def jm_step(state: MarkovState, rng: SeededRng) -> MarkovState:
     return state
 
 
-def _check_walk_args(n: int, **counts: int) -> None:
-    if n < 1:
-        raise ValidationError("order must be at least 1")
-    for name, value in counts.items():
-        if value < 0:
-            raise ValueError(f"{name} must be non-negative, got {value}")
-
-
 def sample_uniform(
     n: int, rng: SeededRng, burnin: int | None = None
 ) -> LatinSquare:
@@ -278,12 +277,7 @@ def sample_uniform(
     Starts the walk at the cyclic square and runs `burnin` proper-state
     visits (default 10 * n^3); deterministic given (rng state, burnin).
     """
-    if burnin is None:
-        burnin = DEFAULT_BURNIN_FACTOR * n**3
-    _check_walk_args(n, burnin=burnin)
-    state = MarkovState.from_square(cyclic_square(n))
-    _walk(state, rng, burnin)
-    return state.to_square()
+    return next(sample_squares(n, rng, 1, burnin=burnin))
 
 
 def sample_squares(
@@ -299,7 +293,11 @@ def sample_squares(
         burnin = DEFAULT_BURNIN_FACTOR * n**3
     if thin is None:
         thin = n**3
-    _check_walk_args(n, count=count, burnin=burnin, thin=thin)
+    if n < 1:
+        raise ValidationError("order must be at least 1")
+    for name, value in (("count", count), ("burnin", burnin), ("thin", thin)):
+        if value < 0:
+            raise ValueError(f"{name} must be non-negative, got {value}")
 
     def walk() -> Iterator[LatinSquare]:
         state = MarkovState.from_square(cyclic_square(n))
@@ -317,85 +315,56 @@ ALL_LIMIT = 5
 
 
 def enumerate_reduced(n: int, row_prefix: list[list[int]] | None = None) -> Iterator[LatinSquare]:
-    """All reduced squares (first row and column in natural order), n <= 6.
+    """All reduced squares (first row and column in natural order), n <= 6,
+    in row-major lexicographic order; n is checked when this is called.
 
     `row_prefix` optionally restricts the output to squares whose leading
-    rows equal the given ones (the prefix must itself be reduced-compatible).
+    rows equal the given ones.
     """
     if n > REDUCED_LIMIT:
         raise ValidationError(f"reduced enumeration refused for order {n} > {REDUCED_LIMIT}")
-    if n < 1:
-        raise ValidationError("order must be at least 1")
-    if n == 1:
-        sq = _trusted_square([[1]])
-        if not row_prefix or list(row_prefix[0]) == [1]:
-            yield sq
-        return
-
-    grid = [[0] * n for _ in range(n)]
-    grid[0] = list(range(1, n + 1))
-    for r in range(n):
-        grid[r][0] = r + 1
-    col_used = [0] * n
-    for c in range(n):
-        col_used[c] = 1 << (c + 1)
-    for r in range(1, n):
-        col_used[0] |= 1 << (r + 1)
-
-    prefix = [list(row) for row in row_prefix] if row_prefix else None
-    if prefix and list(prefix[0]) != grid[0]:
-        return
-
-    def emit() -> LatinSquare:
-        return _trusted_square([row[:] for row in grid])
-
-    def rec(r: int, c: int, row_used: int) -> Iterator[LatinSquare]:
-        if r == n:
-            yield emit()
-            return
-        if c == n:
-            nxt = r + 1
-            yield from rec(nxt, 1, (1 << grid[nxt][0]) if nxt < n else 0)
-            return
-        forced = prefix[r][c] if prefix and r < len(prefix) else None
-        for s in range(1, n + 1):
-            if forced is not None and s != forced:
-                continue
-            b = 1 << s
-            if row_used & b or col_used[c] & b:
-                continue
-            grid[r][c] = s
-            col_used[c] |= b
-            yield from rec(r, c + 1, row_used | b)
-            col_used[c] &= ~b
-        grid[r][c] = 0
-
-    yield from rec(1, 1, 1 << grid[1][0])
+    perms = _permutations(n)
+    choices = [perms[:1]] + [[p for p in perms if p[0][0] == r + 1] for r in range(1, n)]
+    prefix = [tuple(row) for row in row_prefix or ()]
+    if len(prefix) > n:
+        return iter(())
+    for r, row in enumerate(prefix):
+        choices[r] = [p for p in choices[r] if p[0] == row]
+    return _row_search(n, choices)
 
 
 def enumerate_all(n: int) -> Iterator[LatinSquare]:
-    """Every square of order n exactly once, n <= 5; row-major backtracking."""
+    """Every square of order n exactly once, n <= 5, in row-major
+    lexicographic order; n is checked when this is called."""
     if n > ALL_LIMIT:
         raise ValidationError(f"full enumeration refused for order {n} > {ALL_LIMIT}")
+    return _row_search(n, [_permutations(n)] * n)
+
+
+def _permutations(n: int) -> list[tuple[tuple[int, ...], int]]:
+    """The permutations of 1..n in lexicographic order, each with its code:
+    bit c*n + s - 1 set for symbol s in column c."""
     if n < 1:
         raise ValidationError("order must be at least 1")
-    grid = [[0] * n for _ in range(n)]
-    col_used = [0] * n
+    return [
+        (p, sum(1 << (c * n + s - 1) for c, s in enumerate(p)))
+        for p in itertools.permutations(range(1, n + 1))
+    ]
 
-    def rec(pos: int, row_used: int) -> Iterator[LatinSquare]:
-        if pos == n * n:
-            yield _trusted_square([row[:] for row in grid])
+
+def _row_search(n: int, choices: list[list[tuple[tuple[int, ...], int]]]) -> Iterator[LatinSquare]:
+    """The squares whose row r is a permutation from `choices[r]`, in the
+    lists' order; a row fits when its code shares no bit with the rows above."""
+    rows: list[tuple[int, ...]] = []
+
+    def extend(used: int) -> Iterator[LatinSquare]:
+        if len(rows) == n:
+            yield _trusted_square(rows)
             return
-        r, c = divmod(pos, n)
-        if c == 0:
-            row_used = 0
-        for s in range(1, n + 1):
-            b = 1 << s
-            if row_used & b or col_used[c] & b:
-                continue
-            grid[r][c] = s
-            col_used[c] |= b
-            yield from rec(pos + 1, row_used | b)
-            col_used[c] &= ~b
+        for row, code in choices[len(rows)]:
+            if not used & code:
+                rows.append(row)
+                yield from extend(used | code)
+                rows.pop()
 
-    yield from rec(0, 0)
+    return extend(0)

@@ -162,7 +162,7 @@ def test_infeasible_when_no_colour_space():
         chosen={1: frozenset({2, 4}), 2: frozenset({1, 3})},
     )
     with pytest.raises(InfeasibleError):
-        decompose_corrections(inst, SeededRng(0), retries=2)
+        decompose_corrections(inst, SeededRng(0))
 
 
 def test_instance_json_round_trip():

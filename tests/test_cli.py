@@ -245,7 +245,7 @@ def test_absorber_demo_instance_file(tmp_path, capsys):
     assert json.loads(out)["summary"]["verified"] == 1
 
 
-def test_absorber_demo_bad_input_exit_code(capsys):
+def test_absorber_demo_bad_input_exit_code(tmp_path, capsys):
     for argv, message in (
         (("--universe", "3"), "could not deal"),
         (("--indices", "1"), "could not deal"),
@@ -257,6 +257,20 @@ def test_absorber_demo_bad_input_exit_code(capsys):
         code, out, err = run(capsys, "absorber-demo", "--count", "2", *argv)
         assert code == 1 and out == "", argv
         assert err.startswith("error: ") and message in err, (argv, err)
+    # structurally malformed instance files name the field at fault
+    sets = '"reservoir": {}, "surplus": {}, "chosen": {}'
+    for text, message in (
+        ('{"indices": [1]}', "'universe'"),
+        ("[1, 2]", "JSON object"),
+        ('{"indices": "ab", "universe": [1], ' + sets + "}", "'indices'"),
+        ('{"indices": [1], "universe": [1, [2]], ' + sets + "}", "'universe'"),
+        ('{"indices": [1], "universe": [1], ' + sets + "}", "'reservoir.1'"),
+    ):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "absorber-demo", "--instance", str(path))
+        assert code == 1 and out == "", text
+        assert err.startswith("error: ") and message in err and "Traceback" not in err, (text, err)
 
 
 def test_connector_demo(capsys):

@@ -356,19 +356,55 @@ def test_enumerate_all_distinct_and_valid():
     assert len(seen) == 576
 
 
+# Recorded on the cell-by-cell enumerators that the row-permutation search
+# replaced: the squares, and the order they come in, must not change.
+REDUCED_6_SHA256 = "1739f6e58d571d2f5d349b140011def02ade1595b91ba380c480067276d3dd26"
+ALL_4_SHA256 = "b83d07c2a99e309d15ea9e3eb62b4fa133609a08c65621d29280ce8b7fc8cab7"
+
+
+def _cells_digest(squares):
+    return hashlib.sha256("".join(repr(sq.cells) for sq in squares).encode()).hexdigest()
+
+
+def test_enumerations_pinned():
+    assert _cells_digest(enumerate_reduced(6)) == REDUCED_6_SHA256
+    assert _cells_digest(enumerate_all(4)) == ALL_4_SHA256
+
+
+def test_enumerations_in_row_major_order():
+    for squares in [*(enumerate_reduced(n) for n in range(1, 7)),
+                    *(enumerate_all(n) for n in range(1, 5))]:
+        cells = [sq.cells for sq in squares]
+        assert all(a < b for a, b in zip(cells, cells[1:]))
+
+
 def test_enumeration_limits_enforced():
+    # checked when called, before the iterator is touched
     with pytest.raises(ValidationError):
-        list(enumerate_reduced(7))
+        enumerate_reduced(7)
     with pytest.raises(ValidationError):
-        list(enumerate_all(6))
+        enumerate_all(6)
+    with pytest.raises(ValidationError):
+        enumerate_reduced(0)
+    with pytest.raises(ValidationError):
+        enumerate_all(0)
 
 
 def test_enumerate_reduced_with_prefix():
-    prefix = [list(cyclic_square(4).row(r)) for r in (1, 2)]
-    squares = list(enumerate_reduced(4, row_prefix=prefix))
-    assert squares
-    for sq in squares:
-        assert list(sq.row(1)) == prefix[0]
-        assert list(sq.row(2)) == prefix[1]
-    # prefixed enumeration is a restriction of the full one
-    assert len(squares) < 4 or len(squares) == len(list(enumerate_reduced(4)))
+    # a prefixed enumeration is the full one filtered on its leading rows
+    for n in (5, 6):
+        full = [sq.cells for sq in enumerate_reduced(n)]
+        cyclic = cyclic_square(n).cells
+        for k in range(n + 1):
+            prefix = [list(row) for row in cyclic[:k]]
+            got = [sq.cells for sq in enumerate_reduced(n, row_prefix=prefix)]
+            assert got and got == [cells for cells in full if cells[:k] == cyclic[:k]], (n, k)
+
+
+def test_enumerate_reduced_prefix_rows_must_match_whole():
+    # a later prefix row with a wrong first entry, or a short one, matches
+    # no square
+    assert list(enumerate_reduced(4, [[1, 2, 3, 4], [9, 1, 4, 3]])) == []
+    assert list(enumerate_reduced(4, [[1, 2, 3, 4], [2, 1]])) == []
+    # and a prefix longer than the square matches none either
+    assert list(enumerate_reduced(2, [[1, 2], [2, 1], [1, 2]])) == []
