@@ -343,7 +343,10 @@ def cmd_absorber_demo(args) -> int:
     if args.instance:
         with open(args.instance) as fh:
             instances = [CorrectionInstance.from_json(fh.read())]
+        params = {"instance": args.instance}
     else:
+        # the random-instance flags apply only where instances are drawn
+        params = {"indices": args.indices, "universe": args.universe, "max_surplus": args.max_surplus}
         instances = [
             random_correction_instance(
                 rng.derive(t),
@@ -368,12 +371,7 @@ def cmd_absorber_demo(args) -> int:
         artifacts.append({"instance": json.loads(inst.to_json()), "pairs": json.loads(cset.to_json())})
     report = ExperimentReport(
         command="absorber-demo",
-        params={
-            "count": len(instances),
-            "indices": args.indices,
-            "universe": args.universe,
-            "max_surplus": args.max_surplus,
-        },
+        params={"count": len(instances), **params},
         seed=args.seed,
         trials=records,
         summary={

@@ -19,6 +19,12 @@ doubled line held in locals, so a move is about a dozen list stores.  `_walk`
 unpacks the masks on entry and packs them back on exit, O(n^2) per call;
 `jm_step` is one move of the same loop, and `sample_squares` drives it.
 
+The walk draws from `SeededRng`'s buffers of its two bounds (n^3 and 2)
+directly rather than through `randint`: it refills a buffer where `randint`
+would and writes the positions back on exit, so the stream is the one
+`randint` would give.  A subclass that overrides `randint` does not see
+these draws; `SeededRng.draws` counts them.
+
 The enumerators build squares row by row.  Each row is a permutation of
 1..n with an n^2-bit code (bit c*n + s - 1 for symbol s in column c), so a
 row fits under the rows above iff its code shares no bit with theirs.
@@ -45,7 +51,10 @@ class SeededRng:
     Distinct stream indices give statistically independent draws; the same
     pair reproduces the same sequence.  `randint` buffers 8192 draws per
     bound, refilled when spent, for the chain's hot loop; `shuffle` and
-    `sample` need a new bound at every step and bypass the buffers.
+    `sample` need a new bound at every step and bypass the buffers.  The
+    walk reads its two bounds' buffers directly, refilling them where
+    `randint` would, so a subclass that overrides `randint` does not see the
+    walk's draws; `draws` counts them with the rest.
     """
 
     def __init__(self, seed: int, stream: int = 0):
@@ -56,6 +65,7 @@ class SeededRng:
         # bound -> [memoryview of the draws, next position]; indexing the
         # view yields a Python int without copying the buffer
         self._buffers: dict[int, list] = {}
+        self._spent = 0  # draws in the buffers that refills retired
 
     def derive(self, stream: int) -> "SeededRng":
         """A fresh independent stream; nested derivation mixes the parent
@@ -63,18 +73,28 @@ class SeededRng:
         mixed = (self.stream * 0x9E3779B97F4A7C15 + stream + 1) % 2**64
         return SeededRng(self.seed, mixed)
 
+    @property
+    def draws(self) -> int:
+        """The buffered draws taken so far, by `randint` and by the walk."""
+        return self._spent + sum(pos for _, pos in self._buffers.values())
+
     def randint(self, k: int) -> int:
         """Uniform integer in [0, k), buffered."""
         buf = self._buffers.get(k)
         if buf is None or buf[1] == _BUF:
-            arr = self.generator.integers(0, k, size=_BUF, dtype=np.int64)
-            buf = self._buffers[k] = [memoryview(arr), 0]
+            buf = self._refill(k)
         pos = buf[1]
         buf[1] = pos + 1
         return buf[0][pos]
 
-    def random(self) -> float:
-        return float(self.generator.random())
+    def _refill(self, k: int) -> list:
+        """Replace bound k's buffer, spent if there is one, with _BUF fresh
+        draws and return it as [view, 0]."""
+        if k in self._buffers:
+            self._spent += _BUF
+        arr = self.generator.integers(0, k, size=_BUF, dtype=np.int64)
+        buf = self._buffers[k] = [memoryview(arr), 0]
+        return buf
 
     def shuffle(self, items: list) -> None:
         """In-place unbiased Fisher-Yates in O(len(items)), not buffered."""
@@ -180,12 +200,23 @@ def _walk(state: MarkovState, rng: SeededRng, visits: int, one_move: bool = Fals
         r_lo, r_hi = _low_high(state.cs[cn + s])
         c_lo, c_hi = _low_high(state.rs[rn + s])
         s_lo, s_hi = _low_high(state.rc[rn + c])
-    randint = rng.randint
+    # the buffers of the two bounds, read in place of `rng.randint`: a
+    # missing buffer counts as spent, each is refilled when a draw finds it
+    # spent, and the positions are written back on exit
     n3 = n * n * n
+    buffers, refill, full = rng._buffers, rng._refill, _BUF
+    cube = buffers.get(n3)
+    cube_view, cube_pos = cube if cube is not None else (None, full)
+    coin = buffers.get(2)
+    coin_view, coin_pos = coin if coin is not None else (None, full)
     while True:
         if proper:
             while True:
-                x = randint(n3)
+                if cube_pos == full:
+                    cube = refill(n3)
+                    cube_view, cube_pos = cube
+                x = cube_view[cube_pos]
+                cube_pos += 1
                 rcx = x // n  # rcx = r*n + c
                 s = x - rcx * n
                 s1 = sym[rcx]
@@ -202,18 +233,30 @@ def _walk(state: MarkovState, rng: SeededRng, visits: int, one_move: bool = Fals
             # each line through the -1 cell holds two 1-entries; draw 0 picks
             # the lower index, 1 the higher, and the other one stays on the
             # line once (r, c, s) turns from -1 to 0
-            if randint(2):
+            if coin_pos == full:
+                coin = refill(2)
+                coin_view, coin_pos = coin
+            if coin_view[coin_pos]:
                 r1, r0 = r_hi, r_lo
             else:
                 r1, r0 = r_lo, r_hi
-            if randint(2):
+            coin_pos += 1
+            if coin_pos == full:
+                coin = refill(2)
+                coin_view, coin_pos = coin
+            if coin_view[coin_pos]:
                 c1, c0 = c_hi, c_lo
             else:
                 c1, c0 = c_lo, c_hi
-            if randint(2):
+            coin_pos += 1
+            if coin_pos == full:
+                coin = refill(2)
+                coin_view, coin_pos = coin
+            if coin_view[coin_pos]:
                 s1, s0 = s_hi, s_lo
             else:
                 s1, s0 = s_lo, s_hi
+            coin_pos += 1
         # flip the 2x2x2 subcube spanned by (r,c,s) and (r1,c1,s1): on each
         # of its 12 lines the 1-entry moves to the other corner, except on
         # the three lines through the apex (r1,c1,s1) when it becomes -1
@@ -251,6 +294,10 @@ def _walk(state: MarkovState, rng: SeededRng, visits: int, one_move: bool = Fals
             proper = False
             if one_move:
                 break
+    if cube is not None:
+        cube[1] = cube_pos
+    if coin is not None:
+        coin[1] = coin_pos
     state.rc[:] = [1 << v for v in sym]
     state.rs[:] = [1 << v for v in col]
     state.cs[:] = [1 << v for v in row]

@@ -245,6 +245,30 @@ def test_absorber_demo_instance_file(tmp_path, capsys):
     assert json.loads(out)["summary"]["verified"] == 1
 
 
+def test_absorber_demo_instance_file_reports_no_random_flags(tmp_path, capsys):
+    # a two-index instance: none of --indices, --universe or --max-surplus
+    # describes it, so the report names the file instead
+    from latinsq.absorber import random_correction_instance
+    from latinsq.sampler import SeededRng
+
+    inst = random_correction_instance(SeededRng(0).derive(0), num_indices=2, universe_size=28)
+    path = tmp_path / "two.json"
+    path.write_text(inst.to_json())
+    code, out, _ = run(capsys, "--format", "json", "absorber-demo", "--instance", str(path))
+    assert code == 0
+    body = json.loads(out)
+    assert body["params"] == {"count": 1, "instance": str(path)}
+    assert body["summary"] == {"verified": 1, "failed": 0}
+    code, out, _ = run(
+        capsys, "--format", "json", "absorber-demo", "--count", "1", "--indices", "5",
+        "--universe", "40",
+    )
+    assert code == 0
+    assert json.loads(out)["params"] == {
+        "count": 1, "indices": 5, "universe": 40, "max_surplus": 3,
+    }
+
+
 def test_absorber_demo_bad_input_exit_code(tmp_path, capsys):
     for argv, message in (
         (("--universe", "3"), "could not deal"),

@@ -55,11 +55,8 @@ def test_stream_pinned_order10_panel_square():
 
 
 # Recorded before the walk moved from line masks onto symbol/column/row
-# arrays: an order-31 square, and the number of `randint` calls behind the
-# first panel square (a walk that stopped drawing through `randint` would
-# hide its draws from a counting subclass).
+# arrays: an order-31 square.
 ORDER31_SQUARE_SHA256 = "b64690bc7457f74f2eae1ce38bdf8056eb96e11eb016cc89a3f0b0c6fa72e0b7"
-PANEL_SQUARE_0_RANDINT_CALLS = 280_197
 
 
 def test_stream_pinned_order31_square():
@@ -67,18 +64,94 @@ def test_stream_pinned_order31_square():
     assert hashlib.sha256(repr(cells).encode()).hexdigest() == ORDER31_SQUARE_SHA256
 
 
-def test_walk_draws_through_randint():
-    class CountingRng(SeededRng):
-        calls = 0
+# The number of draws behind some walks, recorded by counting `randint`
+# calls while the walk still drew through `randint`: the first panel square,
+# the four order-10 panel walks (burn-in 10 000), the four walks of orders
+# 10, 17, 24 and 31 at seed 11 (burn-in 10n^2), and 1000 order-4 samples.
+PANEL_SQUARE_0_DRAWS = 280_197
+PANEL_WALKS_DRAWS = 1_115_130
+LINK_WALKS_DRAWS = 1_459_105
+ORDER4_SAMPLES_DRAWS = 475_828
 
-        def randint(self, k):
-            self.calls += 1
-            return super().randint(k)
 
-    panel = SeededRng(777).derive(0)
-    rng = CountingRng(panel.seed, panel.stream)
+def test_draws_counts_the_walk():
+    rng = SeededRng(777).derive(0)
+    assert rng.draws == 0
     assert sample_uniform(10, rng).cells == PANEL_SQUARE_0
-    assert rng.calls == PANEL_SQUARE_0_RANDINT_CALLS
+    assert rng.draws == PANEL_SQUARE_0_DRAWS
+    panel = [SeededRng(777).derive(t) for t in range(4)]
+    for rng in panel:
+        sample_uniform(10, rng, burnin=10_000)
+    assert sum(rng.draws for rng in panel) == PANEL_WALKS_DRAWS
+    links = [SeededRng(11).derive(stream) for stream in range(4)]
+    for rng, n in zip(links, (10, 17, 24, 31)):
+        sample_uniform(n, rng, burnin=10 * n * n)
+    assert sum(rng.draws for rng in links) == LINK_WALKS_DRAWS
+    rng = SeededRng(1414).derive(0)
+    assert sum(1 for _ in sample_squares(4, rng, 1000)) == 1000
+    assert rng.draws == ORDER4_SAMPLES_DRAWS
+
+
+def test_draws_counts_randint_across_refills():
+    rng = SeededRng(3)
+    for i in range(2 * 8192 + 7):
+        rng.randint(5 if i % 3 else 1000)
+    rng.shuffle(list(range(50)))  # not a buffered draw
+    assert rng.draws == 2 * 8192 + 7
+
+
+# Recorded while the walk still drew through `randint`: the draws, squares
+# and final state of `_interleaved_walk(SeededRng(2024, 7))`, and the number
+# of draws it takes in all.
+INTERLEAVED_SHA256 = "03b90c057af4b9765d0881162ae718c8419c90ac44bf9d722b79feef147fdeb2"
+INTERLEAVED_DRAWS = 201_899
+
+
+def _step_until(st, rng, proper):
+    for _ in range(100):
+        if st.is_proper == proper:
+            return
+        jm_step(st, rng)
+    raise AssertionError(f"no {'proper' if proper else 'improper'} state in 100 moves")
+
+
+def _interleaved_walk(rng):
+    """Order-7 moves and samples on `rng`, with direct draws of both of the
+    walk's bounds between them, past several refills of each buffer."""
+    n3 = 7**3
+    st = MarkovState.from_square(cyclic_square(7))
+    draws = []
+    for i in range(6000):
+        jm_step(st, rng)
+        draws.append(rng.randint(2))
+        if i % 2:
+            draws.append(rng.randint(n3))
+    # the bound-2 buffer spent as a proper move starts: the move draws only
+    # below n^3, so a walk that refilled at entry would take the next bound-2
+    # buffer from the generator before the next bound-n^3 one
+    _step_until(st, rng, proper=True)
+    while rng._buffers[2][1] < 8192:
+        draws.append(rng.randint(2))
+    jm_step(st, rng)
+    draws += [rng.randint(n3) for _ in range(8192)]
+    draws.append(rng.randint(2))
+    # the same with the bounds swapped, from an improper state
+    _step_until(st, rng, proper=False)
+    while rng._buffers[n3][1] < 8192:
+        draws.append(rng.randint(n3))
+    jm_step(st, rng)
+    draws += [rng.randint(2) for _ in range(8192)]
+    draws.append(rng.randint(n3))
+    # two walks in a row: the buffer positions carry from one to the next
+    squares = [sq.cells for _ in range(2) for sq in sample_squares(7, rng, 3)]
+    return draws, squares, (st.rc, st.rs, st.cs, st.improper)
+
+
+def test_walk_refills_lazily_and_writes_positions_back():
+    rng = SeededRng(2024, 7)
+    got = _interleaved_walk(rng)
+    assert hashlib.sha256(repr(got).encode()).hexdigest() == INTERLEAVED_SHA256
+    assert rng.draws == INTERLEAVED_DRAWS
 
 
 def test_stream_pinned_mixed_bound_draws():
