@@ -314,23 +314,6 @@ def _zigzag_triangles(length: int) -> tuple[list[tuple[int, int]], list[tuple[in
     return chords, triangles
 
 
-class _GreedyState:
-    """Slots taken by the chord and gadget stages."""
-
-    def __init__(self, inst: CorrectionInstance):
-        self.inst = inst
-        self.chord_cover: dict = {i: set() for i in inst.indices}  # colour -> vertices
-        self.used_pairs: set = set()  # (colour, vertex) slots taken by chords/gadgets
-
-    def blocked(self, i, v) -> bool:
-        return (
-            v in self.inst.reservoir.get(i, frozenset())
-            or v in self.inst.surplus.get(i, frozenset())
-            or v in self.chord_cover[i]
-            or (i, v) in self.used_pairs
-        )
-
-
 def decompose_corrections(
     inst: CorrectionInstance,
     rng: SeededRng,
@@ -399,7 +382,13 @@ def _decompose_once(
     cycles = _repair_rainbow(cycles)
     snapshot("rainbow", [e for cyc in cycles for e in cyc])
 
-    state = _GreedyState(inst)
+    # blocked[i]: the vertices v whose slot (i, v) the chord and gadget
+    # stages may not take, colour i's reservoir and surplus and every slot
+    # a chord or a gadget has taken; chord_cover[i]: colour i's chord ends
+    blocked = {
+        i: set(inst.reservoir.get(i, ())).union(inst.surplus.get(i, ())) for i in inst.indices
+    }
+    chord_cover: dict = {i: set() for i in inst.indices}
     universe_sorted = sorted(inst.universe)
     colors_sorted = sorted(inst.indices)
 
@@ -438,10 +427,9 @@ def _decompose_once(
                 ):
                     continue
                 saw_space = True
-                if (i, x) in state.used_pairs or (i, y) in state.used_pairs:
+                if x in blocked[i] or y in blocked[i]:
                     continue
-                cover = state.chord_cover[i]
-                if len(cover | {x, y}) > color_cap:
+                if len(chord_cover[i] | {x, y}) > color_cap:
                     continue
                 chosen_color = i
                 break
@@ -452,9 +440,8 @@ def _decompose_once(
                     "chord colouring", f"no admissible colour for chord ({x},{y})"
                 )
             chord_color[(p, q)] = chosen_color
-            state.used_pairs.add((chosen_color, x))
-            state.used_pairs.add((chosen_color, y))
-            state.chord_cover[chosen_color] |= {x, y}
+            blocked[chosen_color].update((x, y))
+            chord_cover[chosen_color].update((x, y))
             dprime_edges.append((x, y, chosen_color))
             dprime_edges.append((y, x, chosen_color))
 
@@ -477,13 +464,13 @@ def _decompose_once(
         final_edges.append((v, u, j))
     for (x, y, z, a, b, c) in triangles:
         fresh = []
-        cands_v = list(universe_sorted)
+        cands_v = universe_sorted
         if attempt > 0:
+            cands_v = list(universe_sorted)
             rng.shuffle(cands_v)
+        ba, bb, bc = blocked[a], blocked[b], blocked[c]
         for v in cands_v:
-            if v in (x, y, z) or v in fresh:
-                continue
-            if any(state.blocked(i, v) for i in (a, b, c)):
+            if v in ba or v in bb or v in bc or v in (x, y, z) or v in fresh:
                 continue
             fresh.append(v)
             if len(fresh) == 3:
@@ -502,7 +489,7 @@ def _decompose_once(
             if i in (a, b, c):
                 continue
             saw_space = True
-            if any(state.blocked(i, v) for v in fresh):
+            if xp in blocked[i] or yp in blocked[i] or zp in blocked[i]:
                 continue
             fresh_color = i
             break
@@ -518,7 +505,7 @@ def _decompose_once(
             (a, yp), (b, yp), (d, yp),
             (b, zp), (c, zp), (d, zp),
         ):
-            state.used_pairs.add((i, v))
+            blocked[i].add(v)
         gadget = [
             (x, xp, a), (xp, yp, a), (yp, y, a),
             (y, yp, b), (yp, zp, b), (zp, z, b),

@@ -269,16 +269,17 @@ def cmd_census_links(args) -> int:
         records.append({"param": param, "u": urep, "v": vrep, "count": count})
     summary = {
         "mean": statistics.fmean(counts) if counts else 0.0,
-        "variance": statistics.pvariance(counts) if len(counts) > 1 else 0.0,
+        # pvariance keeps the type of its data: an int 0 for equal int counts
+        "variance": float(statistics.pvariance(counts)) if len(counts) > 1 else 0.0,
         "min": min(counts, default=0),
         "max": max(counts, default=0),
     }
     report = ExperimentReport(
         command="census-links",
+        # only the parameter of the mode that ran: --k is unused with --length
         params={
             "order": args.order,
-            "k": args.k,
-            "length": args.length,
+            **({"k": args.k} if args.length is None else {"length": args.length}),
             "pairs": args.pairs,
         },
         seed=args.seed,

@@ -69,6 +69,13 @@ class ProperColoring:
                 color[a * m + w] = color[w * m + a] = c
         return PartnerTable(via, color)
 
+    @cached_property
+    def link_counts(self) -> dict:
+        """Link counts from one start to every end, filled by
+        ``latinsq.links.count_links`` and keyed by (start vertex id,
+        pattern); they live and die with this object."""
+        return {}
+
 
 class PartnerTable(NamedTuple):
     """``via[v * (n + 1) + c]`` is the vertex joined to v by colour c, and

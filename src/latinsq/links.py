@@ -15,9 +15,14 @@ which only check it; a step with an already-bound class has one forced
 candidate and is followed in a loop, and every other step branches over
 one side in ascending id order, i.e. in (side, index) order.  The cost is
 that of the branching steps: for ``repeat_pattern(k)`` the first k interior
-vertices branch and the other k - 1 are forced, so one endpoint pair costs
-O(n^k) table lookups, not near-linear time.  The path-pair census and the
-closed-walk count read the same table.
+vertices branch and the others are forced, so one search costs O(n^k)
+table lookups, not near-linear time.  Enumeration places the start and the
+end first.  Counting places only the start when that still forces the end
+and branches no more, as for every ``repeat_pattern(k)``: one search from a
+start then counts the links to every end, the counts stay on the colouring
+(``ProperColoring.link_counts``), and every further end from that start is
+a lookup.  The path-pair census and the closed-walk count read the same
+table.
 """
 
 from __future__ import annotations
@@ -137,14 +142,15 @@ def _bipartition_parity(pat: Pattern) -> tuple[bool, bool | None]:
     return True, color[pat.start] == color[pat.end]
 
 
-def _elimination_order(pat: Pattern) -> list[int]:
-    """start, end, then greedily the vertex with most already-placed
-    neighbours (most constrained first); ties by vertex index."""
+def _elimination_order(pat: Pattern, first: tuple[int, ...]) -> list[int]:
+    """The vertices of `first` (the start, or the start and the end), then
+    greedily the vertex with most already-placed neighbours (most
+    constrained first); ties by vertex index."""
     adj: dict[int, set[int]] = {v: set() for v in range(pat.num_vertices)}
     for (a, b, _c) in pat.edges:
         adj[a].add(b)
         adj[b].add(a)
-    placed = [pat.start, pat.end]
+    placed = list(first)
     placed_set = set(placed)
     while len(placed) < pat.num_vertices:
         best = None
@@ -169,8 +175,8 @@ def _vertex_of(n: int, x: int) -> Vertex:
     return ("A", x + 1) if x < n else ("B", x - n + 1)
 
 
-def _plan(pat: Pattern):
-    """One step per vertex of the elimination order after start and end:
+def _plan(pat: Pattern, first: tuple[int, ...]):
+    """One step per vertex of the elimination order after the start:
     (w, forced_from, forced_slot, checks).  A class is bound at the first
     step that closes one of its edges, which the order alone decides, so
     each check knows statically whether it binds its class (``True``) or
@@ -178,8 +184,8 @@ def _plan(pat: Pattern):
     bound before the step, whose colour forces w's image from the image of
     ``forced_from``; otherwise w branches over the side opposite its first
     placed neighbour, or over every vertex when it has none.  Also returns
-    the checks of the end against the start, and the sorted classes."""
-    order = _elimination_order(pat)
+    the sorted classes."""
+    order = _elimination_order(pat, first)
     pos = {w: i for i, w in enumerate(order)}
     classes = sorted({cls for (_a, _b, cls) in pat.edges})
     slot = {cls: k for k, cls in enumerate(classes)}
@@ -198,39 +204,62 @@ def _plan(pat: Pattern):
                 checks.append((z, k, k not in bound))
                 bound.add(k)
         steps.append((w, *forced, tuple(checks)))
-    return steps[2:], steps[1][3], classes
+    return steps[1:], classes
 
 
-def _search(host: ProperColoring, u: Vertex, v: Vertex, pat: Pattern, limit, emit: bool):
-    """Count the (u, v)-embeddings of pat, and list them when ``emit``, in
-    the order of the elimination steps with candidates by ascending vertex
-    id, i.e. by (side, index).  Returns (count, links)."""
-    if u == v:
-        raise ValueError("endpoints must be distinct")
+def _counts_every_end(pat: Pattern) -> bool:
+    """Whether one search from the start should count the embeddings to
+    every end: the plan with only the start placed forces the end, and it
+    branches at no more steps than the plan with both endpoints placed, so
+    it costs about one pair search.  This holds for every
+    ``repeat_pattern(k)``: both plans branch at the first k interior
+    vertices, and the start-only plan forces the end last."""
+    one, _classes = _plan(pat, (pat.start,))
+    two, _classes = _plan(pat, (pat.start, pat.end))
+    if next(fk for (w, _fz, fk, _checks) in one if w == pat.end) < 0:
+        return False
+    branches = sum(fk < 0 for (_w, _fz, fk, _checks) in one)
+    return branches <= sum(fk < 0 for (_w, _fz, fk, _checks) in two[1:])
+
+
+def _search(host: ProperColoring, ui: int, vi: int | None, pat: Pattern, limit, emit: bool):
+    """Count the embeddings of pat with the start at vertex id ``ui`` and
+    the end at ``vi``, and list them when ``emit``, in the order of the
+    elimination steps with candidates by ascending vertex id, i.e. by
+    (side, index).  With ``vi`` None the plan places only the start and one
+    search counts every end.  Returns (counts by end vertex id, links)."""
     n = host.n
-    ui, vi = _vertex_id(n, u), _vertex_id(n, v)
-    links: list[Link] = []
-    ok, forced_side = _bipartition_parity(pat)
-    if limit == 0 or not ok or forced_side not in (None, (ui < n) == (vi < n)):
-        return 0, links
-    via, color = host.partners
     m, s = 2 * n, n + 1
-    steps, end_checks, classes = _plan(pat)
-    cap = limit if limit is not None else float("inf")
+    ends = [0] * m
+    links: list[Link] = []
+    ok, same_side = _bipartition_parity(pat)
+    if limit == 0 or not ok or vi is not None and same_side not in (None, (ui < n) == (vi < n)):
+        return ends, links
+    via, color = host.partners
+    steps, classes = _plan(pat, (pat.start,) if vi is None else (pat.start, pat.end))
     emb = [0] * pat.num_vertices
-    emb[pat.start], emb[pat.end] = ui, vi
+    emb[pat.start] = ui
+    used = 1 << ui
     cc = [0] * len(classes)  # class slot -> colour
     cmask = 0  # colours bound to some class
-    for (z, k, _bind) in end_checks:  # a start-end edge binds its class
-        c = color[vi * m + emb[z]]
-        if not c:
-            return 0, links
-        cc[k], cmask = c, 1 << c
+    # a last step that forces the end and checks nothing is left to the leaf
+    w, ez, ek, checks = steps[-1]
+    tail = vi is None and w == pat.end and ek >= 0 and not checks
+    if tail:
+        steps = steps[:-1]
+    elif vi is not None:
+        (_w, _fz, _fk, end_checks), steps = steps[0], steps[1:]
+        emb[pat.end] = vi
+        used |= 1 << vi
+        for (z, k, _bind) in end_checks:  # a start-end edge binds its class
+            c = color[vi * m + emb[z]]
+            if not c:
+                return ends, links
+            cc[k], cmask = c, 1 << c
+    end = pat.end
     last = len(steps)
-    count = 0
 
     def rec(i: int, used: int, cmask: int) -> bool:
-        nonlocal count
         while i < last:
             w, fz, fk, checks = steps[i]
             if fk >= 0:  # forced: followed in this loop, no new frame
@@ -283,7 +312,12 @@ def _search(host: ProperColoring, u: Vertex, v: Vertex, pat: Pattern, limit, emi
                     if rec(i + 1, used | 1 << x, cm):
                         return True
             return False
-        count += 1
+        if tail:  # the end, forced from the image of ez by class ek
+            x = via[emb[ez] * s + cc[ek]]
+            if not used >> x & 1:
+                ends[x] += 1
+            return False
+        ends[emb[end]] += 1
         if emit:
             links.append(
                 Link(
@@ -292,10 +326,17 @@ def _search(host: ProperColoring, u: Vertex, v: Vertex, pat: Pattern, limit, emi
                     class_colors=tuple(zip(classes, cc)),
                 )
             )
-        return count >= cap
+            return len(links) == limit
+        return False
 
-    rec(0, 1 << ui | 1 << vi, cmask)
-    return count, links
+    rec(0, used, cmask)
+    return ends, links
+
+
+def _pair_ids(host: ProperColoring, u: Vertex, v: Vertex) -> tuple[int, int]:
+    if u == v:
+        raise ValueError("endpoints must be distinct")
+    return _vertex_id(host.n, u), _vertex_id(host.n, v)
 
 
 def enumerate_links(
@@ -306,12 +347,28 @@ def enumerate_links(
     Parity-impossible requests yield nothing."""
     if limit is not None and limit < 0:
         raise ValueError(f"limit must be non-negative, got {limit}")
-    return _search(host, u, v, pat, limit, emit=True)[1]
+    ui, vi = _pair_ids(host, u, v)
+    return _search(host, ui, vi, pat, limit, emit=True)[1]
 
 
 def count_links(host: ProperColoring, u: Vertex, v: Vertex, pat: Pattern) -> int:
-    """Number of (u, v)-embeddings of pat, without materialising them."""
-    return _search(host, u, v, pat, None, emit=False)[0]
+    """Number of (u, v)-embeddings of pat, without materialising them.
+
+    When the plan with only the start placed forces the end and costs
+    about one pair search (``_counts_every_end``, true for every
+    ``repeat_pattern(k)``), the first call for a start u counts the
+    embeddings to every end in one search and keeps the counts on the
+    colouring, in ``host.link_counts`` under (u's vertex id, pat); a later
+    call for the same u and pat is a lookup.  Otherwise, when the start
+    alone does not force the end or forcing it costs more branching, each
+    call searches its own endpoint pair."""
+    ui, vi = _pair_ids(host, u, v)
+    ends = host.link_counts.get((ui, pat))
+    if ends is None:
+        if not _counts_every_end(pat):
+            return _search(host, ui, vi, pat, None, emit=False)[0][vi]
+        ends = host.link_counts[ui, pat] = _search(host, ui, None, pat, None, emit=False)[0]
+    return ends[vi]
 
 
 def closed_alternating_walks(host: ProperColoring, u: Vertex) -> int:

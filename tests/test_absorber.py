@@ -105,6 +105,31 @@ def test_conservation_after_every_stage():
         assert ok, violations
 
 
+def test_decompose_digest_with_retries_unchanged():
+    # pairs and stage graphs of tightly packed instances, 18 of whose
+    # decompositions retry with shuffled candidates; recorded before the
+    # gadget stages kept their blocked slots in per-colour sets
+    import hashlib
+
+    h = hashlib.sha256()
+    decomposed = 0
+    for t in range(40):
+        try:
+            inst = random_correction_instance(
+                SeededRng(77).derive(t), num_indices=8, universe_size=30, max_surplus=3
+            )
+        except ValueError:
+            continue  # no feasible deal
+        cset, stages = decompose_corrections(inst, SeededRng(78).derive(t), collect_stages=True)
+        decomposed += 1
+        h.update(cset.to_json().encode())
+        for name, graph in stages:
+            h.update(name.encode())
+            h.update(repr(sorted(graph.edges.items())).encode())
+    assert decomposed == 38
+    assert h.hexdigest()[:16] == "c34ad0564d379dd5"
+
+
 def test_per_colour_degree_cap_after_final_stage():
     rng = SeededRng(321)
     inst = random_correction_instance(rng.derive(0), num_indices=10, universe_size=60)

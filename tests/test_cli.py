@@ -348,3 +348,31 @@ def test_census_links_zero_pairs_and_order2(capsys):
         "census-links", "--order", "2", "--length", "3", "--pairs", "2",
     )
     assert code == 0 and [t["count"] for t in json.loads(out)["trials"]] == [0, 0]
+
+
+def test_census_links_reports_only_the_mode_that_ran(capsys):
+    for mode, key in ((("--length", "3"), "length"), (("--k", "3"), "k")):
+        code, out, _ = run(
+            capsys, "--seed", "1", "--format", "json",
+            "census-links", "--order", "6", *mode, "--pairs", "2", "--burnin", "100",
+        )
+        assert code == 0
+        assert json.loads(out)["params"] == {"order": 6, key: 3, "pairs": 2}, mode
+
+
+def test_census_links_variance_is_always_a_float(capsys):
+    # order 2 admits no length-3 path pairs, so every count is 0
+    code, out, _ = run(
+        capsys, "--seed", "1", "--format", "json",
+        "census-links", "--order", "2", "--length", "3", "--pairs", "3",
+    )
+    assert code == 0
+    summary = json.loads(out)["summary"]
+    assert summary["variance"] == 0.0 and isinstance(summary["variance"], float)
+    code, out, _ = run(
+        capsys, "--seed", "3", "--format", "json",
+        "census-links", "--order", "8", "--k", "2", "--pairs", "6", "--burnin", "500",
+    )
+    counts = [t["count"] for t in json.loads(out)["trials"]]
+    assert code == 0 and len(set(counts)) > 1
+    assert isinstance(json.loads(out)["summary"]["variance"], float)

@@ -480,3 +480,160 @@ def test_link_functions_reject_bad_vertices():
             closed_alternating_walks(host, bad)
     with pytest.raises(ValueError, match="bad vertex"):
         census_path_pairs(host, 3, (("A", 1), ("B", 0), ("A", 2), ("B", 2)))
+
+
+# --- per-start link counts kept on the colouring ------------------------------
+
+
+def memo_pattern(rnd, extra, max_vertices):
+    """A path from the start whose first k edges take distinct classes and
+    whose later edges repeat them, as in repeat_pattern(k), so that the
+    plan with only the start placed forces the end; its length fixes the
+    end's side.  `extra` adds a separate edge (disconnected) or a separate
+    triangle (not bipartite).  A triangle needs ``max_vertices`` >= 7."""
+    while True:
+        k = rnd.randint(2, 3)
+        classes = list(range(1, k + 1))
+        for _ in range(rnd.randint(1, 2)):
+            classes.append(rnd.choice([c for c in range(1, k + 1) if c != classes[-1]]))
+        edges = [(t, t + 1, c) for t, c in enumerate(classes)]
+        nv = len(classes) + 1
+        if extra == "edge":
+            edges.append((nv, nv + 1, rnd.randint(1, k + 1)))
+            nv += 2
+        elif extra == "triangle":
+            edges += [(nv, nv + 1, 1), (nv + 1, nv + 2, 2), (nv, nv + 2, 3)]
+            nv += 3
+        if nv <= max_vertices:
+            return Pattern(num_vertices=nv, edges=tuple(edges), start=0, end=len(classes))
+
+
+def test_count_links_memo_matches_oracle():
+    import random
+
+    rnd = random.Random(1313)
+    squares = [
+        (cyclic_square(4), 8),
+        (sample_uniform(4, SeededRng(1314).derive(0), burnin=300), 8),
+        (sample_uniform(5, SeededRng(1315).derive(0), burnin=400), 6),
+    ]
+    oracle: dict = {}
+    memoised = set()
+    for sq, max_vertices in squares:
+        n = sq.n
+        verts = [(side, i) for side in "AB" for i in range(1, n + 1)]
+        kinds = ("path", "edge", "triangle")[: 3 if max_vertices >= 7 else 2]
+        pats = [(kind, memo_pattern(rnd, kind, max_vertices)) for kind in kinds for _ in range(3)]
+        starts = rnd.sample(verts, 3)
+        for sweep in ("ascending", "descending", "interleaved"):
+            host = to_coloring(sq)
+            queries = [(kind, pat, u, v) for kind, pat in pats for u in starts for v in verts]
+            if sweep == "descending":
+                queries.reverse()
+            elif sweep == "interleaved":
+                rnd.shuffle(queries)
+            for kind, pat, u, v in queries:
+                if u == v:
+                    continue
+                key = (sq, pat, u, v)
+                if key not in oracle:
+                    oracle[key] = oracle_count(host, u, v, pat)
+                assert count_links(host, u, v, pat) == oracle[key], (kind, pat, u, v, sweep)
+                ui = u[1] - 1 if u[0] == "A" else n + u[1] - 1
+                if (ui, pat) in host.link_counts:
+                    memoised.add(kind)
+    # every kind was served from the memo at least once, and linked somewhere
+    assert memoised == {"path", "edge", "triangle"}
+    assert any(oracle[key] for key in oracle if key[1].num_vertices <= 6)
+
+
+def test_count_links_memo_keeps_validation():
+    host = to_coloring(sample_uniform(7, SeededRng(1316).derive(0), burnin=400))
+    pat = repeat_pattern(2)
+    counts = [count_links(host, ("B", 3), ("B", v), pat) for v in range(1, 8) if v != 3]
+    assert len(host.link_counts) == 1
+    with pytest.raises(ValueError, match="endpoints must be distinct"):
+        count_links(host, ("B", 3), ("B", 3), pat)
+    for bad in (("B", 0), ("B", 8), ("C", 3), ["B", 4]):
+        with pytest.raises(ValueError, match="bad vertex"):
+            count_links(host, ("B", 3), bad, pat)
+    assert [count_links(host, ("B", 3), ("B", v), pat) for v in range(1, 8) if v != 3] == counts
+
+
+def test_fresh_coloring_starts_with_an_empty_memo():
+    sq = sample_uniform(6, SeededRng(1317).derive(0), burnin=400)
+    first = to_coloring(sq)
+    count_links(first, ("A", 1), ("A", 2), repeat_pattern(3))
+    assert list(first.link_counts) == [(0, repeat_pattern(3))]
+    second = to_coloring(sq)
+    assert second == first  # equal by value, yet it shares no counts
+    assert second.link_counts == {}
+    assert second.link_counts is not first.link_counts
+
+
+def test_count_links_searches_all_ends_only_at_the_cost_of_a_pair():
+    host = to_coloring(cyclic_square(7))
+    for k in (1, 2, 3):
+        count_links(host, ("A", 1), ("A", 2), repeat_pattern(k))
+    # classes 1, 2, 1: with the end placed, the second interior vertex is
+    # forced from it, so one pair costs n nodes and all ends n^2
+    path = Pattern(num_vertices=4, edges=((0, 1, 1), (1, 2, 2), (2, 3, 1)), start=0, end=3)
+    assert count_links(host, ("A", 1), ("B", 2), path) == oracle_count(host, ("A", 1), ("B", 2), path)
+    assert list(host.link_counts) == [(0, repeat_pattern(k)) for k in (1, 2, 3)]
+
+
+def _digest(parts) -> str:
+    import hashlib
+
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part.encode())
+    return h.hexdigest()[:16]
+
+
+def test_enumerate_links_digest_unchanged():
+    # recorded from the pair search before link counts were kept per start
+    import random
+
+    rnd = random.Random(1306)
+    hosts = [
+        to_coloring(cyclic_square(6)),
+        to_coloring(sample_uniform(7, SeededRng(1307).derive(0), burnin=500)),
+    ]
+    pats = [
+        repeat_pattern(2),
+        repeat_pattern(3),
+        Pattern(num_vertices=6, edges=((0, 1, 1), (2, 3, 2), (4, 5, 1)), start=0, end=2),
+        Pattern(num_vertices=4, edges=((0, 1, 1), (1, 2, 2), (2, 3, 1), (3, 0, 2)), start=0, end=2),
+    ]
+    parts = []
+    for host in hosts:
+        n = host.n
+        for pat in pats:
+            for _ in range(4):
+                u = (rnd.choice("AB"), rnd.randint(1, n))
+                v = (rnd.choice("AB"), rnd.randint(1, n))
+                if u == v:
+                    continue
+                for limit in (None, 0, 1, 5):
+                    parts += [_link_text(link) for link in enumerate_links(host, u, v, pat, limit)]
+                    parts.append("/")
+    assert len(parts) > 400
+    assert _digest(parts) == "4f37724496bdc4ef"
+
+
+def test_identity_sweep_counts_digest_unchanged():
+    # every start and end of repeat_pattern(2) and (3) on three sampled
+    # squares, recorded from the pair search
+    parts = []
+    for seed, n in ((1311, 9), (1312, 11), (1313, 12)):
+        host = to_coloring(sample_uniform(n, SeededRng(seed).derive(0), burnin=10 * n * n))
+        for k in (2, 3):
+            pat = repeat_pattern(k)
+            for side in "AB":
+                for a in range(1, n + 1):
+                    counts = [
+                        count_links(host, (side, a), (side, b), pat) for b in range(1, n + 1) if b != a
+                    ]
+                    parts.append(repr(counts))
+    assert _digest(parts) == "54243cea74590594"
