@@ -145,28 +145,31 @@ class DirectedColoredMultigraph:
 
     edges: Counter = field(default_factory=Counter)
 
-    def add(self, tail, head, color, mult: int = 1) -> None:
-        self.edges[(tail, head, color)] += mult
-
 
 def check_conservation(graph: DirectedColoredMultigraph, inst: CorrectionInstance) -> list:
     """Violations of the per-colour net-degree contract: +1 on surplus
     vertices, -1 on chosen vertices, 0 elsewhere, ordered as `inst.indices`
-    and then `inst.universe`.  Only keys with an arc or a nonzero target
-    are visited; every other (vertex, colour) reads 0 and wants 0."""
-    net: dict = {}
+    and then `inst.universe`.  One pass over the arcs adds their net degrees
+    to the negated contract; only the keys left nonzero are then placed and
+    sorted, since every other (vertex, colour) meets its target."""
+    off: dict = {}
+    for i in inst.indices:
+        for u in inst.chosen.get(i, ()):
+            off[(u, i)] = 1
+        for u in inst.surplus.get(i, ()):
+            off[(u, i)] = -1
     for (t, h, c), m in graph.edges.items():
-        net[(t, c)] = net.get((t, c), 0) + m
-        net[(h, c)] = net.get((h, c), 0) - m
-    want = {(u, i): -1 for i in inst.indices for u in inst.chosen.get(i, ())}
-    want.update(((u, i), 1) for i in inst.indices for u in inst.surplus.get(i, ()))
+        off[(t, c)] = off.get((t, c), 0) + m
+        off[(h, c)] = off.get((h, c), 0) - m
+    keys = [key for key, d in off.items() if d]
+    if not keys:
+        return []
     ipos, upos = _positions(inst)
     bad = []
-    for pi, pu in sorted((ipos[i], upos[u]) for (u, i) in net.keys() | want.keys()
-                         if i in ipos and u in upos):
+    for pi, pu in sorted((ipos[i], upos[u]) for (u, i) in keys if i in ipos and u in upos):
         i, u = inst.indices[pi], inst.universe[pu]
-        if net.get((u, i), 0) != want.get((u, i), 0):
-            bad.append((i, u, net.get((u, i), 0), want.get((u, i), 0)))
+        target = 1 if u in inst.surplus.get(i, ()) else -1 if u in inst.chosen.get(i, ()) else 0
+        bad.append((i, u, off[(u, i)] + target, target))
     return bad
 
 
@@ -179,8 +182,9 @@ def random_correction_instance(
     rng: SeededRng, num_indices: int = 20, universe_size: int = 400, max_surplus: int = 3
 ) -> CorrectionInstance:
     """A random feasible instance: surpluses drawn freely, then the same
-    multiset dealt back out as chosen reservoir vertices.  Raises ValueError
-    for a negative size, or when 10000 shuffles find no feasible deal."""
+    multiset dealt back out as chosen reservoir vertices by `_deal_chosen`,
+    a max flow.  Raises ValueError for a negative size, and when no deal
+    exists."""
     for name, size in (("indices", num_indices), ("universe", universe_size),
                        ("max_surplus", max_surplus)):
         if size < 0:
@@ -191,24 +195,7 @@ def random_correction_instance(
     for i in indices:
         k = rng.randint(max_surplus + 1)
         surplus[i] = frozenset(rng.sample(universe, k))
-    pool = [u for i in indices for u in sorted(surplus[i])]
-    for _ in range(10000):
-        rng.shuffle(pool)
-        chosen: dict = {}
-        pos = 0
-        ok = True
-        for i in indices:
-            k = len(surplus[i])
-            picks = pool[pos:pos + k]
-            pos += k
-            if len(set(picks)) != k or set(picks) & surplus[i]:
-                ok = False
-                break
-            chosen[i] = frozenset(picks)
-        if ok:
-            break
-    else:
-        raise ValueError("could not deal a feasible chosen assignment")
+    chosen = _deal_chosen(surplus, rng)
     reservoir = {}
     for i in indices:
         extra = [
@@ -224,6 +211,74 @@ def random_correction_instance(
         surplus=surplus,
         chosen=chosen,
     )
+
+
+def _deal_chosen(surplus: dict, rng: SeededRng) -> dict:
+    """Deal the multiset union of the surplus sets back out: |surplus[i]|
+    vertices to each index i, none of them from surplus[i] and none twice
+    to one index; returns frozensets keyed like `surplus`.
+
+    This is a max flow on source -> vertex u (capacity: u's multiplicity),
+    u -> index i (capacity 1, or 0 when u is in surplus[i]) and i -> sink
+    (capacity |surplus[i]|).  The shuffled pool, cut into runs of
+    |surplus[i]| in index order, is the first deal; each copy it leaves
+    unplaced is then placed along a shortest augmenting path.  A copy with
+    no augmenting path never gets one later, since no augmenting path
+    touches what its search reached, so the flow stays short of the demand
+    and no deal exists: then this raises ValueError."""
+    pool = [u for i in surplus for u in sorted(surplus[i])]
+    rng.shuffle(pool)
+    chosen: dict = {}  # index -> {vertex: None}, an insertion-ordered set
+    need: dict = {}  # index -> vertices it still lacks
+    unplaced = []
+    pos = 0
+    for i, sur in surplus.items():
+        k = len(sur)
+        cho = chosen[i] = {}
+        for u in pool[pos:pos + k]:
+            if u in sur or u in cho:
+                unplaced.append(u)
+            else:
+                cho[u] = None
+        pos += k
+        need[i] = k - len(cho)
+    for u in unplaced:
+        if not _augment(u, surplus, chosen, need):
+            raise ValueError(
+                "could not deal a feasible chosen assignment: no deal exists"
+                f" (no index can take another copy of vertex {u})"
+            )
+    return {i: frozenset(cho) for i, cho in chosen.items()}
+
+
+def _augment(start, surplus: dict, chosen: dict, need: dict) -> bool:
+    """Place one more copy of vertex `start` along a shortest augmenting
+    path of `_deal_chosen`'s flow, breadth first: a vertex moves into an
+    index that neither holds it nor has it in surplus, displacing a vertex
+    that index holds, until an index that still lacks vertices takes one.
+    Returns False, changing nothing, when there is no such path."""
+    via: dict = {}  # index -> the vertex that moves into it
+    came = {start: None}  # vertex -> the index it moves out of
+    queue = [start]
+    for u in queue:
+        for i, sur in surplus.items():
+            if i in via or u in sur or u in chosen[i]:
+                continue
+            via[i] = u
+            if need[i]:
+                need[i] -= 1
+                while i is not None:
+                    u = via[i]
+                    chosen[i][u] = None
+                    i = came[u]
+                    if i is not None:
+                        del chosen[i][u]
+                return True
+            for w in chosen[i]:
+                if w not in came:
+                    came[w] = i
+                    queue.append(w)
+    return False
 
 
 def _decompose_into_cycles(edges: list) -> list[list]:
@@ -345,8 +400,10 @@ def decompose_corrections(
 
     last_error: InfeasibleError | None = None
     for attempt in range(_RETRIES + 1):
+        # attempt 0 takes every candidate in sorted order and draws nothing
+        stream = rng.derive(1000 + attempt) if attempt else None
         try:
-            return _decompose_once(inst, rng.derive(1000 + attempt), color_cap, attempt, collect_stages)
+            return _decompose_once(inst, stream, color_cap, attempt, collect_stages)
         except InfeasibleError as exc:
             last_error = exc
     raise last_error
@@ -354,7 +411,7 @@ def decompose_corrections(
 
 def _decompose_once(
     inst: CorrectionInstance,
-    rng: SeededRng,
+    rng: SeededRng | None,
     color_cap: int,
     attempt: int,
     collect_stages: bool,
@@ -362,10 +419,7 @@ def _decompose_once(
     stages: list[tuple[str, DirectedColoredMultigraph]] = []
 
     def snapshot(name: str, edges) -> None:
-        g = DirectedColoredMultigraph()
-        for e in edges:
-            g.add(*e)
-        stages.append((name, g))
+        stages.append((name, DirectedColoredMultigraph(Counter(edges))))
 
     # stage 1: one arc per requirement, surplus -> chosen in colour i
     arcs: list = []
@@ -536,47 +590,42 @@ _RULES = ("membership", "A1-1", "A1-2", "A1-3", "A1-4")
 
 def verify_corrections(inst: CorrectionInstance, cset: CorrectionSet) -> tuple[bool, list]:
     """Check all five conclusion groups; violations come back as
-    (rule, index, vertex) triples."""
+    (rule, index, vertex) triples, grouped by index in `inst.indices` order
+    and by rule, with the vertices of A1-1 to A1-3 in ascending order and
+    those of A1-4 in `inst.universe` order.  Only the violations are sorted."""
     violations: list = []
     ipos, upos = _positions(inst)
-    out_count: Counter = Counter()
-    in_count: Counter = Counter()
+    reservoir, surplus, chosen = inst.reservoir, inst.surplus, inst.chosen
+    empty = frozenset()
+    outs: dict = {}
+    ins: dict = {}
     for p in cset.pairs:
-        (i, u), (j, v) = tuple(p)
-        for (a, x), (b, y) in ((( i, u), (j, v)), ((j, v), (i, u))):
-            if a not in ipos or x not in upos:
-                violations.append(("membership", a, x))
-                continue
+        (i, u), (j, v) = p
+        for a, x, b in ((i, u, j), (j, v, i)):
             # x plays "switch out of a, into b": x not in reservoir_a nor surplus_b
-            if x in inst.reservoir.get(a, frozenset()) or x in inst.surplus.get(b, frozenset()):
+            if (a not in ipos or x not in upos or x in reservoir.get(a, empty)
+                    or x in surplus.get(b, empty)):
                 violations.append(("membership", a, x))
-        out_count[(i, u)] += 1
-        out_count[(j, v)] += 1
-        in_count[(j, u)] += 1
-        in_count[(i, v)] += 1
-    # A1-4 holds at (0, 0), so only vertices some pair touches need a look
-    touched: dict = {}
-    for (i, u) in out_count.keys() | in_count.keys():
-        if u in upos:
-            touched.setdefault(i, []).append(upos[u])
+        outs[i, u] = outs.get((i, u), 0) + 1
+        outs[j, v] = outs.get((j, v), 0) + 1
+        ins[j, u] = ins.get((j, u), 0) + 1
+        ins[i, v] = ins.get((i, v), 0) + 1
+    # A1-4 holds at (0, 0), so only the slots some pair touches need a look
+    unbalanced: dict = {}
+    for key in outs.keys() | ins.keys():
+        i, u = key
+        if (i in ipos and u in upos and (outs.get(key, 0), ins.get(key, 0)) not in ((0, 0), (1, 1))
+                and u not in reservoir.get(i, empty) and u not in surplus.get(i, empty)):
+            unbalanced.setdefault(i, []).append(upos[u])
     for i in inst.indices:
-        for u in sorted(inst.surplus.get(i, ())):
-            if out_count.get((i, u), 0) != 1:
-                violations.append(("A1-1", i, u))
-        cho = inst.chosen.get(i, frozenset())
-        for u in sorted(cho):
-            if in_count.get((i, u), 0) != 1:
-                violations.append(("A1-2", i, u))
-        for u in sorted(set(inst.reservoir.get(i, frozenset())) - set(cho)):
-            if in_count.get((i, u), 0) != 0:
-                violations.append(("A1-3", i, u))
-        res_sur = inst.reservoir.get(i, frozenset()) | inst.surplus.get(i, frozenset())
-        for pu in sorted(touched.get(i, ())):
-            u = inst.universe[pu]
-            if u in res_sur:
-                continue
-            if (out_count.get((i, u), 0), in_count.get((i, u), 0)) not in ((0, 0), (1, 1)):
-                violations.append(("A1-4", i, u))
+        res, cho = reservoir.get(i, empty), chosen.get(i, empty)
+        for rule, bad in (
+            ("A1-1", [u for u in surplus.get(i, ()) if outs.get((i, u), 0) != 1]),
+            ("A1-2", [u for u in cho if ins.get((i, u), 0) != 1]),
+            ("A1-3", [u for u in res if u not in cho and (i, u) in ins]),
+        ):
+            violations.extend((rule, i, u) for u in sorted(bad))
+        violations.extend(("A1-4", i, inst.universe[pu]) for pu in sorted(unbalanced.get(i, ())))
     return (not violations, violations)
 
 

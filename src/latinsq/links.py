@@ -30,6 +30,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 from .core import LatinSquare, ProperColoring
@@ -62,6 +63,22 @@ class Pattern:
             if key in seen:
                 raise ValueError(f"duplicate edge ({a},{b})")
             seen.add(key)
+
+    @cached_property
+    def _counts_every_end(self) -> bool:
+        """Whether one search from the start should count the embeddings to
+        every end: the plan with only the start placed forces the end, and
+        it branches at no more steps than the plan with both endpoints
+        placed, so it costs about one pair search.  This holds for every
+        ``repeat_pattern(k)``: both plans branch at the first k interior
+        vertices, and the start-only plan forces the end last.  Decided once
+        per pattern."""
+        one, _classes = _plan(self, (self.start,))
+        two, _classes = _plan(self, (self.start, self.end))
+        if next(fk for (w, _fz, fk, _checks) in one if w == self.end) < 0:
+            return False
+        branches = sum(fk < 0 for (_w, _fz, fk, _checks) in one)
+        return branches <= sum(fk < 0 for (_w, _fz, fk, _checks) in two[1:])
 
     def to_json(self) -> str:
         return json.dumps(
@@ -207,21 +224,6 @@ def _plan(pat: Pattern, first: tuple[int, ...]):
     return steps[1:], classes
 
 
-def _counts_every_end(pat: Pattern) -> bool:
-    """Whether one search from the start should count the embeddings to
-    every end: the plan with only the start placed forces the end, and it
-    branches at no more steps than the plan with both endpoints placed, so
-    it costs about one pair search.  This holds for every
-    ``repeat_pattern(k)``: both plans branch at the first k interior
-    vertices, and the start-only plan forces the end last."""
-    one, _classes = _plan(pat, (pat.start,))
-    two, _classes = _plan(pat, (pat.start, pat.end))
-    if next(fk for (w, _fz, fk, _checks) in one if w == pat.end) < 0:
-        return False
-    branches = sum(fk < 0 for (_w, _fz, fk, _checks) in one)
-    return branches <= sum(fk < 0 for (_w, _fz, fk, _checks) in two[1:])
-
-
 def _search(host: ProperColoring, ui: int, vi: int | None, pat: Pattern, limit, emit: bool):
     """Count the embeddings of pat with the start at vertex id ``ui`` and
     the end at ``vi``, and list them when ``emit``, in the order of the
@@ -355,7 +357,7 @@ def count_links(host: ProperColoring, u: Vertex, v: Vertex, pat: Pattern) -> int
     """Number of (u, v)-embeddings of pat, without materialising them.
 
     When the plan with only the start placed forces the end and costs
-    about one pair search (``_counts_every_end``, true for every
+    about one pair search (``Pattern._counts_every_end``, true for every
     ``repeat_pattern(k)``), the first call for a start u counts the
     embeddings to every end in one search and keeps the counts on the
     colouring, in ``host.link_counts`` under (u's vertex id, pat); a later
@@ -365,7 +367,7 @@ def count_links(host: ProperColoring, u: Vertex, v: Vertex, pat: Pattern) -> int
     ui, vi = _pair_ids(host, u, v)
     ends = host.link_counts.get((ui, pat))
     if ends is None:
-        if not _counts_every_end(pat):
+        if not pat._counts_every_end:
             return _search(host, ui, vi, pat, None, emit=False)[0][vi]
         ends = host.link_counts[ui, pat] = _search(host, ui, None, pat, None, emit=False)[0]
     return ends[vi]

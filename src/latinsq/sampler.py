@@ -43,6 +43,8 @@ from .core import LatinSquare, ValidationError, _trusted_square, cyclic_square
 
 DEFAULT_BURNIN_FACTOR = 10  # burn-in = 10 * n^3 proper-state visits
 _BUF = 8192
+_TWO_64 = 1 << 64
+_MASK64 = _TWO_64 - 1
 
 
 class SeededRng:
@@ -51,8 +53,10 @@ class SeededRng:
     Distinct stream indices give statistically independent draws; the same
     pair reproduces the same sequence.  `randint` buffers 8192 draws per
     bound, refilled when spent, for the chain's hot loop; `shuffle` and
-    `sample` need a new bound at every step and bypass the buffers.  The
-    walk reads its two bounds' buffers directly, refilling them where
+    `sample` need a new bound at every step and bypass the buffers.
+    `shuffle` is the generator's O(L) Fisher-Yates; `sample` is an O(k)
+    partial Fisher-Yates on raw 64-bit draws that never copies its input.
+    The walk reads its two bounds' buffers directly, refilling them where
     `randint` would, so a subclass that overrides `randint` does not see the
     walk's draws; `draws` counts them with the rest.
     """
@@ -100,12 +104,33 @@ class SeededRng:
         """In-place unbiased Fisher-Yates in O(len(items)), not buffered."""
         self.generator.shuffle(items)
 
-    def sample(self, items: list, k: int) -> list:
-        if not 0 <= k <= len(items):
-            raise ValueError(f"sample size {k} outside 0..{len(items)}")
-        pool = list(items)
-        self.shuffle(pool)
-        return pool[:k]
+    def sample(self, items, k: int) -> list:
+        """k distinct members of the sequence `items`, in random order, in
+        O(k): the first k steps of Durstenfeld's Fisher-Yates from the end,
+        over a virtual index array in which `moved` holds only the positions
+        a swap displaced, so `items` is never copied.  Step j swaps position
+        i = L - 1 - j with a uniform position in [0, i], reduced from one
+        raw 64-bit draw by Lemire's multiply-shift (ACM TOMACS 29, 2019); a
+        rejected draw is replaced by one more raw draw.  Not buffered."""
+        size = len(items)
+        if not 0 <= k <= size:
+            raise ValueError(f"sample size {k} outside 0..{size}")
+        if not k:
+            return []
+        bits = self.generator.bit_generator
+        moved: dict = {}
+        out = []
+        for i, x in zip(range(size - 1, size - 1 - k, -1), bits.random_raw(k).tolist()):
+            bound = i + 1
+            m = x * bound
+            if m & _MASK64 < bound:
+                floor = _TWO_64 % bound  # the low words below it are rejected
+                while m & _MASK64 < floor:
+                    m = bits.random_raw() * bound
+            r = m >> 64
+            out.append(items[moved.get(r, r)])
+            moved[r] = moved.get(i, i)
+        return out
 
 
 class MarkovState:

@@ -1,3 +1,4 @@
+import itertools
 import random
 from collections import Counter
 
@@ -8,6 +9,7 @@ from latinsq.absorber import (
     CorrectionSet,
     DirectedColoredMultigraph,
     InfeasibleError,
+    _deal_chosen,
     build_connector,
     check_conservation,
     connector_depth,
@@ -106,9 +108,10 @@ def test_conservation_after_every_stage():
 
 
 def test_decompose_digest_with_retries_unchanged():
-    # pairs and stage graphs of tightly packed instances, 18 of whose
-    # decompositions retry with shuffled candidates; recorded before the
-    # gadget stages kept their blocked slots in per-colour sets
+    # pairs and stage graphs of tightly packed instances, 16 of whose
+    # decompositions retry with shuffled candidates; re-recorded when the
+    # instances came to be drawn by the O(k) sample and dealt by max flow
+    # (was 38 decomposed, c34ad0564d379dd5); 4 of the 40 shapes have no deal
     import hashlib
 
     h = hashlib.sha256()
@@ -119,15 +122,84 @@ def test_decompose_digest_with_retries_unchanged():
                 SeededRng(77).derive(t), num_indices=8, universe_size=30, max_surplus=3
             )
         except ValueError:
-            continue  # no feasible deal
+            continue  # no deal exists
         cset, stages = decompose_corrections(inst, SeededRng(78).derive(t), collect_stages=True)
         decomposed += 1
         h.update(cset.to_json().encode())
         for name, graph in stages:
             h.update(name.encode())
             h.update(repr(sorted(graph.edges.items())).encode())
-    assert decomposed == 38
-    assert h.hexdigest()[:16] == "c34ad0564d379dd5"
+    assert decomposed == 36
+    assert h.hexdigest()[:16] == "cfd2d0b5c7412ce0"
+
+
+def _valid_deal(surplus, chosen):
+    pool = Counter(u for sur in surplus.values() for u in sur)
+    return (
+        chosen.keys() == surplus.keys()
+        and all(len(chosen[i]) == len(surplus[i]) and not chosen[i] & surplus[i] for i in surplus)
+        and Counter(u for cho in chosen.values() for u in cho) == pool
+    )
+
+
+def test_deal_finds_the_only_deals_of_a_tight_shape():
+    # the shape SeededRng(4242).derive(29) drew for 9 indices over 1..67
+    # before the deal was a flow; 10 000 random shuffles found no deal
+    surplus = {i: frozenset() for i in range(1, 10)}
+    surplus.update({2: frozenset({46, 64}), 3: frozenset({24, 30, 38}),
+                    5: frozenset({38, 62, 64}), 6: frozenset({9, 40, 62}),
+                    7: frozenset({8, 26, 38}), 9: frozenset({64})})
+    for seed in range(20):
+        chosen = _deal_chosen(surplus, SeededRng(seed))
+        assert _valid_deal(surplus, chosen)
+        assert {i for i in chosen if 38 in chosen[i]} == {2, 6, 9}
+        assert {i for i in chosen if 64 in chosen[i]} == {3, 6, 7}
+
+
+def test_deal_raises_only_when_no_deal_exists():
+    with pytest.raises(ValueError, match="no deal exists"):
+        _deal_chosen({1: frozenset({5}), 2: frozenset({5})}, SeededRng(0))
+
+    def exists(surplus):
+        # brute force: give each index in turn a set of the copies left
+        left = Counter(u for sur in surplus.values() for u in sur)
+        order = list(surplus)
+
+        def place(k):
+            if k == len(order):
+                return True
+            i = order[k]
+            for pick in itertools.combinations(sorted(u for u in left if left[u]), len(surplus[i])):
+                if set(pick) & surplus[i]:
+                    continue
+                left.subtract(pick)
+                if place(k + 1):
+                    return True
+                left.update(pick)
+            return False
+
+        return place(0)
+
+    rnd = random.Random(2024)
+    outcomes = Counter()
+    for t in range(400):
+        universe = range(1, rnd.randint(6, 14))
+        surplus = {i: frozenset(rnd.sample(universe, rnd.randint(0, min(3, len(universe)))))
+                   for i in range(1, rnd.randint(3, 7))}
+        try:
+            chosen = _deal_chosen(surplus, SeededRng(t))
+        except ValueError:
+            assert not exists(surplus), surplus
+            outcomes["none"] += 1
+            continue
+        assert _valid_deal(surplus, chosen), (surplus, chosen)
+        outcomes["dealt"] += 1
+    assert min(outcomes["none"], outcomes["dealt"]) > 50, outcomes
+
+
+def test_random_instance_deals_the_tight_shape():
+    inst = random_correction_instance(SeededRng(4242).derive(29), num_indices=9, universe_size=67)
+    assert len(inst.indices) == 9
 
 
 def test_per_colour_degree_cap_after_final_stage():

@@ -376,3 +376,68 @@ def test_census_links_variance_is_always_a_float(capsys):
     counts = [t["count"] for t in json.loads(out)["trials"]]
     assert code == 0 and len(set(counts)) > 1
     assert isinstance(json.loads(out)["summary"]["variance"], float)
+
+
+def _bad_files(tmp_path):
+    """Input files no subcommand can read: missing, a directory, empty,
+    not UTF-8, not a square, not JSON, and JSON of the wrong shape."""
+    bodies = {
+        "empty": b"",
+        "binary": b"\xff\xfe\x00\x81",
+        "words": b"not a square\n",
+        "short": b"3\n1 2 3\n",
+        "not-latin": b"2\n1 1\n2 2\n",
+        "negative-order": b"-2\n1 2\n2 1\n",
+        "null": b"null",
+        "list": b"[1, 2]",
+        "bad-edges": b'{"edges": [[9, 9, 9]]}',
+        "unbalanced": json.dumps({
+            "indices": [1, 2], "universe": [1, 2, 3],
+            "reservoir": {"1": [2], "2": [1]}, "surplus": {"1": [1], "2": [3]},
+            "chosen": {"1": [2], "2": [1]},
+        }).encode(),
+    }
+    paths = {"missing": tmp_path / "missing.txt", "directory": tmp_path}
+    for name, body in bodies.items():
+        paths[name] = tmp_path / f"{name}.in"
+        paths[name].write_bytes(body)
+    return paths
+
+
+def test_every_file_reading_subcommand_rejects_bad_files(tmp_path, capsys):
+    good = tmp_path / "good.txt"
+    good.write_text(square_to_text(cyclic_square(5)))
+    commands = {
+        "count-transversals": lambda f: ["count-transversals", f],
+        "decompose": lambda f: ["decompose", f],
+        "verify (square)": lambda f: ["verify", f, str(good)],
+        "verify (parts)": lambda f: ["verify", str(good), f],
+        "probe-subgraph": lambda f: ["probe-subgraph", f, "--order", "4", "--trials", "3"],
+        "absorber-demo": lambda f: ["absorber-demo", "--instance", f],
+    }
+    for command, argv in commands.items():
+        for name, path in _bad_files(tmp_path).items():
+            code, out, err = run(capsys, *argv(str(path)))
+            assert code == 1 and out == "", (command, name, code)
+            assert err.startswith("error: ") and "Traceback" not in err, (command, name, err)
+
+
+def test_every_subcommand_rejects_an_unwritable_out_file(tmp_path, capsys):
+    out_file = str(tmp_path / "no-such-dir" / "out.txt")
+    square = tmp_path / "sq.txt"
+    square.write_text(square_to_text(cyclic_square(3)))
+    graph = tmp_path / "h.json"
+    graph.write_text(json.dumps({"edges": [[1, 1, 1]]}))
+    for argv in (
+        ["sample", "--order", "3", "--burnin", "10"],
+        ["decompose", str(square)],
+        ["tarry-check", "--order", "3"],
+        ["mc-decomposable", "--order", "3", "--trials", "1"],
+        ["census-links", "--order", "4", "--pairs", "1"],
+        ["probe-subgraph", str(graph), "--order", "3", "--trials", "2"],
+        ["absorber-demo", "--count", "1", "--indices", "4", "--universe", "30"],
+        ["connector-demo", "--size", "64", "--roots", "1", "--pairings", "1"],
+    ):
+        code, out, err = run(capsys, "--out", out_file, *argv)
+        assert code == 1 and out == "", (argv, code, err)
+        assert err.startswith("error: ") and "Traceback" not in err, (argv, err)

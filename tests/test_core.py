@@ -1,6 +1,10 @@
+import random
+
 import pytest
 
 from latinsq.core import (
+    Decomposition,
+    Transversal,
     ValidationError,
     check_transversal,
     cyclic_decomposition,
@@ -15,7 +19,7 @@ from latinsq.core import (
     to_coloring,
     ProperColoring,
 )
-from latinsq.sampler import enumerate_all
+from latinsq.sampler import SeededRng, enumerate_all, sample_uniform
 from latinsq.transversal import decompose, verify_decomposition
 
 
@@ -166,6 +170,84 @@ def test_decomposition_grid_text_round_trip():
         for c in range(1, 10)
     }
     assert len(seen_pairs) == 81
+
+
+def _isotope(square, decomposition, rnd):
+    """The square and decomposition under random row, column and symbol
+    permutations."""
+    n = square.n
+    rows, cols, syms = (rnd.sample(range(1, n + 1), n) for _ in range(3))
+    grid = [[0] * n for _ in range(n)]
+    for r in range(1, n + 1):
+        for c in range(1, n + 1):
+            grid[rows[r - 1] - 1][cols[c - 1] - 1] = syms[square.symbol(r, c) - 1]
+    parts = tuple(
+        Transversal(cells=tuple(sorted((rows[r - 1], cols[c - 1]) for (r, c) in part.cells)))
+        for part in decomposition.parts
+    )
+    return from_grid(grid), Decomposition(parts=parts)
+
+
+def test_text_round_trips_on_random_squares():
+    rnd = random.Random(1729)
+    for n in range(1, 10):
+        sq = sample_uniform(n, SeededRng(1729).derive(n), burnin=50)
+        text = square_to_text(sq)
+        assert square_from_text(text) == sq
+        # any whitespace between the fields reads the same
+        spaced = "\r\n\t ".join(text.split()) + "\n\n"
+        assert square_from_text(spaced) == sq
+    for n in (1, 3, 5, 7, 9):
+        sq, dec = _isotope(cyclic_square(n), cyclic_decomposition(n), rnd)
+        assert verify_decomposition(sq, dec)[0]
+        text = decomposition_to_grid_text(sq, dec)
+        back = decomposition_from_grid_text(text)
+        assert verify_decomposition(sq, back)[0]
+        assert {p.cells for p in back.parts} == {p.cells for p in dec.parts}
+        assert decomposition_to_grid_text(sq, back) == text
+
+
+def _malformed(text, rnd):
+    """The square text with one change that no square text survives."""
+    tokens = text.split()
+    n = int(tokens[0])
+    kind = rnd.choice(("drop", "extra", "junk", "range", "order", "swap" if n > 1 else "drop"))
+    k = rnd.randrange(1, len(tokens))
+    if kind == "drop":
+        del tokens[rnd.randrange(len(tokens))]
+    elif kind == "extra":
+        tokens.insert(rnd.randrange(len(tokens) + 1), str(rnd.randint(1, n)))
+    elif kind == "junk":
+        tokens[rnd.randrange(len(tokens))] = rnd.choice(("x", "1.5", "--1", "0x3", "nan", "1e3"))
+    elif kind == "range":
+        tokens[k] = str(rnd.choice((0, n + 1, -rnd.randint(1, n))))
+    elif kind == "order":
+        tokens[0] = str(n + rnd.choice((-1, 1)))
+    else:
+        # two cells of one row trade symbols, so both columns repeat one
+        row = rnd.randrange(n)
+        a, b = rnd.sample(range(n), 2)
+        i, j = 1 + row * n + a, 1 + row * n + b
+        tokens[i], tokens[j] = tokens[j], tokens[i]
+    return kind, " ".join(tokens)
+
+
+def test_malformed_text_raises_validation_error():
+    rnd = random.Random(1730)
+    kinds = set()
+    for t in range(300):
+        n = rnd.randint(1, 6)
+        sq = sample_uniform(n, SeededRng(1730).derive(t), burnin=20)
+        for parse in (square_from_text, decomposition_from_grid_text):
+            kind, bad = _malformed(square_to_text(sq), rnd)
+            kinds.add(kind)
+            with pytest.raises(ValidationError):
+                parse(bad)
+    assert kinds == {"drop", "extra", "junk", "range", "order", "swap"}
+    for bad in ("", " \n", "-2\n1 2\n2 1\n", "0", "2\n1 2 2 1 1", "1\n1\n\n1\n1\n"):
+        for parse in (square_from_text, decomposition_from_grid_text):
+            with pytest.raises(ValidationError):
+                parse(bad)
 
 
 def test_every_exported_name_resolves():

@@ -582,6 +582,34 @@ def test_count_links_searches_all_ends_only_at_the_cost_of_a_pair():
     assert list(host.link_counts) == [(0, repeat_pattern(k)) for k in (1, 2, 3)]
 
 
+def test_count_links_decides_the_search_once_per_pattern(monkeypatch):
+    import latinsq.links as links
+
+    plans = []
+    real_plan = links._plan
+
+    def counting_plan(pat, first):
+        plans.append(first)
+        return real_plan(pat, first)
+
+    monkeypatch.setattr(links, "_plan", counting_plan)
+    host = to_coloring(cyclic_square(7))
+    # the pair search forces the second interior vertex from the end, so
+    # this pattern falls back to one search per pair
+    path = Pattern(num_vertices=4, edges=((0, 1, 1), (1, 2, 2), (2, 3, 1)), start=0, end=3)
+    ends = [("B", b) for b in range(1, 8)]
+    counts = [count_links(host, ("A", 1), v, path) for v in ends]
+    assert counts == [oracle_count(host, ("A", 1), v, path) for v in ends]
+    # the decision's two plans once, then only each search's own plan
+    assert plans == [(0,), (0, 3)] + [(0, 3)] * len(ends)
+    assert not path._counts_every_end and host.link_counts == {}
+    plans.clear()
+    pat = repeat_pattern(2)
+    for a in range(2, 8):
+        count_links(host, ("A", 1), ("A", a), pat)
+    assert plans == [(0,), (0, 4), (0,)] and pat._counts_every_end
+
+
 def _digest(parts) -> str:
     import hashlib
 

@@ -1,7 +1,9 @@
 import hashlib
 import itertools
+import types
 from collections import Counter
 
+import numpy as np
 import pytest
 
 from latinsq.core import ValidationError, cyclic_square, from_grid
@@ -195,6 +197,50 @@ def test_sample_distinct_members_and_size_checked():
     for k in (-1, 31):
         with pytest.raises(ValueError, match="sample size"):
             rng.sample(items, k)
+
+
+# chi-square upper 1e-4 quantile on 19 degrees of freedom (20 ordered pairs of 5)
+CHI2_CRIT_19_1E4 = 50.80
+
+
+def test_sample_ordered_pairs_uniform():
+    rng = SeededRng(1618)
+    draws = 20_000
+    counts = Counter(tuple(rng.sample(range(5), 2)) for _ in range(draws))
+    assert set(counts) == set(itertools.permutations(range(5), 2))
+    expected = draws / 20
+    chi2 = sum((c - expected) ** 2 / expected for c in counts.values())
+    assert chi2 < CHI2_CRIT_19_1E4, chi2
+
+
+def test_sample_does_not_copy_its_input():
+    # a list of 10**12 items would not fit in memory; the sample touches 3
+    got = SeededRng(12).sample(range(10**12), 3)
+    assert len(set(got)) == 3 and all(0 <= x < 10**12 for x in got)
+
+
+class _ScriptedRaw:
+    """A bit generator whose raw 64-bit draws are given in advance."""
+
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random_raw(self, size=None):
+        if size is None:
+            return self.values.pop(0)
+        out, self.values = self.values[:size], self.values[size:]
+        return np.array(out, dtype=np.uint64)
+
+
+def test_sample_replaces_a_rejected_draw():
+    # bound 3: a raw draw of 0 leaves the low word 0, below 2**64 mod 3 = 1,
+    # so it is rejected and the next raw draw, 2**63, picks position 1
+    rng = SeededRng(0)
+    rng.generator = types.SimpleNamespace(bit_generator=_ScriptedRaw([0, 2**63]))
+    assert rng.sample("abc", 1) == ["b"]
+    # without the rejection the same first draw picks position 0
+    rng.generator = types.SimpleNamespace(bit_generator=_ScriptedRaw([1]))
+    assert rng.sample("abc", 1) == ["a"]
 
 
 def test_shuffle_and_sample_leave_randint_buffers_alone():
