@@ -25,7 +25,16 @@ it.  Each node branches on the open cell with the fewest live candidates
 (lowest row-major cell on ties) and tries them in enumeration order.  It
 answers with a definite "some"/"none" or an explicit "undecided" when the
 node budget runs out, so statistics never conflate timeouts with
-nonexistence.
+nonexistence.  A pick drops its conflicts with one AND, by a mask of the
+candidates that share no cell with it, made on the pick's first use.  The
+child is then scanned on its parent's open list, skipping the cells the
+pick covered, and most children end there at a dead cell: only a child
+with no dead cell gets a frame and an open list of its own.  When the index
+space is wider than _REINDEX_WIDTH bits and fewer than 1 / _REINDEX_FACTOR
+of its candidates are alive, the live ones are mapped in ascending order
+onto a fresh, narrower space, whose cell masks cover the open cells only;
+the search returns to the wider space when it backtracks past that node.
+The map keeps candidate order, so it changes no answer, node count or part.
 
 The eager path collects at most candidate_threshold + 1 masks.  Past that it
 gives way to the lazy path, which branches on the first uncovered cell in
@@ -50,6 +59,11 @@ from .core import (
 DEFAULT_NODE_BUDGET = 10**8
 DEFAULT_CANDIDATE_THRESHOLD = 10**6
 DEFAULT_EXACT_BOUND = 9
+# The eager search maps the live candidates onto a fresh index space when the
+# current one is wider than _REINDEX_WIDTH bits and fewer than 1 /
+# _REINDEX_FACTOR of its candidates are alive.
+_REINDEX_WIDTH = 1000
+_REINDEX_FACTOR = 2
 
 
 class ExactSearchRefused(ValueError):
@@ -61,6 +75,9 @@ class DecomposeResult:
     status: Literal["some", "none", "undecided"]
     decomposition: Optional[Decomposition]
     nodes: int
+    # the number of candidate transversals the eager path collected; None on
+    # the lazy path, which never holds them all
+    candidates: Optional[int] = None
 
 
 def _symbol_bits(square: LatinSquare) -> list[list[int]]:
@@ -291,54 +308,104 @@ def decompose(
     if len(masks) > candidate_threshold:
         return _decompose_lazy(sym, node_budget)
     if len(masks) < n:
-        return DecomposeResult(status="none", decomposition=None, nodes=0)
+        return DecomposeResult("none", None, 0, len(masks))
+    return _decompose_eager(masks, n, node_budget)
 
-    # rows[rid]: the row-major cells of candidate rid, a set for the
-    # membership tests that drop covered cells from the open list
+
+def _decompose_eager(masks: list[int], n: int, node_budget: int) -> DecomposeResult:
+    # The candidate index space: bit i stands for candidate ids[i] (an index
+    # of masks), rows[i] is its set of row-major cells, cellrows[cell] has bit
+    # i set when candidate i covers cell, and keep[i], filled on first use,
+    # has every bit but those of the candidates that share a cell with i.
+    ids: range | list[int] = range(len(masks))
     rows = [frozenset(_cells(mask)) for mask in masks]
-    cellrows = [0] * (n * n)  # bit rid of cellrows[cell]: candidate rid covers cell
+    cellrows = [0] * (n * n)
     for rid, cells in enumerate(rows):
         for cell in cells:
             cellrows[cell] |= 1 << rid
+    keep: list[Optional[int]] = [None] * len(masks)
     # Iterative, so that no self-referencing closure keeps these structures
-    # alive as cyclic garbage after the call.  frames[k] holds the live row
-    # set, the open cells and the untried rows of the node where picked[k]
-    # was chosen.
+    # alive as cyclic garbage after the call.  A frame holds the live set, the
+    # open cells and the untried candidates of the node where the matching
+    # entry of picked was chosen, or, as a 4-tuple, the index space that the
+    # search left below it.
     nodes = 0
     picked: list[int] = []
-    frames: list[tuple[int, list[int], int]] = []
-    alive, open_cells = (1 << len(rows)) - 1, list(range(n * n))
-    while open_cells:
-        # fewest live candidates, first open cell on ties; a dead cell ends
-        # the branch without spending a node
-        best, fewest = -1, len(rows) + 1
+    frames: list[tuple] = []
+    alive, open_cells = (1 << len(masks)) - 1, list(range(n * n))
+    # fewest live candidates, first open cell on ties
+    counts = list(map(int.bit_count, cellrows))
+    choices = cellrows[counts.index(min(counts))]
+    above = len(masks) + 1  # more than any cell's count
+    while True:
+        while not choices:
+            if not frames:
+                return DecomposeResult("none", None, nodes, len(masks))
+            frame = frames.pop()
+            if len(frame) == 4:
+                ids, rows, cellrows, keep = frame
+            else:
+                alive, open_cells, choices = frame
+                picked.pop()
+        if nodes == node_budget:
+            return DecomposeResult("undecided", None, nodes, len(masks))
+        nodes += 1
+        low = choices & -choices
+        choices ^= low
+        rid = low.bit_length() - 1
+        cells = rows[rid]
+        child = keep[rid]
+        if child is None:
+            conflict = 0
+            for cell in cells:
+                conflict |= cellrows[cell]
+            child = keep[rid] = ((1 << len(ids)) - 1) ^ conflict
+        child &= alive
+        # Scan the child on this node's open list.  The picked cells read 0
+        # there, so they are skipped, and tested for only when they would
+        # become the child's pick.  A dead cell ends the child at once.
+        best, fewest = -1, above
         for c in open_cells:
-            k = (alive & cellrows[c]).bit_count()
-            if k < fewest:
+            k = (child & cellrows[c]).bit_count()
+            if k < fewest and c not in cells:
                 best, fewest = c, k
                 if not k:
                     break
+        if not fewest:
+            continue  # on to the next sibling
+        frames.append((alive, open_cells, choices))
+        picked.append(ids[rid])
+        if best < 0:
+            break  # the pick covered the last open cells
+        alive, open_cells = child, [c for c in open_cells if c not in cells]
+        if len(ids) > _REINDEX_WIDTH and alive.bit_count() * _REINDEX_FACTOR < len(ids):
+            frames.append((ids, rows, cellrows, keep))
+            ids, rows, cellrows, keep = _reindex(alive, ids, rows, open_cells, n * n)
+            alive = (1 << len(ids)) - 1
         choices = alive & cellrows[best]
-        while not choices:
-            if not frames:
-                return DecomposeResult(status="none", decomposition=None, nodes=nodes)
-            alive, open_cells, choices = frames.pop()
-            picked.pop()
-        if nodes == node_budget:
-            return DecomposeResult(status="undecided", decomposition=None, nodes=nodes)
-        nodes += 1
-        low = choices & -choices
-        rid = low.bit_length() - 1
-        frames.append((alive, open_cells, choices ^ low))
-        picked.append(rid)
-        cells = rows[rid]
-        conflict = 0
-        for cell in cells:
-            conflict |= cellrows[cell]
-        alive &= ~conflict
-        open_cells = [c for c in open_cells if c not in cells]
     parts = tuple(_transversal(masks[rid], n) for rid in sorted(picked))
-    return DecomposeResult(status="some", decomposition=Decomposition(parts=parts), nodes=nodes)
+    return DecomposeResult("some", Decomposition(parts=parts), nodes, len(masks))
+
+
+def _reindex(
+    alive: int, ids: range | list[int], rows: list[frozenset[int]], open_cells: list[int], size: int
+) -> tuple[list[int], list[frozenset[int]], list[int], list[Optional[int]]]:
+    """The index space of the live candidates, in ascending order on bits
+    0..L-1: their ids, their cells, the candidate masks of the open cells
+    (0 for covered ones) and an empty keep memo."""
+    live = [i for i, bit in enumerate(bin(alive)[:1:-1]) if bit == "1"]
+    ids = [ids[i] for i in live]
+    rows = [rows[i] for i in live]
+    nbytes = (len(live) + 7) >> 3
+    bits = {c: bytearray(nbytes) for c in open_cells}
+    for j, cells in enumerate(rows):
+        byte, bit = j >> 3, 1 << (j & 7)
+        for c in cells:
+            bits[c][byte] |= bit
+    cellrows = [0] * size
+    for c, row in bits.items():
+        cellrows[c] = int.from_bytes(row, "little")
+    return ids, rows, cellrows, [None] * len(live)
 
 
 def _decompose_lazy(sym: list[list[int]], node_budget: int) -> DecomposeResult:

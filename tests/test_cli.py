@@ -1,6 +1,8 @@
 import json
 
-from latinsq.cli import main
+import pytest
+
+from latinsq.cli import main, wilson_interval
 from latinsq.core import cyclic_square, square_from_text, square_to_text, squares_from_text
 
 
@@ -142,6 +144,58 @@ def test_mc_decomposable_deterministic_across_workers(capsys):
     for record in b1["trials"]:
         if record["status"] == "some":
             assert record["verified"]
+
+
+def test_wilson_interval_hand_computed():
+    assert wilson_interval(8, 12) == pytest.approx((0.3906, 0.8619), abs=5e-5)
+    assert wilson_interval(0, 4) == pytest.approx((0.0, 0.4899), abs=5e-5)
+    assert wilson_interval(4, 4) == pytest.approx((0.5101, 1.0), abs=5e-5)
+
+
+def test_mc_decomposable_fraction_among_decided_trials(capsys):
+    # order 10 at a 5-node budget: every trial is undecided, so there is no
+    # fraction and no interval, and the run exits 2
+    argv = [
+        "--format", "json", "--node-budget", "5", "mc-decomposable", "--order", "10", "--trials", "2",
+    ]
+    code, out, _ = run(capsys, *argv)
+    assert code == 2
+    body = json.loads(out)
+    assert body["summary"] == {
+        "some": 0, "none": 0, "undecided": 2, "fraction_resolvable": None, "ci95_wilson": None,
+    }
+    code2, out2, _ = run(capsys, "--workers", "2", *argv)
+    body2 = json.loads(out2)
+    for b in (body, body2):
+        b.pop("elapsed_seconds")
+    assert code2 == code and body2 == body
+    # decided trials only: undecided ones are neither resolvable nor not
+    code, out, _ = run(
+        capsys, "--seed", "11", "--format", "json", "mc-decomposable", "--order", "5", "--trials", "6"
+    )
+    summary = json.loads(out)["summary"]
+    decided = summary["some"] + summary["none"]
+    assert summary["fraction_resolvable"] == summary["some"] / decided
+    assert summary["ci95_wilson"] == [round(x, 6) for x in wilson_interval(summary["some"], decided)]
+
+
+def test_usage_errors_exit_1(capsys):
+    for argv in (
+        ["mc-decomposable", "--order", "10", "--node-budget", "5"],  # a global flag after the subcommand
+        ["no-such-command"],
+        ["mc-decomposable"],
+        ["--workers", "two", "mc-decomposable", "--order", "5"],
+        [],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        err = capsys.readouterr().err
+        assert exc.value.code == 1, (argv, exc.value.code)
+        assert err.startswith("usage: latinsq") and "error: " in err, (argv, err)
+    for argv in (["--help"], ["mc-decomposable", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0 and "usage: latinsq" in capsys.readouterr().out
 
 
 def test_mc_decomposable_bad_counts_exit_code(capsys):

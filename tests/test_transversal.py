@@ -4,10 +4,13 @@ from itertools import permutations
 
 import pytest
 
+from latinsq import transversal
 from latinsq.core import Transversal, check_transversal, cyclic_square, from_grid, to_coloring
 from latinsq.sampler import SeededRng, enumerate_all, enumerate_reduced, sample_uniform
 from latinsq.transversal import (
+    _REINDEX_WIDTH,
     DEFAULT_CANDIDATE_THRESHOLD,
+    DEFAULT_NODE_BUDGET,
     Decomposition,
     ExactSearchRefused,
     _symbol_bits,
@@ -406,6 +409,90 @@ def test_budget_boundary(threshold):
     short = decompose(sq, node_budget=full.nodes - 1, candidate_threshold=threshold)
     assert (short.status, short.nodes) == ("undecided", full.nodes - 1)
     assert short.decomposition is None
+
+
+def test_budget_boundary_at_a_none():
+    # A search that ends at exactly the budget answers "none", one node
+    # short "undecided": order-10 panel trial 0 on the eager path, and a
+    # reduced order-6 square with 32 transversals on the lazy path.
+    eager = sample_uniform(10, SeededRng(777).derive(0))
+    lazy = from_grid([
+        [1, 2, 3, 4, 5, 6], [2, 1, 4, 3, 6, 5], [3, 4, 5, 6, 1, 2],
+        [4, 3, 6, 5, 2, 1], [5, 6, 1, 2, 4, 3], [6, 5, 2, 1, 3, 4],
+    ])
+    for sq, threshold, nodes in ((eager, DEFAULT_CANDIDATE_THRESHOLD, 27530), (lazy, 0, 90)):
+        exact = decompose(sq, node_budget=nodes, candidate_threshold=threshold)
+        assert (exact.status, exact.nodes) == ("none", nodes), threshold
+        short = decompose(sq, node_budget=nodes - 1, candidate_threshold=threshold)
+        assert (short.status, short.nodes) == ("undecided", nodes - 1), threshold
+
+
+def test_candidates_counted_on_the_eager_path():
+    for t in range(len(PANEL)):
+        sq = sample_uniform(10, SeededRng(777).derive(t))
+        res = decompose(sq, node_budget=0)
+        assert res.candidates == count_transversals(sq), t
+        # the panel's index spaces are too narrow to be re-indexed
+        assert res.candidates <= _REINDEX_WIDTH, t
+    assert decompose(cyclic_square(6)).candidates == 0
+    assert decompose(cyclic_square(9)).candidates == 2025
+    assert decompose(cyclic_square(9), candidate_threshold=2).candidates is None
+
+
+# Squares sample_uniform(n, SeededRng(3).derive(t), burnin=2000) whose index
+# spaces are re-indexed (3430, 3527 and 16 014 candidates), decomposed at a
+# budget of 20 000 nodes: (n, t) -> status, nodes and each part's columns in
+# base 13, as recorded before the search learnt to re-index.
+REINDEXED = {
+    (11, 0): ("some", 11113, [
+        "1725469b8a3", "2b589346a71", "349782ba615", "4a86b132597", "58421ba7936", "63ba5914782",
+        "756b3a89124", "82a367514b9", "91347825b6a", "a971256834b", "b619a473258",
+    ]),
+    (11, 1): ("some", 2564, [
+        "1436b9a5278", "23a8479b516", "3862a57194b", "459b1367a82", "51893a246b7", "6a215b38794",
+        "724561ba839", "8b17945236a", "97542683ba1", "a9b37846125", "b67a8219453",
+    ]),
+    (12, 24): ("some", 15949, [
+        "1b237489c5a6", "2614ab5c7983", "38b915a2476c", "45c6b37a2198", "5a9b28c31674",
+        "634752918acb", "74a2c618b359", "81359cb6a247", "976a814b5c32", "a98c37246b15",
+        "bc514967382a", "c2786a3594b1",
+    ]),
+}
+
+
+def test_reindexed_search_pinned_at_orders_11_and_12():
+    for (n, t), expected in REINDEXED.items():
+        sq = sample_uniform(n, SeededRng(3).derive(t), burnin=2000)
+        res = decompose(sq, node_budget=20_000)
+        assert res.candidates > _REINDEX_WIDTH, (n, t)
+        parts = ["".join("0123456789abc"[c] for _r, c in part.cells) for part in res.decomposition.parts]
+        assert (res.status, res.nodes, parts) == expected, (n, t)
+        ok, msg = verify_decomposition(sq, res.decomposition)
+        assert ok, msg
+
+
+@pytest.mark.parametrize("factor", [1, 2])
+def test_reindexing_at_any_width_keeps_the_search(monkeypatch, factor):
+    # With no width floor the search re-indexes at orders 5 to 10 too, at
+    # factor 1 at every node where a candidate died: the answers, node counts
+    # and parts must match a search that never re-indexes, at full and at
+    # partial budgets.
+    squares = [sample_uniform(10, SeededRng(777).derive(1)), cyclic_square(7), cyclic_square(9)]
+    squares += [sample_uniform(n, SeededRng(404).derive(t), burnin=400) for n in (5, 7, 8, 9) for t in range(4)]
+
+    def search():
+        return [
+            (res.status, res.nodes, res.decomposition)
+            for sq in squares
+            for budget in (10, 300, DEFAULT_NODE_BUDGET)
+            for res in [decompose(sq, node_budget=budget)]
+        ]
+
+    monkeypatch.setattr(transversal, "_REINDEX_WIDTH", 10**9)
+    plain = search()
+    monkeypatch.setattr(transversal, "_REINDEX_WIDTH", 0)
+    monkeypatch.setattr(transversal, "_REINDEX_FACTOR", factor)
+    assert search() == plain
 
 
 def test_lazy_mode_matches_eager():
