@@ -403,7 +403,7 @@ def decompose_corrections(
         # attempt 0 takes every candidate in sorted order and draws nothing
         stream = rng.derive(1000 + attempt) if attempt else None
         try:
-            return _decompose_once(inst, stream, color_cap, attempt, collect_stages)
+            return _decompose_once(inst, stream, color_cap, collect_stages)
         except InfeasibleError as exc:
             last_error = exc
     raise last_error
@@ -413,20 +413,21 @@ def _decompose_once(
     inst: CorrectionInstance,
     rng: SeededRng | None,
     color_cap: int,
-    attempt: int,
     collect_stages: bool,
 ):
+    # rng None takes every candidate in sorted order; a stream shuffles them
     stages: list[tuple[str, DirectedColoredMultigraph]] = []
 
     def snapshot(name: str, edges) -> None:
-        stages.append((name, DirectedColoredMultigraph(Counter(edges))))
+        if collect_stages:
+            stages.append((name, DirectedColoredMultigraph(Counter(edges))))
 
     # stage 1: one arc per requirement, surplus -> chosen in colour i
     arcs: list = []
     for i in inst.indices:
         sur = sorted(inst.surplus.get(i, ()))
         cho = sorted(inst.chosen.get(i, ()))
-        if attempt > 0:
+        if rng is not None:
             rng.shuffle(cho)
         arcs.extend((u, v, i) for u, v in zip(sur, cho))
     snapshot("initial", arcs)
@@ -434,7 +435,7 @@ def _decompose_once(
     # stage 2: cycle decomposition; stage 3: make every cycle rainbow
     cycles = _decompose_into_cycles(arcs)
     cycles = _repair_rainbow(cycles)
-    snapshot("rainbow", [e for cyc in cycles for e in cyc])
+    snapshot("rainbow", (e for cyc in cycles for e in cyc))
 
     # blocked[i]: the vertices v whose slot (i, v) the chord and gadget
     # stages may not take, colour i's reservoir and surplus and every slot
@@ -468,7 +469,7 @@ def _decompose_once(
         for (p, q) in chords:
             x, y = verts[p], verts[q]
             cands = list(colors_sorted)
-            if attempt > 0:
+            if rng is not None:
                 rng.shuffle(cands)
             chosen_color = None
             saw_space = False
@@ -519,7 +520,7 @@ def _decompose_once(
     for (x, y, z, a, b, c) in triangles:
         fresh = []
         cands_v = universe_sorted
-        if attempt > 0:
+        if rng is not None:
             cands_v = list(universe_sorted)
             rng.shuffle(cands_v)
         ba, bb, bc = blocked[a], blocked[b], blocked[c]
@@ -535,7 +536,7 @@ def _decompose_once(
             )
         xp, yp, zp = fresh
         cands_c = list(colors_sorted)
-        if attempt > 0:
+        if rng is not None:
             rng.shuffle(cands_c)
         fresh_color = None
         saw_space = False

@@ -45,7 +45,7 @@ from .core import (
 )
 from .links import census_path_pairs, count_links, repeat_pattern, subgraph_probability_probe
 from .sampler import SeededRng, enumerate_reduced, sample_squares, sample_uniform
-from .transversal import count_transversals, decompose, verify_decomposition
+from .transversal import DEFAULT_NODE_BUDGET, count_transversals, decompose, verify_decomposition
 
 SCHEMA_VERSION = 1
 
@@ -90,12 +90,17 @@ def _emit(report: ExperimentReport, args, csv_rows: list[str] | None = None) -> 
     fmt = args.format
     if fmt == "json":
         body = report.to_json() + "\n"
-    elif fmt == "csv" and csv_rows is not None:
+    elif fmt == "csv":  # main lets csv through for census-links only
         body = "\n".join(csv_rows) + "\n"
     else:
         body = report.to_text()
-    if args.out:
-        with open(args.out, "w") as fh:
+    _write(body, args.out)
+
+
+def _write(body: str, out: str | None) -> None:
+    """body to the file out, or to stdout when out is not given."""
+    if out:
+        with open(out, "w") as fh:
             fh.write(body)
     else:
         sys.stdout.write(body)
@@ -194,9 +199,10 @@ def cmd_tarry_check(args) -> int:
         prefix = [list(cyclic_square(n).row(r)) for r in range(1, args.cyclic_prefix_rows + 1)]
     for square in enumerate_reduced(n, row_prefix=prefix):
         examined += 1
-        tc = count_transversals(square)
-        transversal_histogram[tc] = transversal_histogram.get(tc, 0) + 1
         res = decompose(square, node_budget=args.node_budget)
+        # the eager path counts every transversal as it collects them
+        tc = res.candidates if res.candidates is not None else count_transversals(square)
+        transversal_histogram[tc] = transversal_histogram.get(tc, 0) + 1
         if res.status == "some":
             resolvable += 1
             offender = offender or square
@@ -226,6 +232,15 @@ def cmd_tarry_check(args) -> int:
 # --- census-links -------------------------------------------------------------
 
 
+def _distinct_pair(rng: SeededRng, n: int) -> tuple[int, int]:
+    """Two different values of 1..n: the second is redrawn until it differs."""
+    a = rng.randint(n) + 1
+    while True:
+        b = rng.randint(n) + 1
+        if b != a:
+            return a, b
+
+
 def cmd_census_links(args) -> int:
     t0 = time.perf_counter()
     if args.order < 2:
@@ -249,27 +264,16 @@ def cmd_census_links(args) -> int:
     for _ in range(args.pairs):
         if args.length is None:
             side = "A" if pick.randint(2) == 0 else "B"
-            u = (side, pick.randint(n) + 1)
-            while True:
-                v = (side, pick.randint(n) + 1)
-                if v != u:
-                    break
+            a, b = _distinct_pair(pick, n)
+            u, v = (side, a), (side, b)
             ts = time.perf_counter()
             count = count_links(host, u, v, pattern)
             dt = time.perf_counter() - ts
             param = f"k={args.k}"
             urep, vrep = f"{u[0]}{u[1]}", f"{v[0]}{v[1]}"
         else:
-            x1, x2 = pick.randint(n) + 1, 0
-            while True:
-                x2 = pick.randint(n) + 1
-                if x2 != x1:
-                    break
-            y1, y2 = pick.randint(n) + 1, 0
-            while True:
-                y2 = pick.randint(n) + 1
-                if y2 != y1:
-                    break
+            x1, x2 = _distinct_pair(pick, n)
+            y1, y2 = _distinct_pair(pick, n)
             ts = time.perf_counter()
             res = census_path_pairs(
                 host, args.length, (("A", x1), ("B", y1), ("A", x2), ("B", y2))
@@ -410,11 +414,7 @@ def cmd_absorber_demo(args) -> int:
 def cmd_connector_demo(args) -> int:
     t0 = time.perf_counter()
     rng = SeededRng(args.seed)
-    try:
-        graph = build_connector(args.size, args.roots, spread=args.spread, rng=rng.derive(0))
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INVALID
+    graph = build_connector(args.size, args.roots, spread=args.spread, rng=rng.derive(0))
     stress = rng.derive(1)
     routed = 0
     failed = 0
@@ -454,12 +454,7 @@ def cmd_sample(args) -> int:
         args.order, rng.derive(0), args.count, burnin=args.burnin, thin=args.thin
     ):
         blocks.append(square_to_text(square))
-    body = "\n".join(blocks)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(body)
-    else:
-        sys.stdout.write(body)
+    _write("\n".join(blocks), args.out)
     return EXIT_OK
 
 
@@ -473,12 +468,7 @@ def cmd_decompose(args) -> int:
     square = _read_square(args.square)
     res = decompose(square, node_budget=args.node_budget)
     if res.status == "some":
-        body = decomposition_to_grid_text(square, res.decomposition)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(body)
-        else:
-            sys.stdout.write(body)
+        _write(decomposition_to_grid_text(square, res.decomposition), args.out)
         return EXIT_OK
     sys.stdout.write(res.status + "\n")
     return EXIT_INFEASIBLE if res.status == "undecided" else EXIT_OK
@@ -512,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default=None, help="write output to this file")
     parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
     parser.add_argument("--workers", type=int, default=1, help="parallel trial workers")
-    parser.add_argument("--node-budget", type=int, default=10**8)
+    parser.add_argument("--node-budget", type=int, default=DEFAULT_NODE_BUDGET)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sample", help="sample random squares to the square text format")
@@ -583,6 +573,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.format == "csv" and args.command != "census-links":
+        sys.stderr.write(f"error: --format csv is for census-links only, not {args.command}\n")
+        return EXIT_INVALID
     try:
         return args.func(args)
     except (ValidationError, ValueError, OSError, json.JSONDecodeError) as exc:

@@ -107,6 +107,19 @@ def test_conservation_after_every_stage():
         assert ok, violations
 
 
+def test_decompose_without_stages_returns_the_same_pairs():
+    # the instances of the retry digest below, with and without the stages
+    for t in range(40):
+        try:
+            inst = random_correction_instance(
+                SeededRng(77).derive(t), num_indices=8, universe_size=30, max_surplus=3
+            )
+        except ValueError:
+            continue
+        cset, _stages = decompose_corrections(inst, SeededRng(78).derive(t), collect_stages=True)
+        assert decompose_corrections(inst, SeededRng(78).derive(t)) == cset, t
+
+
 def test_decompose_digest_with_retries_unchanged():
     # pairs and stage graphs of tightly packed instances, 16 of whose
     # decompositions retry with shuffled candidates; re-recorded when the

@@ -120,6 +120,14 @@ def test_tarry_check_cyclic_prefix_rows(capsys):
         assert err.startswith("error: ") and "cyclic prefix rows" in err
 
 
+def test_tarry_check_order6_transversal_counts(capsys):
+    code, out, _ = run(capsys, "--format", "json", "tarry-check", "--order", "6")
+    assert code == 0
+    summary = json.loads(out)["summary"]
+    assert (summary["examined"], summary["resolvable"], summary["undecided"]) == (9408, 0, 0)
+    assert summary["transversal_counts"] == {"0": 2100, "8": 7020, "24": 108, "32": 180}
+
+
 def test_tarry_check_order4_finds_resolvables(capsys):
     # order 4 has resolvable squares, so the reproduction claim fails there
     code, out, _ = run(capsys, "--format", "json", "tarry-check", "--order", "4")
@@ -363,6 +371,16 @@ def test_connector_demo(capsys):
     assert body["summary"]["max_degree"] <= 5  # 4 plus one attachment edge
 
 
+def test_connector_demo_bad_input_exit_code(capsys):
+    for argv, message in (
+        (("--size", "64", "--roots", "100", "--spread", "2"), "root count must be in"),
+        (("--size", "4", "--spread", "100"), "no feasible depth"),
+    ):
+        code, out, err = run(capsys, "connector-demo", *argv)
+        assert code == 1 and out == "", argv
+        assert err.startswith("error: ") and message in err and "Traceback" not in err, (argv, err)
+
+
 def test_report_determinism_census(capsys):
     argv = [
         "--seed", "14", "--format", "json",
@@ -412,6 +430,63 @@ def test_census_links_reports_only_the_mode_that_ran(capsys):
         )
         assert code == 0
         assert json.loads(out)["params"] == {"order": 6, key: 3, "pairs": 2}, mode
+
+
+# The census-links JSON bodies at seed 11, order 7, 6 pairs, burn-in 300,
+# without elapsed_seconds: (param, u, v, count) per pair and the summary.
+CENSUS_BODIES = {
+    ("--k", "2"): (
+        {"k": 2},
+        [("k=2", "A4", "A1", 7), ("k=2", "B3", "B4", 10), ("k=2", "A5", "A3", 6),
+         ("k=2", "A5", "A1", 9), ("k=2", "B7", "B1", 5), ("k=2", "B6", "B5", 6)],
+        {"max": 10, "mean": 7.166666666666667, "min": 5, "variance": 3.138888888888889},
+    ),
+    ("--length", "3"): (
+        {"length": 3},
+        [("len=3", "A3:B4", "A6:B2", 4), ("len=3", "A6:B6", "A2:B5", 1),
+         ("len=3", "A3:B6", "A5:B4", 2), ("len=3", "A3:B6", "A5:B4", 2),
+         ("len=3", "A4:B1", "A7:B7", 0), ("len=3", "A5:B7", "A3:B4", 2)],
+        {"max": 4, "mean": 1.8333333333333333, "min": 0, "variance": 1.4722222222222223},
+    ),
+}
+
+
+def test_census_links_bodies_pinned(capsys):
+    for mode, (param, trials, summary) in CENSUS_BODIES.items():
+        code, out, _ = run(
+            capsys, "--seed", "11", "--format", "json",
+            "census-links", "--order", "7", *mode, "--pairs", "6", "--burnin", "300",
+        )
+        assert code == 0
+        body = json.loads(out)
+        body.pop("elapsed_seconds")
+        assert body == {
+            "artifact_version": "0.1.0",
+            "command": "census-links",
+            "params": {"order": 7, **param, "pairs": 6},
+            "schema_version": 1,
+            "seed": 11,
+            "summary": summary,
+            "trials": [{"param": p, "u": u, "v": v, "count": c} for p, u, v, c in trials],
+        }, mode
+
+
+def test_csv_format_is_for_census_links_only(tmp_path, capsys):
+    square = tmp_path / "sq.txt"
+    square.write_text(square_to_text(cyclic_square(5)))
+    for argv in (
+        ["sample", "--order", "3", "--burnin", "10"],
+        ["count-transversals", str(square)],
+        ["decompose", str(square)],
+        ["verify", str(square), str(square)],
+        ["tarry-check", "--order", "3"],
+        ["mc-decomposable", "--order", "3", "--trials", "1"],
+        ["absorber-demo", "--count", "1", "--indices", "4", "--universe", "30"],
+        ["connector-demo", "--size", "64", "--roots", "1", "--pairings", "1"],
+    ):
+        code, out, err = run(capsys, "--format", "csv", *argv)
+        assert code == 1 and out == "", argv
+        assert err.startswith("error: ") and "csv" in err, (argv, err)
 
 
 def test_census_links_variance_is_always_a_float(capsys):

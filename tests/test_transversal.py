@@ -8,11 +8,13 @@ from latinsq import transversal
 from latinsq.core import Transversal, check_transversal, cyclic_square, from_grid, to_coloring
 from latinsq.sampler import SeededRng, enumerate_all, enumerate_reduced, sample_uniform
 from latinsq.transversal import (
+    _CHUNK,
     _REINDEX_WIDTH,
     DEFAULT_CANDIDATE_THRESHOLD,
     DEFAULT_NODE_BUDGET,
     Decomposition,
     ExactSearchRefused,
+    _index_space,
     _symbol_bits,
     _transversals,
     count_transversals,
@@ -493,6 +495,36 @@ def test_reindexing_at_any_width_keeps_the_search(monkeypatch, factor):
     monkeypatch.setattr(transversal, "_REINDEX_WIDTH", 0)
     monkeypatch.setattr(transversal, "_REINDEX_FACTOR", factor)
     assert search() == plain
+
+
+def test_index_space_matches_a_plain_or():
+    # Random candidates of 6 cells out of 64, more than one chunk of them at
+    # the root and among those that miss the cells of one pick.
+    rnd = random.Random(16)
+    size = 64
+    rows = [frozenset(rnd.sample(range(size), 6)) for _ in range(12_000)]
+    covered = rows[0]
+    live = [i for i, cells in enumerate(rows) if not cells & covered]
+    assert len(live) > _CHUNK
+    for ids in (range(len(rows)), live):
+        space = [rows[i] for i in ids]
+        plain = [0] * size
+        for i, cells in enumerate(space):
+            for cell in cells:
+                plain[cell] |= 1 << i
+        got_ids, got_rows, cellrows, keep = _index_space(ids, space, size)
+        assert (got_ids, got_rows, keep) == (ids, space, [None] * len(space))
+        assert cellrows == plain
+    assert all(cellrows[cell] == 0 for cell in covered)
+
+
+def test_order13_search_pinned():
+    # sample_uniform(13, SeededRng(3).derive(0), burnin=2000) at a budget of
+    # 2000 nodes, which re-indexes its 79 788 candidates; recorded before the
+    # root and the re-indexed spaces came to share one builder
+    sq = sample_uniform(13, SeededRng(3).derive(0), burnin=2000)
+    res = decompose(sq, node_budget=2000)
+    assert (res.status, res.nodes, res.candidates) == ("undecided", 2000, 79788)
 
 
 def test_lazy_mode_matches_eager():
