@@ -90,7 +90,7 @@ def _emit(report: ExperimentReport, args, csv_rows: list[str] | None = None) -> 
     fmt = args.format
     if fmt == "json":
         body = report.to_json() + "\n"
-    elif fmt == "csv":  # main lets csv through for census-links only
+    elif fmt == "csv":  # FORMATS lets csv through for census-links only
         body = "\n".join(csv_rows) + "\n"
     else:
         body = report.to_text()
@@ -460,7 +460,7 @@ def cmd_sample(args) -> int:
 
 def cmd_count_transversals(args) -> int:
     square = _read_square(args.square)
-    sys.stdout.write(f"{count_transversals(square)}\n")
+    _write(f"{count_transversals(square)}\n", args.out)
     return EXIT_OK
 
 
@@ -468,9 +468,10 @@ def cmd_decompose(args) -> int:
     square = _read_square(args.square)
     res = decompose(square, node_budget=args.node_budget)
     if res.status == "some":
-        _write(decomposition_to_grid_text(square, res.decomposition), args.out)
-        return EXIT_OK
-    sys.stdout.write(res.status + "\n")
+        body = decomposition_to_grid_text(square, res.decomposition)
+    else:
+        body = res.status + "\n"
+    _write(body, args.out)
     return EXIT_INFEASIBLE if res.status == "undecided" else EXIT_OK
 
 
@@ -479,11 +480,27 @@ def cmd_verify(args) -> int:
     with open(args.parts) as fh:
         decomposition = decomposition_from_grid_text(fh.read())
     ok, msg = verify_decomposition(square, decomposition)
-    sys.stdout.write(("ok" if ok else f"invalid: {msg}") + "\n")
+    _write(("ok" if ok else f"invalid: {msg}") + "\n", args.out)
     return EXIT_OK if ok else EXIT_ASSERTION
 
 
 # --- wiring -------------------------------------------------------------------
+
+# The --format values each command writes.  The plain square commands write
+# squares, counts and verdicts as text only; the reports write text or JSON,
+# and census-links also writes CSV rows.
+FORMATS = {
+    "sample": ("text",),
+    "count-transversals": ("text",),
+    "decompose": ("text",),
+    "verify": ("text",),
+    "tarry-check": ("text", "json"),
+    "mc-decomposable": ("text", "json"),
+    "census-links": ("text", "json", "csv"),
+    "probe-subgraph": ("text", "json"),
+    "absorber-demo": ("text", "json"),
+    "connector-demo": ("text", "json"),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -573,8 +590,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.format == "csv" and args.command != "census-links":
-        sys.stderr.write(f"error: --format csv is for census-links only, not {args.command}\n")
+    if args.format not in FORMATS[args.command]:
+        sys.stderr.write(
+            f"error: --format {args.format} is not for {args.command},"
+            f" which writes {' or '.join(FORMATS[args.command])}\n"
+        )
         return EXIT_INVALID
     try:
         return args.func(args)

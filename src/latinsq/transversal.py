@@ -12,10 +12,9 @@ DEFAULT_CANDIDATE_THRESHOLD) entries; a row that would take it past that is
 left to the search, so a small limit leaves a plain depth-first search.  The
 engine counts transversals and, on request, emits each as an n^2-bit
 row-major cell mask, in lexicographic column order.
-`count_transversals`, `iter_transversals` and both paths of `decompose`
-call it.  `max_partial_transversal` keeps its own branch and bound: it may
-leave a row uncovered and prunes against the best size found so far, and
-neither belongs in a search that only ever takes complete transversals.
+`count_transversals`, `iter_transversals`, `max_partial_transversal` and
+both paths of `decompose` call it; the partial one relaxes k = 0, 1, ...
+rows to rows of one symbol until the square has a transversal.
 
 Decomposing a square into n disjoint transversals is an exact cover problem:
 the n^2 cells must be covered exactly once by cell sets of candidate
@@ -48,6 +47,7 @@ cover: at most n lists, none longer than the transversals through one cell.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterator, Literal, Optional
 
 from .core import (
@@ -104,9 +104,10 @@ def _transversals(
     limit: Optional[int] = None,
 ) -> int:
     """The number of transversals that take a column of ``allowed[r]`` (all
-    by default) in each row r.  Appends each one's cell mask, bit r * n + c
-    for 0-based cell (r, c), to ``out`` if given, lexicographic in the
-    columns of rows 0..n-1, and stops once ``out`` holds ``limit`` masks."""
+    by default) in each row r; a row of symbol bits ``sym[r]`` need not be a
+    permutation.  Appends each one's cell mask, bit r * n + c for 0-based
+    cell (r, c), to ``out`` if given, lexicographic in the columns of rows
+    0..n-1, and stops once ``out`` holds ``limit`` masks."""
     n = len(sym)
     full = (1 << n) - 1
     if allowed is None:
@@ -254,7 +255,11 @@ def count_transversals(square: LatinSquare) -> int:
 
 
 def max_partial_transversal(square: LatinSquare) -> PartialTransversal:
-    """A maximum-size partial transversal, by branch and bound.
+    """A maximum-size partial transversal.  One of size n - k leaving out
+    rows R exists exactly when, for some k symbols S, the square with the
+    rows of R relaxed to rows of one symbol of S each has a transversal: the
+    rows of R take the columns and symbols the others leave.  So k counts up
+    from 0 to at most n, where every row is relaxed.
 
     Exact search only: orders above DEFAULT_EXACT_BOUND are refused rather
     than answered heuristically.
@@ -266,32 +271,25 @@ def max_partial_transversal(square: LatinSquare) -> PartialTransversal:
         )
     sym = _symbol_bits(square)
     full = (1 << n) - 1
-    best_cells: list[tuple[int, int]] = []
-    chosen: list[tuple[int, int]] = []
-
-    def rec(r: int, colmask: int, symmask: int) -> None:
-        nonlocal best_cells
-        if len(chosen) + (n - r) <= len(best_cells):
-            return  # cannot beat the incumbent
-        if r == n:
-            if len(chosen) > len(best_cells):
-                best_cells = chosen[:]
-            return
-        avail = full & ~colmask
-        srow = sym[r]
-        while avail:
-            low = avail & -avail
-            c = low.bit_length() - 1
-            avail ^= low
-            sb = srow[c]
-            if not (symmask & sb):
-                chosen.append((r + 1, c + 1))
-                rec(r + 1, colmask | low, symmask | sb)
-                chosen.pop()
-        rec(r + 1, colmask, symmask)  # leave row r uncovered
-
-    rec(0, 0, 0)
-    return PartialTransversal(cells=tuple(best_cells))
+    found: list[int] = []
+    # The last rows are relaxed first, so the search gives them the columns
+    # left instead of trying each, and the other rows are barred from S up
+    # front: 125 us a square without a transversal on the order-6 scan,
+    # against 150 us relaxing the first rows and 145 us unbarred.
+    for k in range(n + 1):
+        for rows in combinations(range(n - 1, -1, -1), k):
+            for symbols in combinations(range(n), k):
+                relaxed, allowed = sym[:], [full] * n
+                for r, s in zip(rows, symbols):
+                    relaxed[r] = [1 << s] * n
+                    for other, srow in enumerate(sym):
+                        if other not in rows:
+                            allowed[other] &= ~(1 << srow.index(1 << s))
+                if _transversals(relaxed, allowed, out=found, limit=1):
+                    return PartialTransversal(tuple(
+                        (cell // n + 1, cell % n + 1) for cell in _cells(found[0]) if cell // n not in rows
+                    ))
+    raise AssertionError("a square with every row relaxed has a transversal")
 
 
 def decompose(

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from latinsq.cli import main, wilson_interval
+from latinsq.cli import FORMATS, build_parser, main, wilson_interval
 from latinsq.core import cyclic_square, square_from_text, square_to_text, squares_from_text
 
 
@@ -489,6 +489,55 @@ def test_csv_format_is_for_census_links_only(tmp_path, capsys):
         assert err.startswith("error: ") and "csv" in err, (argv, err)
 
 
+def test_json_format_is_refused_by_the_plain_square_commands(tmp_path, capsys):
+    square = tmp_path / "sq.txt"
+    square.write_text(square_to_text(cyclic_square(5)))
+    for argv in (
+        ["sample", "--order", "3", "--burnin", "10"],
+        ["count-transversals", str(square)],
+        ["decompose", str(square)],
+        ["verify", str(square), str(square)],
+    ):
+        code, out, err = run(capsys, "--format", "json", *argv)
+        assert code == 1 and out == "", argv
+        assert err.startswith("error: ") and "json" in err, (argv, err)
+
+
+def test_formats_table_names_every_subcommand():
+    (sub,) = (a for a in build_parser()._actions if a.dest == "command")
+    assert set(FORMATS) == set(sub.choices)
+    assert all(formats[0] == "text" for formats in FORMATS.values())
+
+
+def test_count_transversals_writes_its_out_file(tmp_path, capsys):
+    square, answer = tmp_path / "sq.txt", tmp_path / "o.txt"
+    square.write_text(square_to_text(cyclic_square(5)))
+    code, out, err = run(capsys, "--out", str(answer), "count-transversals", str(square))
+    assert (code, out, err) == (0, "", "")
+    assert answer.read_text() == "15\n"
+
+
+def test_decompose_writes_none_and_undecided_to_its_out_file(tmp_path, capsys):
+    square, answer = tmp_path / "sq.txt", tmp_path / "o.txt"
+    for n, budget, status, exit_code in ((4, "100", "none", 0), (5, "0", "undecided", 2)):
+        square.write_text(square_to_text(cyclic_square(n)))
+        code, out, err = run(
+            capsys, "--out", str(answer), "--node-budget", budget, "decompose", str(square)
+        )
+        assert (code, out, err) == (exit_code, "", ""), n
+        assert answer.read_text() == status + "\n"
+
+
+def test_verify_writes_its_out_file(tmp_path, capsys):
+    square, mate = tmp_path / "sq.txt", tmp_path / "mate.txt"
+    square.write_text(square_to_text(cyclic_square(5)))
+    assert run(capsys, "--out", str(mate), "decompose", str(square))[0] == 0
+    answer = tmp_path / "o.txt"
+    code, out, err = run(capsys, "--out", str(answer), "verify", str(square), str(mate))
+    assert (code, out, err) == (0, "", "")
+    assert answer.read_text() == "ok\n"
+
+
 def test_census_links_variance_is_always_a_float(capsys):
     # order 2 admits no length-3 path pairs, so every count is 0
     code, out, _ = run(
@@ -559,7 +608,9 @@ def test_every_subcommand_rejects_an_unwritable_out_file(tmp_path, capsys):
     graph.write_text(json.dumps({"edges": [[1, 1, 1]]}))
     for argv in (
         ["sample", "--order", "3", "--burnin", "10"],
+        ["count-transversals", str(square)],
         ["decompose", str(square)],
+        ["verify", str(square), str(square)],
         ["tarry-check", "--order", "3"],
         ["mc-decomposable", "--order", "3", "--trials", "1"],
         ["census-links", "--order", "4", "--pairs", "1"],

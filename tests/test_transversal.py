@@ -1,6 +1,6 @@
 import random
 import tracemalloc
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 
@@ -108,17 +108,24 @@ def _reference_squares():
 @pytest.mark.parametrize("limit", [0, 1, 3, None, DEFAULT_CANDIDATE_THRESHOLD + 1])
 def test_engine_matches_reference(limit):
     # counts and ordered masks, on whole squares and under random allowed
-    # columns per row (as the lazy decompose path asks)
-    rng = random.Random(2024)
+    # columns per row (as the lazy decompose path asks), and the same on
+    # squares with one or two rows replaced by a constant-symbol row (as
+    # max_partial_transversal asks), whose rows are not permutations
+    rng, pick = random.Random(2024), random.Random(17)
     for k, sq in enumerate(_reference_squares()):
         n = sq.n
         sym = _symbol_bits(sq)
-        for allowed in (None, [rng.getrandbits(n) | rng.getrandbits(n) for _ in range(n)]):
-            count = _reference_transversals(sym, allowed)
-            assert _transversals(sym, allowed) == count, (k, n, allowed)
+        columns = [rng.getrandbits(n) | rng.getrandbits(n) for _ in range(n)]
+        relaxed = sym[:]
+        j = min(n, 1 + k % 2)
+        for r, s in zip(pick.sample(range(n), j), pick.sample(range(n), j)):
+            relaxed[r] = [1 << s] * n
+        for array, allowed in product((sym, relaxed), (None, columns)):
+            count = _reference_transversals(array, allowed)
+            assert _transversals(array, allowed) == count, (k, n, allowed)
             got, want = [], []
-            assert (_transversals(sym, allowed, got, limit), got) == (
-                _reference_transversals(sym, allowed, want, limit), want
+            assert (_transversals(array, allowed, got, limit), got) == (
+                _reference_transversals(array, allowed, want, limit), want
             ), (k, n, allowed)
 
 
@@ -231,6 +238,26 @@ def test_max_partial_refuses_large_orders():
 def test_max_partial_at_least_n_minus_1_reduced_order5():
     for sq in enumerate_reduced(5):
         assert max_partial_transversal(sq).size >= 4
+
+
+def _max_partial_squares():
+    for n in range(1, 6):
+        yield from enumerate_reduced(n)
+    yield from list(enumerate_reduced(6))[::97]
+    for n in range(1, 9):
+        yield cyclic_square(n)
+
+
+def test_max_partial_is_a_maximum_partial_transversal():
+    # Every partial transversal extends to a permutation of the columns, and
+    # the cells of a permutation with distinct symbols form one, so the
+    # maximum size is the most distinct symbols over all permutations.
+    for k, sq in enumerate(_max_partial_squares()):
+        n = sq.n
+        p = max_partial_transversal(sq)
+        assert check_transversal(sq, p.cells, partial=True) is None, (k, n, p.cells)
+        best = max(len({sq.cells[r][perm[r]] for r in range(n)}) for perm in permutations(range(n)))
+        assert p.size == best, (k, n)
 
 
 def test_decompose_cyclic9_and_tarry6():
