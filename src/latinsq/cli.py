@@ -44,7 +44,7 @@ from .core import (
     to_coloring,
 )
 from .links import census_path_pairs, count_links, repeat_pattern, subgraph_probability_probe
-from .sampler import SeededRng, enumerate_reduced, sample_squares, sample_uniform
+from .sampler import REDUCED_LIMIT, SeededRng, enumerate_reduced, sample_squares, sample_uniform
 from .transversal import DEFAULT_NODE_BUDGET, count_transversals, decompose, verify_decomposition
 
 SCHEMA_VERSION = 1
@@ -192,6 +192,8 @@ def cmd_tarry_check(args) -> int:
     undecided = 0
     offender = None
     transversal_histogram: dict[int, int] = {}
+    if not 1 <= n <= REDUCED_LIMIT:
+        raise ValueError(f"order must be in 1..{REDUCED_LIMIT}, got {n}")
     if not 0 <= args.cyclic_prefix_rows <= n:
         raise ValueError(f"cyclic prefix rows must be in 0..{n}, got {args.cyclic_prefix_rows}")
     prefix = None
@@ -211,7 +213,7 @@ def cmd_tarry_check(args) -> int:
             offender = offender or square
     report = ExperimentReport(
         command="tarry-check",
-        params={"order": n, "cyclic_prefix_rows": args.cyclic_prefix_rows},
+        params={"order": n, "cyclic_prefix_rows": args.cyclic_prefix_rows, "node_budget": args.node_budget},
         seed=None,
         summary={
             "examined": examined,

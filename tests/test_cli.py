@@ -128,6 +128,34 @@ def test_tarry_check_order6_transversal_counts(capsys):
     assert summary["transversal_counts"] == {"0": 2100, "8": 7020, "24": 108, "32": 180}
 
 
+def test_tarry_check_order6_at_budget_zero(capsys):
+    # The 288 squares whose every cell lies on a transversal reach the
+    # search, and a budget of 0 leaves each undecided; the other 9120 are
+    # answered "none" before it.
+    code, out, _ = run(capsys, "--format", "json", "--node-budget", "0", "tarry-check", "--order", "6")
+    assert code == 3
+    body = json.loads(out)
+    summary = body["summary"]
+    assert (summary["examined"], summary["resolvable"], summary["undecided"]) == (9408, 0, 288)
+    assert summary["transversal_counts"] == {"0": 2100, "8": 7020, "24": 108, "32": 180}
+    assert body["params"] == {"order": 6, "cyclic_prefix_rows": 0, "node_budget": 0}
+
+
+def test_tarry_check_reports_its_node_budget(capsys):
+    for argv, budget in (([], 10**8), (["--node-budget", "7"], 7)):
+        code, out, _ = run(capsys, "--format", "json", *argv, "tarry-check", "--order", "2")
+        assert code == 0, argv
+        assert json.loads(out)["params"]["node_budget"] == budget, argv
+
+
+def test_tarry_check_checks_the_order_first(capsys):
+    for order in ("-1", "0", "7"):
+        for rows in ("0", "2"):
+            code, out, err = run(capsys, "tarry-check", "--order", order, "--cyclic-prefix-rows", rows)
+            assert code == 1 and out == "", (order, rows)
+            assert err == f"error: order must be in 1..6, got {order}\n", (order, rows, err)
+
+
 def test_tarry_check_order4_finds_resolvables(capsys):
     # order 4 has resolvable squares, so the reproduction claim fails there
     code, out, _ = run(capsys, "--format", "json", "tarry-check", "--order", "4")

@@ -1,6 +1,6 @@
 import random
 import tracemalloc
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -15,7 +15,6 @@ from latinsq.transversal import (
     Decomposition,
     ExactSearchRefused,
     _index_space,
-    _symbol_bits,
     _transversals,
     count_transversals,
     decompose,
@@ -95,6 +94,22 @@ def _reference_transversals(sym, allowed=None, out=None, limit=None):
         return len(out)
 
 
+def _symbol_bits(square):
+    return [[1 << s - 1 for s in row] for row in square.cells]
+
+
+def _engine_picks(sym, allowed=None):
+    """The reference's (sym, allowed) as the engine's picks: per row, column
+    bit | symbol bit << n of each allowed cell, in column order."""
+    n = len(sym)
+    if allowed is None:
+        allowed = [(1 << n) - 1] * n
+    return [
+        [1 << c | srow[c] << n for c in range(n) if allowed_r >> c & 1]
+        for srow, allowed_r in zip(sym, allowed)
+    ]
+
+
 def _reference_squares():
     yield from enumerate_reduced(5)
     yield from list(enumerate_reduced(6))[::97]
@@ -121,10 +136,11 @@ def test_engine_matches_reference(limit):
         for r, s in zip(pick.sample(range(n), j), pick.sample(range(n), j)):
             relaxed[r] = [1 << s] * n
         for array, allowed in product((sym, relaxed), (None, columns)):
+            picks = _engine_picks(array, allowed)
             count = _reference_transversals(array, allowed)
-            assert _transversals(array, allowed) == count, (k, n, allowed)
+            assert _transversals(picks) == count, (k, n, allowed)
             got, want = [], []
-            assert (_transversals(array, allowed, got, limit), got) == (
+            assert (_transversals(picks, got, limit), got) == (
                 _reference_transversals(array, allowed, want, limit), want
             ), (k, n, allowed)
 
@@ -133,11 +149,12 @@ def test_limit_stops_inside_a_join():
     # Past the table's size, so the engine joins; on cyclic order 9 some of
     # these limits fall between two masks of one table group.
     sym = _symbol_bits(cyclic_square(9))
+    picks = _engine_picks(sym)
     every: list[int] = []
     assert _reference_transversals(sym, out=every) == 2025
     for limit in range(400, 500):
         got: list[int] = []
-        assert (_transversals(sym, out=got, limit=limit), got) == (limit, every[:limit]), limit
+        assert (_transversals(picks, got, limit), got) == (limit, every[:limit]), limit
 
 
 # The order-6 Tarry scan over all 9408 reduced squares: the histogram of
@@ -260,6 +277,44 @@ def test_max_partial_is_a_maximum_partial_transversal():
         assert p.size == best, (k, n)
 
 
+def _max_partial_brute_force(square) -> int:
+    """The most rows that take distinct columns and distinct symbols: the
+    largest row subset with such a choice, tried from all n rows down."""
+    n = square.n
+    for size in range(n, 0, -1):
+        for rows in combinations(range(n), size):
+            for columns in permutations(range(n), size):
+                if len({square.cells[r][c] for r, c in zip(rows, columns)}) == size:
+                    return size
+    return 0
+
+
+def test_max_partial_matches_brute_force_over_row_subsets():
+    squares = list(enumerate_all(4)) + list(enumerate_reduced(5))
+    assert len(squares) == 576 + 56
+    for k, sq in enumerate(squares):
+        p = max_partial_transversal(sq)
+        assert check_transversal(sq, p.cells, partial=True) is None, (k, p.cells)
+        assert p.size == _max_partial_brute_force(sq), k
+
+
+# The witnesses max_partial_transversal returns, as row-column digit pairs:
+# for sample_uniform(7, SeededRng(2718).derive(t), burnin=700), t = 0..7, and
+# for the cyclic squares of orders 6 and 8, which have no transversal.
+MAX_PARTIAL_WITNESSES = [
+    "11243247536675", "11243746556273", "11273542536674", "11223743566475",
+    "11233247566475", "11253342576476", "11253243576476", "11243543566772",
+    "1223344651", "12233445576871",
+]
+
+
+def test_max_partial_witnesses_pinned():
+    squares = [sample_uniform(7, SeededRng(2718).derive(t), burnin=700) for t in range(8)]
+    squares += [cyclic_square(6), cyclic_square(8)]
+    got = ["".join(f"{r}{c}" for r, c in max_partial_transversal(sq).cells) for sq in squares]
+    assert got == MAX_PARTIAL_WITNESSES
+
+
 def test_decompose_cyclic9_and_tarry6():
     res = decompose(cyclic_square(9))
     assert res.status == "some"
@@ -356,6 +411,29 @@ def test_undecided_on_tiny_budget():
             res = decompose(cyclic_square(9), node_budget=budget, candidate_threshold=threshold)
             assert (res.status, res.nodes) == ("undecided", budget)
             assert res.decomposition is None
+
+
+def test_dead_root_answers_none_at_budget_zero():
+    # 8 transversals, and some cell lies on none of them
+    sq = from_grid([
+        [1, 2, 3, 4, 5, 6], [2, 1, 4, 3, 6, 5], [3, 4, 5, 6, 1, 2],
+        [4, 5, 6, 2, 3, 1], [5, 6, 2, 1, 4, 3], [6, 3, 1, 5, 2, 4],
+    ])
+    res = decompose(sq, node_budget=0)
+    assert (res.status, res.nodes, res.decomposition) == ("none", 0, None)
+    assert res.candidates == count_transversals(sq) == 8
+    assert decompose(sq) == res
+
+
+def test_covered_root_is_undecided_at_budget_zero():
+    # 32 transversals that cover every cell, so only the search can answer
+    sq = from_grid([
+        [1, 2, 3, 4, 5, 6], [2, 1, 4, 3, 6, 5], [3, 4, 5, 6, 1, 2],
+        [4, 3, 6, 5, 2, 1], [5, 6, 1, 2, 4, 3], [6, 5, 2, 1, 3, 4],
+    ])
+    res = decompose(sq, node_budget=0)
+    assert (res.status, res.nodes, res.decomposition, res.candidates) == ("undecided", 0, None, 32)
+    assert decompose(sq).status == "none"
 
 
 def test_negative_budget_rejected():
