@@ -14,16 +14,26 @@ conjugate sets of line masks over its 1-entries (cell -> symbols, row and
 symbol -> columns, column and symbol -> rows).  A line through the -1 cell
 holds two 1-entries, every other line one.  The walk's working form is three
 plain int arrays (the symbol of each cell, the column of each row/symbol
-pair, the row of each column/symbol pair), with the two members of each
-doubled line held in locals, so a move is about a dozen list stores.  `_walk`
-unpacks the masks on entry and packs them back on exit, O(n^2) per call;
-`jm_step` is one move of the same loop, and `sample_squares` drives it.
+pair, the row of each column/symbol pair, held pre-scaled as row * n so that
+it indexes the other two arrays without a multiplication), with the two
+members of each doubled line held in locals.  Each proper move starts an
+excursion: an inner loop flips it and then makes the improper moves that
+follow, with no test of whether the state is proper, until an apex lands on
+a 1-entry.  A move costs about 0.8 us at orders 10-31 in CPython 3.11 on a
+shared 2-vCPU x86 host, and the walk makes about n moves per proper-state
+visit.  `_walk` unpacks the masks on entry and packs them back
+on exit, O(n^2) per call; `jm_step` is one move of the same loop, and
+`sample_squares` drives it.
 
 The walk draws from `SeededRng`'s buffers of its two bounds (n^3 and 2)
 directly rather than through `randint`: it refills a buffer where `randint`
 would and writes the positions back on exit, so the stream is the one
-`randint` would give.  A subclass that overrides `randint` does not see
-these draws; `SeededRng.draws` counts them.
+`randint` would give.  An improper move reads its three coins b[i], b[i+1],
+b[i+2] as one code b[i]*4 + b[i+1]*2 + b[i+2], made with numpy once per
+bound-2 buffer when the walk first reads it and kept with the buffer; a move
+that starts at one of the buffer's last two positions reads its coins one at
+a time.  A subclass that overrides `randint` does not see these draws;
+`SeededRng.draws` counts them.
 
 The enumerators build squares row by row.  Each row is a permutation of
 1..n with an n^2-bit code (bit c*n + s - 1 for symbol s in column c), so a
@@ -34,6 +44,7 @@ row-major lexicographic order.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Iterator
 
@@ -51,25 +62,34 @@ class SeededRng:
     """Counter-style reproducible stream: (master seed, stream index).
 
     Distinct stream indices give statistically independent draws; the same
-    pair reproduces the same sequence.  `randint` buffers 8192 draws per
-    bound, refilled when spent, for the chain's hot loop; `shuffle` and
-    `sample` need a new bound at every step and bypass the buffers.
-    `shuffle` is the generator's O(L) Fisher-Yates; `sample` is an O(k)
-    partial Fisher-Yates on raw 64-bit draws that never copies its input.
-    The walk reads its two bounds' buffers directly, refilling them where
-    `randint` would, so a subclass that overrides `randint` does not see the
-    walk's draws; `draws` counts them with the rest.
+    pair reproduces the same sequence.  The Philox generator is built on
+    first use, so a stream that is only derived from costs about 1 us.
+    `randint` buffers 8192 draws per bound, refilled when spent, for the
+    chain's hot loop; `shuffle` and `sample` need a new bound at every step
+    and bypass the buffers.  `shuffle` is the generator's O(L) Fisher-Yates;
+    `sample` is an O(k) partial Fisher-Yates on raw 64-bit draws that never
+    copies its input.  The walk reads its two bounds' buffers directly,
+    refilling them where `randint` would, so a subclass that overrides
+    `randint` does not see the walk's draws; `draws` counts them with the
+    rest.  A bound-2 buffer also keeps the walk's three-coin codes (see the
+    module docstring), 64 KB, made when the walk first reads that buffer,
+    whether the walk or `randint(2)` refilled it.
     """
 
     def __init__(self, seed: int, stream: int = 0):
         self.seed = int(seed)
         self.stream = int(stream)
-        key = np.array([self.seed & (2**64 - 1), self.stream & (2**64 - 1)], dtype=np.uint64)
-        self.generator = np.random.Generator(np.random.Philox(key=key))
-        # bound -> [memoryview of the draws, next position]; indexing the
-        # view yields a Python int without copying the buffer
+        # bound -> [memoryview of the draws, next position, the three-coin
+        # codes of a bound-2 buffer once the walk has asked for them];
+        # indexing a view yields a Python int without copying the buffer
         self._buffers: dict[int, list] = {}
         self._spent = 0  # draws in the buffers that refills retired
+
+    @functools.cached_property
+    def generator(self) -> np.random.Generator:
+        """The Philox generator of (seed, stream), built on first use."""
+        key = np.array([self.seed & _MASK64, self.stream & _MASK64], dtype=np.uint64)
+        return np.random.Generator(np.random.Philox(key=key))
 
     def derive(self, stream: int) -> "SeededRng":
         """A fresh independent stream; nested derivation mixes the parent
@@ -80,7 +100,7 @@ class SeededRng:
     @property
     def draws(self) -> int:
         """The buffered draws taken so far, by `randint` and by the walk."""
-        return self._spent + sum(pos for _, pos in self._buffers.values())
+        return self._spent + sum(buf[1] for buf in self._buffers.values())
 
     def randint(self, k: int) -> int:
         """Uniform integer in [0, k), buffered."""
@@ -93,11 +113,11 @@ class SeededRng:
 
     def _refill(self, k: int) -> list:
         """Replace bound k's buffer, spent if there is one, with _BUF fresh
-        draws and return it as [view, 0]."""
+        draws and return it as [view, 0, None]."""
         if k in self._buffers:
             self._spent += _BUF
         arr = self.generator.integers(0, k, size=_BUF, dtype=np.int64)
-        buf = self._buffers[k] = [memoryview(arr), 0]
+        buf = self._buffers[k] = [memoryview(arr), 0, None]
         return buf
 
     def shuffle(self, items: list) -> None:
@@ -197,6 +217,15 @@ class MarkovState:
         )
 
 
+def _coin_codes(buf: list) -> memoryview:
+    """The three-coin codes b[i]*4 + b[i+1]*2 + b[i+2] of a bound-2 buffer
+    b, for i < _BUF - 2; made on first use and kept in its third slot."""
+    if buf[2] is None:
+        b = np.asarray(buf[0])
+        buf[2] = memoryview(4 * b[:-2] + 2 * b[1:-1] + b[2:])
+    return buf[2]
+
+
 def _low_high(m: int) -> tuple[int, int]:
     """The two set bits of a doubled line's mask, lower first."""
     return (m & -m).bit_length() - 1, m.bit_length() - 1
@@ -208,38 +237,57 @@ def _walk(state: MarkovState, rng: SeededRng, visits: int, one_move: bool = Fals
 
     The masks are unpacked into `sym[r*n+c]` (the symbol of a cell),
     `col[r*n+s]` (the column of a row/symbol pair) and `row[c*n+s]` (the row
-    of a column/symbol pair), and packed back on exit.  While the state is
-    improper at (r, c, s), the entries of its three doubled lines are stale
-    and their two members are held as (low, high) pairs in locals instead.
+    of a column/symbol pair, held as r*n so that it indexes the other two
+    arrays directly, as are the row locals `rn`, `r0`, `r1`, `r_lo` and
+    `r_hi`), and packed back on exit.  While the state is improper at
+    (r, c, s), the entries of its three doubled lines are stale and their
+    two members are held as (low, high) pairs in locals instead.  Each pass
+    of the outer loop makes one proper move, and the inner loop flips it and
+    then makes the improper moves that follow until an apex lands on a
+    1-entry; `one_move` stops it after one flip.
     """
     n = state.n
     if n == 1 or visits <= 0:
         return  # a single square has nothing to move
     sym = [m.bit_length() - 1 for m in state.rc]
     col = [m.bit_length() - 1 for m in state.rs]
-    row = [m.bit_length() - 1 for m in state.cs]
+    row = [(m.bit_length() - 1) * n for m in state.cs]
     proper = state.improper is None
     if not proper:
         r, c, s = state.improper
         rn, cn = r * n, c * n
         r_lo, r_hi = _low_high(state.cs[cn + s])
+        r_lo, r_hi = r_lo * n, r_hi * n
         c_lo, c_hi = _low_high(state.rs[rn + s])
         s_lo, s_hi = _low_high(state.rc[rn + c])
+        # the first move is an improper one that no proper move led into:
+        # its three coins are drawn one at a time, as in the loop below,
+        # before the buffers are held in locals
+        draw = SeededRng.randint
+        r1, r0 = (r_hi, r_lo) if draw(rng, 2) else (r_lo, r_hi)
+        c1, c0 = (c_hi, c_lo) if draw(rng, 2) else (c_lo, c_hi)
+        s1, s0 = (s_hi, s_lo) if draw(rng, 2) else (s_lo, s_hi)
     # the buffers of the two bounds, read in place of `rng.randint`: a
     # missing buffer counts as spent, each is refilled when a draw finds it
-    # spent, and the positions are written back on exit
+    # spent, and the positions are written back on exit.  An improper move
+    # reads its three coins as one code from bound 2's buffer, except when
+    # it starts at one of the buffer's last two positions
     n3 = n * n * n
     buffers, refill, full = rng._buffers, rng._refill, _BUF
+    edge = full - 2
     cube = buffers.get(n3)
-    cube_view, cube_pos = cube if cube is not None else (None, full)
+    cube_view, cube_pos = (cube[0], cube[1]) if cube is not None else (None, full)
     coin = buffers.get(2)
-    coin_view, coin_pos = coin if coin is not None else (None, full)
+    if coin is not None:
+        coin_view, coin_pos, codes = coin[0], coin[1], _coin_codes(coin)
+    else:
+        coin_view, coin_pos, codes = None, full, None
     while True:
         if proper:
             while True:
                 if cube_pos == full:
                     cube = refill(n3)
-                    cube_view, cube_pos = cube
+                    cube_view, cube_pos = cube[0], 0
                 x = cube_view[cube_pos]
                 cube_pos += 1
                 rcx = x // n  # rcx = r*n + c
@@ -247,62 +295,32 @@ def _walk(state: MarkovState, rng: SeededRng, visits: int, one_move: bool = Fals
                 s1 = sym[rcx]
                 if s1 != s:
                     break
-            r = rcx // n
-            c = rcx - r * n
+            c = rcx % n
             rn, cn = rcx - c, c * n
             # each line through the 0-cell holds one 1-entry; (r, c, s)
             # turns from 0 to 1 and becomes the entry left on its lines
             r1, c1 = row[cn + s], col[rn + s]
-            r0, c0, s0 = r, c, s
-        else:
-            # each line through the -1 cell holds two 1-entries; draw 0 picks
-            # the lower index, 1 the higher, and the other one stays on the
-            # line once (r, c, s) turns from -1 to 0
-            if coin_pos == full:
-                coin = refill(2)
-                coin_view, coin_pos = coin
-            if coin_view[coin_pos]:
-                r1, r0 = r_hi, r_lo
-            else:
-                r1, r0 = r_lo, r_hi
-            coin_pos += 1
-            if coin_pos == full:
-                coin = refill(2)
-                coin_view, coin_pos = coin
-            if coin_view[coin_pos]:
-                c1, c0 = c_hi, c_lo
-            else:
-                c1, c0 = c_lo, c_hi
-            coin_pos += 1
-            if coin_pos == full:
-                coin = refill(2)
-                coin_view, coin_pos = coin
-            if coin_view[coin_pos]:
-                s1, s0 = s_hi, s_lo
-            else:
-                s1, s0 = s_lo, s_hi
-            coin_pos += 1
-        # flip the 2x2x2 subcube spanned by (r,c,s) and (r1,c1,s1): on each
-        # of its 12 lines the 1-entry moves to the other corner, except on
-        # the three lines through the apex (r1,c1,s1) when it becomes -1
-        r1n, c1n = r1 * n, c1 * n
-        sym[rn + c] = s0
-        sym[rn + c1] = sym[r1n + c] = s1
-        col[rn + s] = c0
-        col[rn + s1] = col[r1n + s] = c1
-        row[cn + s] = r0
-        row[cn + s1] = row[c1n + s] = r1
-        t = sym[r1n + c1]
-        if t == s1:
-            sym[r1n + c1], col[r1n + s1], row[c1n + s1] = s, c, r
-            proper = True
-            visits -= 1
-            if not visits:
+            r0, c0, s0 = rn, c, s
+        while True:
+            # flip the 2x2x2 subcube spanned by (r,c,s) and (r1,c1,s1): on
+            # each of its 12 lines the 1-entry moves to the other corner,
+            # except on the three lines through the apex (r1,c1,s1) when it
+            # becomes -1
+            c1n = c1 * n
+            sym[rn + c] = s0
+            sym[rn + c1] = sym[r1 + c] = s1
+            col[rn + s] = c0
+            col[rn + s1] = col[r1 + s] = c1
+            row[cn + s] = r0
+            row[cn + s1] = row[c1n + s] = r1
+            t = sym[r1 + c1]
+            if t == s1:
+                sym[r1 + c1], col[r1 + s1], row[c1n + s1] = s, c, rn
+                proper = True
                 break
-        else:
             # the apex turns from 0 to -1; each of its lines keeps its old
             # 1-entry and gains the one the flip put there
-            u, w = col[r1n + s1], row[c1n + s1]
+            u, w = col[r1 + s1], row[c1n + s1]
             if s < t:
                 s_lo, s_hi = s, t
             else:
@@ -311,28 +329,60 @@ def _walk(state: MarkovState, rng: SeededRng, visits: int, one_move: bool = Fals
                 c_lo, c_hi = c, u
             else:
                 c_lo, c_hi = u, c
-            if r < w:
-                r_lo, r_hi = r, w
+            if rn < w:
+                r_lo, r_hi = rn, w
             else:
-                r_lo, r_hi = w, r
-            r, c, s, rn, cn = r1, c1, s1, r1n, c1n
-            proper = False
+                r_lo, r_hi = w, rn
+            rn, c, s = r1, c1, s1
+            cn = c1n
             if one_move:
+                proper = False
                 break
+            # each line through the -1 cell holds two 1-entries; coin 0
+            # picks the lower index, 1 the higher, and the other one stays
+            # on the line once (r, c, s) turns from -1 to 0
+            if coin_pos < edge:
+                code = codes[coin_pos]
+                coin_pos += 3
+            else:
+                code = 0
+                for _ in range(3):
+                    if coin_pos == full:
+                        coin = refill(2)
+                        coin_view, coin_pos, codes = coin[0], 0, _coin_codes(coin)
+                    code = 2 * code + coin_view[coin_pos]
+                    coin_pos += 1
+            if code & 4:
+                r1, r0 = r_hi, r_lo
+            else:
+                r1, r0 = r_lo, r_hi
+            if code & 2:
+                c1, c0 = c_hi, c_lo
+            else:
+                c1, c0 = c_lo, c_hi
+            if code & 1:
+                s1, s0 = s_hi, s_lo
+            else:
+                s1, s0 = s_lo, s_hi
+        if not proper:
+            break
+        visits -= 1
+        if not visits:
+            break
     if cube is not None:
         cube[1] = cube_pos
     if coin is not None:
         coin[1] = coin_pos
     state.rc[:] = [1 << v for v in sym]
     state.rs[:] = [1 << v for v in col]
-    state.cs[:] = [1 << v for v in row]
+    state.cs[:] = [1 << (v // n) for v in row]
     if proper:
         state.improper = None
     else:
         state.rc[rn + c] = 1 << s_lo | 1 << s_hi
         state.rs[rn + s] = 1 << c_lo | 1 << c_hi
-        state.cs[cn + s] = 1 << r_lo | 1 << r_hi
-        state.improper = (r, c, s)
+        state.cs[cn + s] = 1 << (r_lo // n) | 1 << (r_hi // n)
+        state.improper = (rn // n, c, s)
 
 
 def jm_step(state: MarkovState, rng: SeededRng) -> MarkovState:

@@ -358,6 +358,55 @@ def test_jm_step_matches_flat_cube_reference(n):
             assert st.improper == improper and _cube(st) == flat, (seed, step)
 
 
+def _flat_visits(n, flat, improper, rng, visits):
+    """Flat reference moves until the `visits`-th proper state."""
+    while visits:
+        improper = _flat_jm_step(n, flat, improper, rng)
+        visits -= improper is None
+    return improper
+
+
+@pytest.mark.parametrize("n, visits", [(10, 1000), (31, 400)])
+def test_walk_matches_flat_cube_reference(n, visits):
+    # one multi-visit walk against the reference, past several refills of
+    # the bound-2 buffer; the cube is compared once, at the end
+    st = MarkovState.from_square(cyclic_square(n))
+    flat = _cube(st)
+    rng_mask, rng_flat = SeededRng(19).derive(n), SeededRng(19).derive(n)
+    _walk(st, rng_mask, visits)
+    assert _flat_visits(n, flat, None, rng_flat, visits) is None
+    assert st.is_proper and _cube(st) == flat
+    assert rng_mask.draws == rng_flat.draws > 3 * 8192
+
+
+@pytest.mark.parametrize("spent", [8189, 8190, 8191, 8192])
+def test_walk_reads_coin_codes_up_to_the_buffer_edge(spent):
+    # an improper move reads its three coins as one code unless it starts at
+    # position 8190 or 8191 of the bound-2 buffer.  A walk entered in an
+    # improper state reads its first move's coins one at a time, so it is
+    # also started 3 positions earlier, where its second move is at `spent`
+    n = 5
+    improper_start = MarkovState.from_square(cyclic_square(n))
+    _step_until(improper_start, SeededRng(4), proper=False)
+    for start in (MarkovState.from_square(cyclic_square(n)), improper_start):
+        for pre in (spent, spent - 3):
+            st = MarkovState(n, list(start.rc), list(start.rs), list(start.cs), start.improper)
+            flat, improper = _cube(st), st.improper
+            rng_mask, rng_flat = SeededRng(23, pre), SeededRng(23, pre)
+            for rng in (rng_mask, rng_flat):
+                for _ in range(pre):
+                    rng.randint(2)
+            for visits in (1, 1, 3):
+                _walk(st, rng_mask, visits)
+                improper = _flat_visits(n, flat, improper, rng_flat, visits)
+                assert st.improper == improper and _cube(st) == flat, (start.improper, pre)
+                assert rng_mask.draws == rng_flat.draws
+            jm_step(st, rng_mask)
+            improper = _flat_jm_step(n, flat, improper, rng_flat)
+            assert st.improper == improper and _cube(st) == flat
+            assert rng_mask.draws == rng_flat.draws
+
+
 def _visits_by_steps(st, rng, visits):
     while visits:
         jm_step(st, rng)
