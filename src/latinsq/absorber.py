@@ -23,10 +23,12 @@ roots by vertex-disjoint paths pruned around previously routed traffic.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 
 from .rainbow import make_pair
 from .sampler import SeededRng
@@ -52,6 +54,15 @@ class CorrectionInstance:
     `chosen[i]` (a subset of the reservoir) are vertices to switch in, with
     |chosen[i]| = |surplus[i]| and the union over i of chosen equal as a
     multiset to the union of surplus.
+
+    Validation builds two lookup tables that the checks and the chord and
+    gadget stages read instead of rebuilding them: `_universe` (the universe
+    as a frozenset) and `_held` (index -> its reservoir | surplus, a
+    frozenset, keyed by exactly the indices).  Two more are built on first
+    use: `_contract`, which the checks read, and `_positions`, which only
+    orders violations.  The tables are attributes, not fields, so they stay
+    out of `==`, `repr` and `to_json`.  Like the validation, they assume the
+    instance's dicts and sets are not mutated after construction.
     """
 
     indices: tuple[int, ...]
@@ -61,27 +72,52 @@ class CorrectionInstance:
     chosen: dict
 
     def __post_init__(self):
-        uni = set(self.universe)
+        uni = frozenset(self.universe)
         if len(uni) != len(self.universe) or len(set(self.indices)) != len(self.indices):
             raise ValueError("the universe and the indices must not repeat")
-        all_chosen: Counter = Counter()
-        all_surplus: Counter = Counter()
+        held: dict = {}
+        surpluses, chosens = [], []
         for i in self.indices:
-            res = set(self.reservoir.get(i, ()))
-            sur = set(self.surplus.get(i, ()))
-            cho = set(self.chosen.get(i, ()))
-            if not res <= uni or not sur <= uni:
+            # frozenset() returns a frozenset argument itself, without a copy
+            res = frozenset(self.reservoir.get(i, ()))
+            sur = frozenset(self.surplus.get(i, ()))
+            cho = frozenset(self.chosen.get(i, ()))
+            both = held[i] = res | sur
+            if not both <= uni:
                 raise ValueError(f"index {i}: sets leave the universe")
-            if res & sur:
+            if len(both) != len(res) + len(sur):
                 raise ValueError(f"index {i}: reservoir and surplus intersect")
             if not cho <= res:
                 raise ValueError(f"index {i}: chosen vertices must come from the reservoir")
             if len(cho) != len(sur):
                 raise ValueError(f"index {i}: |chosen| = {len(cho)} != |surplus| = {len(sur)}")
-            all_chosen.update(cho)
-            all_surplus.update(sur)
-        if all_chosen != all_surplus:
+            surpluses.append(sur)
+            chosens.append(cho)
+        # one count of the surplus union, less the chosen union
+        balance = Counter(chain.from_iterable(surpluses))
+        balance.subtract(chain.from_iterable(chosens))
+        if any(balance.values()):
             raise ValueError("chosen and surplus unions differ as multisets")
+        object.__setattr__(self, "_universe", uni)
+        object.__setattr__(self, "_held", held)
+
+    @functools.cached_property
+    def _contract(self) -> dict:
+        """The net-degree contract of `check_conservation`: (index, vertex)
+        -> +1 on surplus and -1 on chosen vertices."""
+        contract = {}
+        for i in self.indices:
+            for u in self.surplus.get(i, ()):
+                contract[i, u] = 1
+            for u in self.chosen.get(i, ()):
+                contract[i, u] = -1
+        return contract
+
+    @functools.cached_property
+    def _positions(self) -> tuple[dict, dict]:
+        """Index -> position in `indices`, vertex -> position in `universe`."""
+        return ({i: k for k, i in enumerate(self.indices)},
+                {u: k for k, u in enumerate(self.universe)})
 
     def to_json(self) -> str:
         return json.dumps(
@@ -147,35 +183,41 @@ class DirectedColoredMultigraph:
 
 
 def check_conservation(graph: DirectedColoredMultigraph, inst: CorrectionInstance) -> list:
-    """Violations of the per-colour net-degree contract: +1 on surplus
-    vertices, -1 on chosen vertices, 0 elsewhere, ordered as `inst.indices`
-    and then `inst.universe`.  One pass over the arcs adds their net degrees
-    to the negated contract; only the keys left nonzero are then placed and
-    sorted, since every other (vertex, colour) meets its target."""
-    off: dict = {}
-    for i in inst.indices:
-        for u in inst.chosen.get(i, ()):
-            off[(u, i)] = 1
-        for u in inst.surplus.get(i, ()):
-            off[(u, i)] = -1
+    """Violations (index, vertex, net degree, target) of the per-colour
+    net-degree contract: +1 on surplus vertices, -1 on chosen vertices, 0
+    elsewhere.  Those inside the instance come first, ordered as
+    `inst.indices` and then `inst.universe`; those at a vertex outside the
+    universe or a colour that is not an index follow, with target 0, in the
+    order the arcs first reach them.  One pass over the arcs takes their net
+    degrees off a copy of the instance's contract; only the keys left
+    nonzero are then placed and sorted, since every other (colour, vertex)
+    meets its target."""
+    contract = inst._contract
+    off = dict(contract)  # (colour, vertex) -> target - net degree
+    get = off.get
     for (t, h, c), m in graph.edges.items():
-        off[(t, c)] = off.get((t, c), 0) + m
-        off[(h, c)] = off.get((h, c), 0) - m
-    keys = [key for key, d in off.items() if d]
+        slot = c, t
+        off[slot] = get(slot, 0) - m
+        slot = c, h
+        off[slot] = get(slot, 0) + m
+    keys = [slot for slot, d in off.items() if d]
     if not keys:
         return []
-    ipos, upos = _positions(inst)
+    held, universe = inst._held, inst._universe  # held's keys are the indices
+    inside, outside = [], []
+    for slot in keys:
+        i, u = slot
+        if i in held and u in universe:
+            inside.append(slot)
+        else:
+            outside.append((i, u, -off[slot], 0))
+    ipos, upos = inst._positions
+    inside.sort(key=lambda slot: (ipos[slot[0]], upos[slot[1]]))
     bad = []
-    for pi, pu in sorted((ipos[i], upos[u]) for (u, i) in keys if i in ipos and u in upos):
-        i, u = inst.indices[pi], inst.universe[pu]
-        target = 1 if u in inst.surplus.get(i, ()) else -1 if u in inst.chosen.get(i, ()) else 0
-        bad.append((i, u, off[(u, i)] + target, target))
-    return bad
-
-
-def _positions(inst: CorrectionInstance) -> tuple[dict, dict]:
-    """Index -> position in `inst.indices`, vertex -> position in `inst.universe`."""
-    return {i: k for k, i in enumerate(inst.indices)}, {u: k for k, u in enumerate(inst.universe)}
+    for slot in inside:
+        target = contract.get(slot, 0)
+        bad.append((*slot, target - off[slot], target))
+    return bad + outside
 
 
 def random_correction_instance(
@@ -203,7 +245,7 @@ def random_correction_instance(
             for u in rng.sample(universe, min(universe_size, len(chosen[i]) + 4))
             if u not in surplus[i] and u not in chosen[i]
         ]
-        reservoir[i] = frozenset(set(chosen[i]) | set(extra[:4]))
+        reservoir[i] = chosen[i].union(extra[:4])
     return CorrectionInstance(
         indices=indices,
         universe=universe,
@@ -387,11 +429,7 @@ def decompose_corrections(
     if inst.indices and demand:
         margin = _FEASIBILITY_FACTOR * demand / len(inst.indices)
         for i in inst.indices:
-            free = (
-                len(inst.universe)
-                - len(inst.reservoir.get(i, frozenset()))
-                - len(inst.surplus.get(i, frozenset()))
-            )
+            free = len(inst.universe) - len(inst._held[i])
             if free < margin:
                 raise InfeasibleError(
                     "feasibility check",
@@ -429,7 +467,7 @@ def _decompose_once(
         cho = sorted(inst.chosen.get(i, ()))
         if rng is not None:
             rng.shuffle(cho)
-        arcs.extend((u, v, i) for u, v in zip(sur, cho))
+        arcs.extend(zip(sur, cho, repeat(i)))
     snapshot("initial", arcs)
 
     # stage 2: cycle decomposition; stage 3: make every cycle rainbow
@@ -438,12 +476,13 @@ def _decompose_once(
     snapshot("rainbow", (e for cyc in cycles for e in cyc))
 
     # blocked[i]: the vertices v whose slot (i, v) the chord and gadget
-    # stages may not take, colour i's reservoir and surplus and every slot
-    # a chord or a gadget has taken; chord_cover[i]: colour i's chord ends
-    blocked = {
-        i: set(inst.reservoir.get(i, ())).union(inst.surplus.get(i, ())) for i in inst.indices
-    }
-    chord_cover: dict = {i: set() for i in inst.indices}
+    # stages may not take, colour i's held set (reservoir and surplus) and
+    # every slot a chord or a gadget has taken; chord_ends[i]: the number of
+    # colour i's chord ends, two new ones per chord, since a chord takes
+    # only slots that were not blocked
+    held = inst._held
+    blocked = {i: set(h) for i, h in held.items()}
+    chord_ends: dict = dict.fromkeys(inst.indices, 0)
     universe_sorted = sorted(inst.universe)
     colors_sorted = sorted(inst.indices)
 
@@ -459,56 +498,37 @@ def _decompose_once(
             pairs.append(make_pair(i, u, j, v))
             continue
         verts = [e[0] for e in cyc]  # position p holds the tail of edge p
-        arc_color = {(p, (p + 1) % L): cyc[p][2] for p in range(L)}
-        if L == 3:
-            tri_list = [(0, 1, 2)]
-            chords: list = []
-        else:
-            chords, tri_list = _zigzag_triangles(L)
-        chord_color: dict = {}
+        # the colour of each side, keyed by its two positions in order: the
+        # arcs p -> p + 1, the closing arc L - 1 -> 0 and the chords
+        color = {(p, p + 1): cyc[p][2] for p in range(L - 1)}
+        color[0, L - 1] = cyc[-1][2]
+        chords, tri_list = _zigzag_triangles(L)
         for (p, q) in chords:
             x, y = verts[p], verts[q]
-            cands = list(colors_sorted)
+            cands = colors_sorted
             if rng is not None:
+                cands = list(colors_sorted)
                 rng.shuffle(cands)
             chosen_color = None
-            saw_space = False
             for i in cands:
-                if (
-                    x in inst.reservoir.get(i, frozenset())
-                    or x in inst.surplus.get(i, frozenset())
-                    or y in inst.reservoir.get(i, frozenset())
-                    or y in inst.surplus.get(i, frozenset())
-                ):
-                    continue
-                saw_space = True
-                if x in blocked[i] or y in blocked[i]:
-                    continue
-                if len(chord_cover[i] | {x, y}) > color_cap:
+                b = blocked[i]
+                if x in b or y in b or chord_ends[i] + 2 > color_cap:
                     continue
                 chosen_color = i
                 break
             if chosen_color is None:
-                if not saw_space:
+                if all(x in held[i] or y in held[i] for i in cands):
                     raise InfeasibleError("chord colouring", "insufficient colour space")
                 raise InfeasibleError(
                     "chord colouring", f"no admissible colour for chord ({x},{y})"
                 )
-            chord_color[(p, q)] = chosen_color
+            color[p, q] = chosen_color
             blocked[chosen_color].update((x, y))
-            chord_cover[chosen_color].update((x, y))
+            chord_ends[chosen_color] += 2
             dprime_edges.append((x, y, chosen_color))
             dprime_edges.append((y, x, chosen_color))
-
-        def edge_col(p: int, q: int) -> int:
-            if (p, q) in arc_color:
-                return arc_color[(p, q)]
-            return chord_color[tuple(sorted((p, q)))]
-
         for (p, q, r) in tri_list:
-            triangles.append(
-                (verts[p], verts[q], verts[r], edge_col(p, q), edge_col(q, r), edge_col(r, p))
-            )
+            triangles.append((verts[p], verts[q], verts[r], color[p, q], color[q, r], color[p, r]))
     snapshot("triangulated", dprime_edges)
 
     # stage 5: replace each rainbow triangle by the 2-cycle gadget
@@ -518,14 +538,16 @@ def _decompose_once(
         final_edges.append((u, v, i))
         final_edges.append((v, u, j))
     for (x, y, z, a, b, c) in triangles:
-        fresh = []
         cands_v = universe_sorted
         if rng is not None:
             cands_v = list(universe_sorted)
             rng.shuffle(cands_v)
+        # the first three vertices free in all three colours and off the
+        # triangle; the universe does not repeat, so none comes twice
+        fresh = []
         ba, bb, bc = blocked[a], blocked[b], blocked[c]
         for v in cands_v:
-            if v in ba or v in bb or v in bc or v in (x, y, z) or v in fresh:
+            if v in ba or v in bb or v in bc or v in (x, y, z):
                 continue
             fresh.append(v)
             if len(fresh) == 3:
@@ -535,32 +557,29 @@ def _decompose_once(
                 "triangle gadget", f"no fresh vertices for triangle ({x},{y},{z})"
             )
         xp, yp, zp = fresh
-        cands_c = list(colors_sorted)
+        cands_c = colors_sorted
         if rng is not None:
+            cands_c = list(colors_sorted)
             rng.shuffle(cands_c)
-        fresh_color = None
-        saw_space = False
+        d = None
         for i in cands_c:
             if i in (a, b, c):
                 continue
-            saw_space = True
-            if xp in blocked[i] or yp in blocked[i] or zp in blocked[i]:
+            bi = blocked[i]
+            if xp in bi or yp in bi or zp in bi:
                 continue
-            fresh_color = i
+            d = i
             break
-        if fresh_color is None:
-            if not saw_space:
+        if d is None:
+            if all(i in (a, b, c) for i in cands_c):
                 raise InfeasibleError("triangle gadget", "insufficient colour space")
             raise InfeasibleError(
                 "triangle gadget", f"no fresh colour for triangle ({x},{y},{z})"
             )
-        d = fresh_color
-        for (i, v) in (
-            (a, xp), (c, xp), (d, xp),
-            (a, yp), (b, yp), (d, yp),
-            (b, zp), (c, zp), (d, zp),
-        ):
-            blocked[i].add(v)
+        blocked[a].update((xp, yp))
+        blocked[b].update((yp, zp))
+        blocked[c].update((xp, zp))
+        blocked[d].update(fresh)
         gadget = [
             (x, xp, a), (xp, yp, a), (yp, y, a),
             (y, yp, b), (yp, zp, b), (zp, z, b),
@@ -586,47 +605,57 @@ def _decompose_once(
     return result
 
 
-_RULES = ("membership", "A1-1", "A1-2", "A1-3", "A1-4")
-
-
 def verify_corrections(inst: CorrectionInstance, cset: CorrectionSet) -> tuple[bool, list]:
     """Check all five conclusion groups; violations come back as
-    (rule, index, vertex) triples, grouped by index in `inst.indices` order
+    (rule, index, vertex) triples.  Membership violations come first, in
+    `cset.pairs` iteration order (within a pair, its slots in the pair's
+    own order).  The others follow grouped by index in `inst.indices` order
     and by rule, with the vertices of A1-1 to A1-3 in ascending order and
     those of A1-4 in `inst.universe` order.  Only the violations are sorted."""
     violations: list = []
-    ipos, upos = _positions(inst)
-    reservoir, surplus, chosen = inst.reservoir, inst.surplus, inst.chosen
+    held, universe, contract = inst._held, inst._universe, inst._contract
+    reservoir, surplus = inst.reservoir, inst.surplus
     empty = frozenset()
-    outs: dict = {}
-    ins: dict = {}
-    for p in cset.pairs:
-        (i, u), (j, v) = p
-        for a, x, b in ((i, u, j), (j, v, i)):
-            # x plays "switch out of a, into b": x not in reservoir_a nor surplus_b
-            if (a not in ipos or x not in upos or x in reservoir.get(a, empty)
-                    or x in surplus.get(b, empty)):
-                violations.append(("membership", a, x))
-        outs[i, u] = outs.get((i, u), 0) + 1
-        outs[j, v] = outs.get((j, v), 0) + 1
-        ins[j, u] = ins.get((j, u), 0) + 1
-        ins[i, v] = ins.get((i, v), 0) + 1
-    # A1-4 holds at (0, 0), so only the slots some pair touches need a look
-    unbalanced: dict = {}
-    for key in outs.keys() | ins.keys():
-        i, u = key
-        if (i in ipos and u in upos and (outs.get(key, 0), ins.get(key, 0)) not in ((0, 0), (1, 1))
-                and u not in reservoir.get(i, empty) and u not in surplus.get(i, empty)):
-            unbalanced.setdefault(i, []).append(upos[u])
-    for i in inst.indices:
-        res, cho = reservoir.get(i, empty), chosen.get(i, empty)
-        for rule, bad in (
-            ("A1-1", [u for u in surplus.get(i, ()) if outs.get((i, u), 0) != 1]),
-            ("A1-2", [u for u in cho if ins.get((i, u), 0) != 1]),
-            ("A1-3", [u for u in res if u not in cho and (i, u) in ins]),
-        ):
-            violations.extend((rule, i, u) for u in sorted(bad))
-        violations.extend(("A1-4", i, inst.universe[pu]) for pu in sorted(unbalanced.get(i, ())))
+    into = []  # the slots the pairs switch vertices into
+    for (i, u), (j, v) in cset.pairs:
+        # u switches out of i and into j, v the other way; neither may be in
+        # the reservoir of the index it leaves nor in the surplus of the other
+        # (held's keys are the indices)
+        if (i not in held or u not in universe or u in reservoir.get(i, empty)
+                or u in surplus.get(j, empty)):
+            violations.append(("membership", i, u))
+        if (j not in held or v not in universe or v in reservoir.get(j, empty)
+                or v in surplus.get(i, empty)):
+            violations.append(("membership", j, v))
+        into.append((j, u))
+        into.append((i, v))
+    ins = Counter(into)
+    outs = Counter(chain.from_iterable(cset.pairs))
+    bad = []
+    # A1-1 and A1-2: every surplus slot switches out once, every chosen slot in once
+    for slot, target in contract.items():
+        if (outs if target == 1 else ins).get(slot) != 1:
+            bad.append(("A1-1" if target == 1 else "A1-2", *slot))
+    # A1-3: no vertex switches into a reservoir slot that is not chosen
+    for slot in ins:
+        i, u = slot
+        if u in held.get(i, empty) and slot not in contract:
+            bad.append(("A1-3", i, u))
+    # A1-4 holds at (0, 0), so only the slots some pair touches need a look,
+    # and of those only the ones not balanced at (1, 1)
+    for slot in outs.keys() | ins.keys():
+        if outs.get(slot) == 1 == ins.get(slot):
+            continue
+        i, u = slot
+        if i in held and u in universe and u not in held[i]:
+            bad.append(("A1-4", i, u))
+
+    def place(violation):
+        rule, i, u = violation
+        ipos, upos = inst._positions
+        return ipos[i], rule, upos[u] if rule == "A1-4" else u
+
+    violations.extend(sorted(bad, key=place))
     return (not violations, violations)
 
 

@@ -46,11 +46,12 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator
 
 from .core import LatinSquare, ValidationError, _trusted_square, cyclic_square
+
+if TYPE_CHECKING:
+    import numpy as np  # imported at the first draw; see SeededRng
 
 DEFAULT_BURNIN_FACTOR = 10  # burn-in = 10 * n^3 proper-state visits
 _BUF = 8192
@@ -63,7 +64,8 @@ class SeededRng:
 
     Distinct stream indices give statistically independent draws; the same
     pair reproduces the same sequence.  The Philox generator is built on
-    first use, so a stream that is only derived from costs about 1 us.
+    first use, so a stream that is only derived from costs about 1 us, and
+    numpy is imported only then: a program that never draws never loads it.
     `randint` buffers 8192 draws per bound, refilled when spent, for the
     chain's hot loop; `shuffle` and `sample` need a new bound at every step
     and bypass the buffers.  `shuffle` is the generator's O(L) Fisher-Yates;
@@ -88,6 +90,8 @@ class SeededRng:
     @functools.cached_property
     def generator(self) -> np.random.Generator:
         """The Philox generator of (seed, stream), built on first use."""
+        import numpy as np
+
         key = np.array([self.seed & _MASK64, self.stream & _MASK64], dtype=np.uint64)
         return np.random.Generator(np.random.Philox(key=key))
 
@@ -114,6 +118,8 @@ class SeededRng:
     def _refill(self, k: int) -> list:
         """Replace bound k's buffer, spent if there is one, with _BUF fresh
         draws and return it as [view, 0, None]."""
+        import numpy as np
+
         if k in self._buffers:
             self._spent += _BUF
         arr = self.generator.integers(0, k, size=_BUF, dtype=np.int64)
@@ -221,6 +227,8 @@ def _coin_codes(buf: list) -> memoryview:
     """The three-coin codes b[i]*4 + b[i+1]*2 + b[i+2] of a bound-2 buffer
     b, for i < _BUF - 2; made on first use and kept in its third slot."""
     if buf[2] is None:
+        import numpy as np
+
         b = np.asarray(buf[0])
         buf[2] = memoryview(4 * b[:-2] + 2 * b[1:-1] + b[2:])
     return buf[2]

@@ -146,6 +146,28 @@ def test_decompose_digest_with_retries_unchanged():
     assert h.hexdigest()[:16] == "cfd2d0b5c7412ce0"
 
 
+def test_benchmark_shape_digest_unchanged():
+    # instances of the benchmark's shape (20 indices over 1..400, surpluses
+    # of at most 3), their pairs, stage graphs and check results
+    import hashlib
+
+    h = hashlib.sha256()
+    for t in range(25):
+        inst = random_correction_instance(
+            SeededRng(41).derive(0).derive(t), num_indices=20, universe_size=400, max_surplus=3
+        )
+        cset, stages = decompose_corrections(inst, SeededRng(41).derive(1).derive(t),
+                                             collect_stages=True)
+        h.update(inst.to_json().encode())
+        h.update(cset.to_json().encode())
+        for name, graph in stages:
+            h.update(name.encode())
+            h.update(repr(sorted(graph.edges.items())).encode())
+            h.update(repr(check_conservation(graph, inst)).encode())
+        h.update(repr(verify_corrections(inst, cset)).encode())
+    assert h.hexdigest()[:16] == "b1664b69c6bd91f7"
+
+
 def _valid_deal(surplus, chosen):
     pool = Counter(u for sur in surplus.values() for u in sur)
     return (
@@ -299,6 +321,9 @@ def _dense_conservation(graph, inst):
             want = 1 if u in inst.surplus.get(i, ()) else (-1 if u in inst.chosen.get(i, ()) else 0)
             if net[(u, i)] != want:
                 bad.append((i, u, net[(u, i)], want))
+    # then the vertices and colours outside the instance, in first-seen arc order
+    uni, idx = set(inst.universe), set(inst.indices)
+    bad += [(i, u, d, 0) for (u, i), d in net.items() if d and not (u in uni and i in idx)]
     return bad
 
 
@@ -403,6 +428,50 @@ def test_sparse_verify_matches_dense():
             assert got == _dense_verify(inst, bad)
             rules.update(rule for rule, _i, _u in got[1])
     assert set(rules) == {"membership", "A1-1", "A1-2", "A1-3", "A1-4"}, rules
+
+
+def test_conservation_reports_arcs_outside_the_instance():
+    inst = random_correction_instance(SeededRng(1).derive(0), num_indices=6, universe_size=40)
+    _cset, stages = decompose_corrections(inst, SeededRng(2), collect_stages=True)
+    edges = Counter(stages[-1][1].edges)
+    assert check_conservation(DirectedColoredMultigraph(edges), inst) == []
+    edges[(10**6, "x", 1)] += 1  # vertices outside the universe
+    edges[(1, 2, 99)] += 1  # a colour that is not an index
+    assert check_conservation(DirectedColoredMultigraph(edges), inst) == [
+        (1, 10**6, 1, 0), (1, "x", -1, 0), (99, 1, 1, 0), (99, 2, -1, 0),
+    ]
+    edges[(1, 2, 3)] += 1  # in-instance violations come first
+    assert check_conservation(DirectedColoredMultigraph(edges), inst) == [
+        (3, 1, 1, 0), (3, 2, -1, 0),
+        (1, 10**6, 1, 0), (1, "x", -1, 0), (99, 1, 1, 0), (99, 2, -1, 0),
+    ]
+
+
+def test_instance_tables_leak_nowhere():
+    rnd = random.Random(7)
+    inst = random_correction_instance(SeededRng(5).derive(0), num_indices=10, universe_size=60)
+    text, shown = inst.to_json(), repr(inst)
+    cset, stages = decompose_corrections(inst, SeededRng(5).derive(1), collect_stages=True)
+    bad_set = _mutated_set(cset, inst, rnd)
+    bad_graph = _mutated_graph(stages[-1][1], inst, rnd)
+    for _name, graph in stages:
+        assert check_conservation(graph, inst) == []
+    assert verify_corrections(inst, cset) == (True, [])
+    assert verify_corrections(inst, bad_set)[1]  # orders violations by position
+    assert check_conservation(bad_graph, inst)
+    assert inst.to_json() == text and repr(inst) == shown
+    assert inst == CorrectionInstance.from_json(inst.to_json())
+    # the same dicts listed in another order: the same violations, in its own order
+    other = _permuted(inst, rnd)
+    assert other != inst
+    for mine, theirs, dense in (
+        (verify_corrections(other, bad_set)[1], verify_corrections(inst, bad_set)[1],
+         _dense_verify(other, bad_set)[1]),
+        (check_conservation(bad_graph, other), check_conservation(bad_graph, inst),
+         _dense_conservation(bad_graph, other)),
+    ):
+        assert mine == dense and mine != theirs
+        assert sorted(map(repr, mine)) == sorted(map(repr, theirs))
 
 
 # --- connector ----------------------------------------------------------------

@@ -576,3 +576,31 @@ def test_enumerate_reduced_prefix_rows_must_match_whole():
     assert list(enumerate_reduced(4, [[1, 2, 3, 4], [2, 1]])) == []
     # and a prefix longer than the square matches none either
     assert list(enumerate_reduced(2, [[1, 2], [2, 1], [1, 2]])) == []
+
+
+def test_numpy_loads_on_the_first_draw():
+    # counting, decomposing and partial transversals draw nothing, so they
+    # never import numpy; the first sample does
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import latinsq
+
+    code = "\n".join([
+        "import sys",
+        "import latinsq, latinsq.cli",
+        "from latinsq import count_transversals, cyclic_square, decompose, max_partial_transversal",
+        "square = cyclic_square(5)",
+        "assert count_transversals(square) == 15",
+        "assert decompose(square).status == 'some'",
+        "assert len(max_partial_transversal(square).cells) == 5",
+        "assert 'numpy' not in sys.modules, 'numpy loaded before any draw'",
+        "latinsq.sample_uniform(4, latinsq.SeededRng(1), burnin=1)",
+        "assert 'numpy' in sys.modules",
+    ])
+    src = str(Path(latinsq.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
