@@ -605,19 +605,47 @@ def _decompose_once(
     return result
 
 
+def _malformed(pair) -> list:
+    """The violations of a malformed pair: one per element, in its order,
+    and one for an empty pair."""
+    try:
+        items = list(pair) or [None]
+    except TypeError:
+        items = [pair]
+    return [
+        ("malformed", *x) if isinstance(x, tuple) and len(x) == 2 else ("malformed", None, x)
+        for x in items
+    ]
+
+
 def verify_corrections(inst: CorrectionInstance, cset: CorrectionSet) -> tuple[bool, list]:
     """Check all five conclusion groups; violations come back as
     (rule, index, vertex) triples.  Membership violations come first, in
     `cset.pairs` iteration order (within a pair, its slots in the pair's
-    own order).  The others follow grouped by index in `inst.indices` order
-    and by rule, with the vertices of A1-1 to A1-3 in ascending order and
-    those of A1-4 in `inst.universe` order.  Only the violations are sorted."""
+    own order).  A malformed pair is reported among them and left out of
+    the other checks: one that is not two (index, vertex) slots, or whose
+    slots share their index or their vertex, gives ("malformed", i, u) for
+    each slot (i, u), ("malformed", None, x) for each element x that is no
+    slot, and ("malformed", None, None) when empty.  The others follow
+    grouped by index in `inst.indices` order and by rule, with the vertices
+    of A1-1 to A1-3 in ascending order and those of A1-4 in `inst.universe`
+    order.  Only the violations are sorted."""
     violations: list = []
     held, universe, contract = inst._held, inst._universe, inst._contract
     reservoir, surplus = inst.reservoir, inst.surplus
     empty = frozenset()
     into = []  # the slots the pairs switch vertices into
-    for (i, u), (j, v) in cset.pairs:
+    malformed = []
+    for pair in cset.pairs:
+        try:
+            (i, u), (j, v) = pair
+            bad_pair = i == j or u == v
+        except (TypeError, ValueError):
+            bad_pair = True
+        if bad_pair:
+            violations.extend(_malformed(pair))
+            malformed.append(pair)
+            continue
         # u switches out of i and into j, v the other way; neither may be in
         # the reservoir of the index it leaves nor in the surplus of the other
         # (held's keys are the indices)
@@ -630,7 +658,8 @@ def verify_corrections(inst: CorrectionInstance, cset: CorrectionSet) -> tuple[b
         into.append((j, u))
         into.append((i, v))
     ins = Counter(into)
-    outs = Counter(chain.from_iterable(cset.pairs))
+    pairs = [p for p in cset.pairs if p not in malformed] if malformed else cset.pairs
+    outs = Counter(chain.from_iterable(pairs))
     bad = []
     # A1-1 and A1-2: every surplus slot switches out once, every chosen slot in once
     for slot, target in contract.items():

@@ -202,8 +202,8 @@ def cmd_tarry_check(args) -> int:
     for square in enumerate_reduced(n, row_prefix=prefix):
         examined += 1
         res = decompose(square, node_budget=args.node_budget)
-        # the eager path counts every transversal as it collects them
-        tc = res.candidates if res.candidates is not None else count_transversals(square)
+        # read from the square's record when decompose's eager path counted
+        tc = count_transversals(square)
         transversal_histogram[tc] = transversal_histogram.get(tc, 0) + 1
         if res.status == "some":
             resolvable += 1

@@ -21,7 +21,11 @@ class ValidationError(ValueError):
 
 @dataclass(frozen=True)
 class LatinSquare:
-    """An order-n Latin square; ``cells[r-1][c-1]`` is the symbol at (r, c)."""
+    """An order-n Latin square; ``cells[r-1][c-1]`` is the symbol at (r, c).
+
+    ``transversal_record`` keeps what the transversal calls learnt of this
+    object, so that asking it again costs a lookup; it takes no part in
+    equality, hashing or the text forms."""
 
     n: int
     cells: tuple[tuple[int, ...], ...]
@@ -34,6 +38,16 @@ class LatinSquare:
 
     def __str__(self) -> str:
         return square_to_text(self)
+
+    @cached_property
+    def transversal_record(self) -> dict:
+        """What the transversal calls learnt of this square, filled by
+        ``latinsq.transversal`` under at most three keys: "picks" (the
+        engine's per-row input), "count" (the number of transversals, set
+        only by a complete enumeration) and "first" (the cell mask of the
+        lexicographically first transversal).  It never holds the list of
+        transversals.  It lives and dies with this object."""
+        return {}
 
 
 @dataclass(frozen=True)

@@ -4,11 +4,9 @@ One engine, `_transversals`, finds transversals by meeting in the middle
 (Horowitz and Sahni, J. ACM 21, 1974), with bitmasks for the columns and
 symbols in use.  Its input is a list of picks per row: the column bit and
 the shifted symbol bit of each cell the row may take, in column order.
-Each public call builds the square's picks once, with `_picks`, and every
-engine call it makes takes them or a filtered copy.  The engine first
-builds a table of the last rows, from the bottom row up: each partial
-transversal of those rows, keyed by its column and symbol bits, maps to its
-cell masks, or to their number when only counting.
+The engine first builds a table of the last rows, from the bottom row up:
+each partial transversal of those rows, keyed by its column and symbol
+bits, maps to its cell masks, or to their number when only counting.
 A depth-first search over the first rows then joins each of its partial
 transversals with the table entries under the complementary key.  The table
 covers at most n // 2 rows and holds at most min(limit,
@@ -21,6 +19,25 @@ both paths of `decompose` call it.  The partial one relaxes k = 0, 1, ...
 rows to rows of one symbol until the square has a transversal: each
 relaxed row of symbol s takes every column, and one mask of the k symbols'
 bits drops their cells from the picks of the other rows.
+
+What the public calls learn of a square goes into its record,
+`LatinSquare.transversal_record`, so that no later call on the same object
+works it out again.  It holds at most three things:
+- the picks, stored by `_picks`; every engine call takes them as they are
+  or as a filtered copy, and no caller may change them;
+- the transversal count, stored by `count_transversals`, and by the eager
+  path of `decompose` when it collected every candidate;
+- the cell mask of the first transversal, stored by that eager path and by
+  the k = 0 query of `max_partial_transversal`, which stores a count of 0
+  instead when it finds none.
+A count comes only from a complete enumeration, never from a limited one
+or from the lazy path.  `count_transversals` returns a stored count,
+`decompose` answers "none" with 0 nodes for a count of 0, as its dead-cell
+test would, and `max_partial_transversal` answers with a stored first
+transversal, or skips k = 0 for a count of 0.  `iter_transversals` and the
+lazy path share only the picks.  The record never holds the candidate
+list, which can reach 10^6 masks; that is why `count_transversals` counts
+without materialising them.
 
 Decomposing a square into n disjoint transversals is an exact cover problem:
 the n^2 cells must be covered exactly once by cell sets of candidate
@@ -103,9 +120,16 @@ class DecomposeResult:
 
 def _picks(square: LatinSquare) -> list[list[int]]:
     """Per row, the used bits of each cell in column order: its column bit,
-    and its symbol bit shifted up by n."""
-    n = square.n
-    return [[1 << c | 1 << n + s - 1 for c, s in enumerate(row)] for row in square.cells]
+    and its symbol bit shifted up by n.  Built once per square and kept in
+    its record, so no caller may change them."""
+    record = square.transversal_record
+    picks = record.get("picks")
+    if picks is None:
+        n = square.n
+        picks = record["picks"] = [
+            [1 << c | 1 << n + s - 1 for c, s in enumerate(row)] for row in square.cells
+        ]
+    return picks
 
 
 class _Stop(Exception):
@@ -248,8 +272,11 @@ def _transversal(mask: int, n: int) -> Transversal:
 def iter_transversals(square: LatinSquare, limit: int | None = None) -> Iterator[Transversal]:
     """All transversals, or the first `limit` of them, lexicographic in the
     column chosen for rows 1..n."""
-    if limit is not None and limit < 0:
-        raise ValueError(f"limit must be non-negative, got {limit}")
+    if limit is not None:
+        if not isinstance(limit, int):
+            raise TypeError(f"limit must be an int or None, got {type(limit).__name__}")
+        if limit < 0:
+            raise ValueError(f"limit must be non-negative, got {limit}")
     masks: list[int] = []
     if limit != 0:
         _transversals(_picks(square), masks, limit)
@@ -258,7 +285,11 @@ def iter_transversals(square: LatinSquare, limit: int | None = None) -> Iterator
 
 def count_transversals(square: LatinSquare) -> int:
     """Number of transversals, without materialising them."""
-    return _transversals(_picks(square))
+    record = square.transversal_record
+    count = record.get("count")
+    if count is None:
+        count = record["count"] = _transversals(_picks(square))
+    return count
 
 
 def max_partial_transversal(square: LatinSquare) -> PartialTransversal:
@@ -277,22 +308,30 @@ def max_partial_transversal(square: LatinSquare) -> PartialTransversal:
             f"exact search refused: order {n} exceeds the bound {DEFAULT_EXACT_BOUND}"
         )
     picks = _picks(square)
+    record = square.transversal_record
     found: list[int] = []
+    # k = 0 asks for the first transversal, unless a call on this square has
+    # found it or found that there is none
+    if "first" not in record and record.get("count") != 0:
+        if _transversals(picks, found, 1):
+            record["first"] = found[0]
+        else:
+            record["count"] = 0
+    if "first" in record:
+        return PartialTransversal(_transversal(record["first"], n).cells)
     # The last rows are relaxed first, so the search gives them the columns
     # left instead of trying each, and the other rows are barred from S up
     # front: 180-210 us a square without a transversal on the order-6 scan,
     # against 1.2-1.25 times that relaxing the first rows and 1.1-1.2 times
     # unbarred (best of 7 passes over the 2100 squares, one process, shared
     # 2-vCPU host).
-    for k in range(n + 1):
+    for k in range(1, n + 1):
         for rows in combinations(range(n - 1, -1, -1), k):
             for symbols in combinations(range(n), k):
-                relaxed = picks
-                if k:
-                    barred = sum(1 << n + s for s in symbols)
-                    relaxed = [[u for u in row if not u & barred] for row in picks]
-                    for r, s in zip(rows, symbols):
-                        relaxed[r] = [1 << c | 1 << n + s for c in range(n)]
+                barred = sum(1 << n + s for s in symbols)
+                relaxed = [[u for u in row if not u & barred] for row in picks]
+                for r, s in zip(rows, symbols):
+                    relaxed[r] = [1 << c | 1 << n + s for c in range(n)]
                 if _transversals(relaxed, found, 1):
                     return PartialTransversal(tuple(
                         (cell // n + 1, cell % n + 1) for cell in _cells(found[0]) if cell // n not in rows
@@ -317,11 +356,17 @@ def decompose(
     if candidate_threshold < 0:
         raise ValueError(f"candidate threshold must be non-negative, got {candidate_threshold}")
     n = square.n
+    record = square.transversal_record
+    if record.get("count") == 0:
+        return DecomposeResult("none", None, 0, 0)
     picks = _picks(square)
     masks: list[int] = []
     _transversals(picks, masks, candidate_threshold + 1)
     if len(masks) > candidate_threshold:
         return _decompose_lazy(picks, node_budget)
+    record["count"] = len(masks)
+    if masks:
+        record["first"] = masks[0]
     # A cell on no candidate ends the search at its root, at any budget.
     if reduce(or_, masks, 0) != (1 << n * n) - 1:
         return DecomposeResult("none", None, 0, len(masks))

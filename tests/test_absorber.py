@@ -267,6 +267,31 @@ def test_verify_rejects_membership_breach():
     assert any(rule == "membership" for (rule, _i, _u) in violations)
 
 
+def test_verify_reports_malformed_pairs():
+    # A same-index pair used to pass, and a one-slot pair to raise
+    # "not enough values to unpack".
+    inst = random_correction_instance(SeededRng(1).derive(0), num_indices=6, universe_size=40)
+    cset = decompose_corrections(inst, SeededRng(2))
+    assert verify_corrections(inst, cset) == (True, [])
+    cases = [
+        (frozenset({(1, 2), (1, 3)}), {("malformed", 1, 2), ("malformed", 1, 3)}),
+        (frozenset({(1, 2)}), {("malformed", 1, 2)}),
+        (frozenset({(1, 2), (2, 2)}), {("malformed", 1, 2), ("malformed", 2, 2)}),
+        (frozenset({(1, 2), 5}), {("malformed", 1, 2), ("malformed", None, 5)}),
+        (frozenset({(1, 2, 3), (2, 4)}), {("malformed", None, (1, 2, 3)), ("malformed", 2, 4)}),
+        (frozenset(), {("malformed", None, None)}),
+    ]
+    for extra, expected in cases:
+        ok, violations = verify_corrections(inst, CorrectionSet(pairs=cset.pairs | {extra}))
+        assert not ok and set(violations) == expected and len(violations) == len(expected), extra
+    # reported first, and the A1 violations of a dropped pair still follow
+    pairs = frozenset(sorted(cset.pairs, key=sorted)[1:]) | {frozenset({(1, 2)})}
+    _ok, violations = verify_corrections(inst, CorrectionSet(pairs=pairs))
+    assert violations[0] == ("malformed", 1, 2)
+    assert {rule for rule, _i, _u in violations[1:]} <= {"A1-1", "A1-2", "A1-3", "A1-4"}
+    assert len(violations) > 1
+
+
 def test_verify_balance_matches_predicate():
     # the A1-4 counting agrees with the standalone balance predicate
     rng = SeededRng(9)

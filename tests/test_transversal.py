@@ -239,6 +239,9 @@ def test_iter_transversals_limit_zero_and_negative():
     for limit in (-1, -2):
         with pytest.raises(ValueError, match="limit must be non-negative"):
             iter_transversals(sq, limit=limit)
+    for limit in (1.5, 2.0, "3"):
+        with pytest.raises(TypeError, match="limit must be an int"):
+            iter_transversals(cyclic_square(3), limit=limit)
 
 
 def test_max_partial_sizes():
@@ -421,7 +424,8 @@ def test_dead_root_answers_none_at_budget_zero():
     ])
     res = decompose(sq, node_budget=0)
     assert (res.status, res.nodes, res.decomposition) == ("none", 0, None)
-    assert res.candidates == count_transversals(sq) == 8
+    # counted on a fresh square, not read from decompose's record of this one
+    assert res.candidates == count_transversals(from_grid(sq.cells)) == 8
     assert decompose(sq) == res
 
 
@@ -538,7 +542,7 @@ def test_candidates_counted_on_the_eager_path():
     for t in range(len(PANEL)):
         sq = sample_uniform(10, SeededRng(777).derive(t))
         res = decompose(sq, node_budget=0)
-        assert res.candidates == count_transversals(sq), t
+        assert res.candidates == count_transversals(from_grid(sq.cells)), t
         # the panel's index spaces are too narrow to be re-indexed
         assert res.candidates <= _REINDEX_WIDTH, t
     assert decompose(cyclic_square(6)).candidates == 0
@@ -641,6 +645,47 @@ def test_lazy_mode_matches_eager():
             if res.status == "some":
                 ok, msg = verify_decomposition(sq, res.decomposition)
                 assert ok, msg
+
+
+def _record_squares():
+    """Squares with their decompose budget: all reduced squares of orders 1
+    to 5, every 97th of order 6, and the order-10 panel at budget 0."""
+    for n in range(1, 6):
+        for sq in enumerate_reduced(n):
+            yield sq, DEFAULT_NODE_BUDGET
+    for sq in list(enumerate_reduced(6))[::97]:
+        yield sq, DEFAULT_NODE_BUDGET
+    for t in range(len(PANEL)):
+        yield sample_uniform(10, SeededRng(777).derive(t)), 0
+
+
+def test_record_answers_alike_in_any_call_order():
+    # Each call on one object, in every order, answers as it does on a fresh
+    # copy of the square: the record only saves work.
+    for sq, budget in _record_squares():
+        calls = {
+            "count": count_transversals,
+            "decompose": lambda s: decompose(s, node_budget=budget),
+            "iter": lambda s: list(iter_transversals(s)),
+        }
+        if sq.n <= transversal.DEFAULT_EXACT_BOUND:
+            calls["partial"] = max_partial_transversal
+        fresh = {name: call(from_grid(sq.cells)) for name, call in calls.items()}
+        for order in permutations(calls):
+            one = from_grid(sq.cells)
+            assert {name: calls[name](one) for name in order} == fresh, (sq.cells, order)
+            assert set(one.transversal_record) <= {"picks", "count", "first"}
+
+
+def test_truncated_runs_record_no_count():
+    # The lazy path and a limited enumeration stop early, so neither may
+    # leave a count behind.
+    lazy = cyclic_square(9)
+    assert decompose(lazy, candidate_threshold=2).status == "some"
+    limited = cyclic_square(9)
+    assert len(list(iter_transversals(limited, limit=3))) == 3
+    fresh = count_transversals(cyclic_square(9))
+    assert count_transversals(lazy) == count_transversals(limited) == fresh == 2025
 
 
 def test_verify_decomposition_reports():
