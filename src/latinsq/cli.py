@@ -202,7 +202,7 @@ def cmd_tarry_check(args) -> int:
     for square in enumerate_reduced(n, row_prefix=prefix):
         examined += 1
         res = decompose(square, node_budget=args.node_budget)
-        # read from the square's record when decompose's eager path counted
+        # read from the square's record when decompose collected every candidate
         tc = count_transversals(square)
         transversal_histogram[tc] = transversal_histogram.get(tc, 0) + 1
         if res.status == "some":

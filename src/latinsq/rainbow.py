@@ -29,14 +29,16 @@ def same_side(u: Vertex, v: Vertex) -> bool:
     return u[0] == v[0]
 
 
+def _in_range(n: int, k) -> bool:
+    return isinstance(k, int) and 1 <= k <= n
+
+
+def _is_vertex(n: int, v) -> bool:
+    return isinstance(v, tuple) and len(v) == 2 and v[0] in ("A", "B") and _in_range(n, v[1])
+
+
 def _check_vertex(n: int, v) -> Vertex:
-    if (
-        not isinstance(v, tuple)
-        or len(v) != 2
-        or v[0] not in ("A", "B")
-        or not isinstance(v[1], int)
-        or not (1 <= v[1] <= n)
-    ):
+    if not _is_vertex(n, v):
         raise ValueError(f"bad vertex {v!r} for order {n}")
     return v
 
@@ -123,12 +125,20 @@ def _degrees(edges) -> dict[Vertex, int]:
 
 def check_near_matching(fam: NearMatchingFamily) -> tuple[bool, list[tuple]]:
     """Validity contract; the report lists every violating (i, vertex) pair
-    along with colour and disjointness faults."""
+    along with colour and disjointness faults.  An edge or exception vertex
+    outside the host's order is reported and takes no part in the degree
+    checks."""
+    n = fam.n
     violations: list[tuple] = []
     seen_edges: dict[tuple[int, int], int] = {}
     for i, edges in enumerate(fam.matchings, start=1):
         colors_seen: dict[int, tuple] = {}
+        valid = []
         for (a, b, c) in edges:
+            if not (_in_range(n, a) and _in_range(n, b)):
+                violations.append((i, ("A", a), f"edge ({a},{b}) out of range for order {n}"))
+                continue
+            valid.append((a, b, c))
             if fam.base.edge_color(a, b) != c:
                 violations.append((i, ("A", a), f"edge ({a},{b}) colour {c} disagrees with host"))
             if (a, b) in seen_edges and seen_edges[(a, b)] != i:
@@ -137,18 +147,22 @@ def check_near_matching(fam: NearMatchingFamily) -> tuple[bool, list[tuple]]:
             if c in colors_seen:
                 violations.append((i, ("A", a), f"repeated colour {c} in matching {i}"))
             colors_seen[c] = (a, b)
-        deg = _degrees(edges)
-        if fam.deg0[i - 1] & fam.deg2[i - 1]:
-            for v in sorted(fam.deg0[i - 1] & fam.deg2[i - 1]):
-                violations.append((i, v, "vertex in both exception sets"))
-        for v in sorted(fam.deg0[i - 1]):
+        deg = _degrees(valid)
+        for v in sorted(fam.deg0[i - 1] | fam.deg2[i - 1], key=repr):
+            if not _is_vertex(n, v):
+                violations.append((i, v, f"bad vertex {v!r} for order {n}"))
+        deg0 = {v for v in fam.deg0[i - 1] if _is_vertex(n, v)}
+        deg2 = {v for v in fam.deg2[i - 1] if _is_vertex(n, v)}
+        for v in sorted(deg0 & deg2):
+            violations.append((i, v, "vertex in both exception sets"))
+        for v in sorted(deg0):
             if deg.get(v, 0) != 0:
                 violations.append((i, v, f"degree {deg.get(v, 0)}, required 0"))
-        for v in sorted(fam.deg2[i - 1]):
+        for v in sorted(deg2):
             if deg.get(v, 0) != 2:
                 violations.append((i, v, f"degree {deg.get(v, 0)}, required 2"))
         for v, d in sorted(deg.items()):
-            if v not in fam.deg0[i - 1] and v not in fam.deg2[i - 1] and d > 1:
+            if v not in deg0 and v not in deg2 and d > 1:
                 violations.append((i, v, f"degree {d} > 1"))
     return (not violations, violations)
 
@@ -191,6 +205,8 @@ def validate_switcher(fam: NearMatchingFamily, sw: Switcher) -> str | None:
     seq = [sw.x]
     cur = sw.x
     for (a, b, c) in sw.path:
+        if not (_in_range(fam.n, a) and _in_range(fam.n, b)):
+            return f"edge ({a},{b}) out of range for order {fam.n}"
         ea, eb = ("A", a), ("B", b)
         if cur not in (ea, eb):
             return f"edge ({a},{b}) does not continue the path at {cur}"

@@ -15,7 +15,7 @@ left to the search, so a small limit leaves a plain depth-first search.  The
 engine counts transversals and, on request, emits each as an n^2-bit
 row-major cell mask, in lexicographic column order.
 `count_transversals`, `iter_transversals`, `max_partial_transversal` and
-both paths of `decompose` call it.  The partial one relaxes k = 0, 1, ...
+`decompose` call it.  The partial one relaxes k = 0, 1, ...
 rows to rows of one symbol until the square has a transversal: each
 relaxed row of symbol s takes every column, and one mask of the k symbols'
 bits drops their cells from the picks of the other rows.
@@ -25,19 +25,19 @@ What the public calls learn of a square goes into its record,
 works it out again.  It holds at most three things:
 - the picks, stored by `_picks`; every engine call takes them as they are
   or as a filtered copy, and no caller may change them;
-- the transversal count, stored by `count_transversals`, and by the eager
-  path of `decompose` when it collected every candidate;
-- the cell mask of the first transversal, stored by that eager path and by
+- the transversal count, stored by `count_transversals`, and by
+  `decompose` when it collected every candidate;
+- the cell mask of the first transversal, stored by `decompose` then and by
   the k = 0 query of `max_partial_transversal`, which stores a count of 0
   instead when it finds none.
-A count comes only from a complete enumeration, never from a limited one
-or from the lazy path.  `count_transversals` returns a stored count,
-`decompose` answers "none" with 0 nodes for a count of 0, as its dead-cell
-test would, and `max_partial_transversal` answers with a stored first
-transversal, or skips k = 0 for a count of 0.  `iter_transversals` and the
-lazy path share only the picks.  The record never holds the candidate
-list, which can reach 10^6 masks; that is why `count_transversals` counts
-without materialising them.
+A count comes only from a complete enumeration, never from a limited one,
+such as `decompose`'s past the candidate threshold.  `count_transversals`
+returns a stored count, `decompose` answers "none" with 0 nodes for a count
+of 0, as its dead-cell test would, and `max_partial_transversal` answers
+with a stored first transversal, or skips k = 0 for a count of 0.
+`iter_transversals` shares only the picks.  The record never holds the
+candidate list, which can reach 10^6 masks; that is why
+`count_transversals` counts without materialising them.
 
 Decomposing a square into n disjoint transversals is an exact cover problem:
 the n^2 cells must be covered exactly once by cell sets of candidate
@@ -64,11 +64,9 @@ count or part.  One builder, `_index_space`, makes the root space and every
 re-indexed one from a list of candidate cell sets, setting their bits a
 chunk at a time.
 
-The eager path collects at most candidate_threshold + 1 masks.  Past that it
-gives way to the lazy path, which branches on the first uncovered cell in
-row-major order and asks the engine only for the transversals through that
-cell that avoid covered cells.  It holds one such list per level of the
-cover: at most n lists, none longer than the transversals through one cell.
+`decompose` collects at most DEFAULT_CANDIDATE_THRESHOLD + 1 candidates, and
+past the threshold it answers "undecided" with 0 nodes at any budget, never
+"none", since it searched nothing.
 """
 
 from __future__ import annotations
@@ -90,7 +88,7 @@ from .core import (
 DEFAULT_NODE_BUDGET = 10**8
 DEFAULT_CANDIDATE_THRESHOLD = 10**6
 DEFAULT_EXACT_BOUND = 9
-# The eager search maps the live candidates onto a fresh index space when the
+# The search maps the live candidates onto a fresh index space when the
 # current one is wider than _REINDEX_WIDTH bits and fewer than 1 /
 # _REINDEX_FACTOR of its candidates are alive.
 _REINDEX_WIDTH = 1000
@@ -113,8 +111,8 @@ class DecomposeResult:
     status: Literal["some", "none", "undecided"]
     decomposition: Optional[Decomposition]
     nodes: int
-    # the number of candidate transversals the eager path collected; None on
-    # the lazy path, which never holds them all
+    # the number of candidate transversals collected; None past
+    # DEFAULT_CANDIDATE_THRESHOLD, where decompose stops collecting
     candidates: Optional[int] = None
 
 
@@ -133,7 +131,7 @@ def _picks(square: LatinSquare) -> list[list[int]]:
 
 
 class _Stop(Exception):
-    """Unwinds a search: enough masks collected, or the node budget spent."""
+    """Unwinds a search: enough masks collected."""
 
 
 def _transversals(
@@ -339,41 +337,36 @@ def max_partial_transversal(square: LatinSquare) -> PartialTransversal:
     raise AssertionError("a square with every row relaxed has a transversal")
 
 
-def decompose(
-    square: LatinSquare,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-    candidate_threshold: int = DEFAULT_CANDIDATE_THRESHOLD,
-) -> DecomposeResult:
+def decompose(square: LatinSquare, node_budget: int = DEFAULT_NODE_BUDGET) -> DecomposeResult:
     """Split the square into n disjoint transversals, if possible.
 
     Returns status "some" with a validated decomposition, a definite "none",
-    or "undecided" when the node budget is exhausted.  When the candidate
-    transversal count exceeds `candidate_threshold`, candidates are generated
-    lazily during the search instead of being materialised.
+    or "undecided" when the node budget is exhausted.  A square with more
+    than DEFAULT_CANDIDATE_THRESHOLD transversals is answered "undecided"
+    with 0 nodes and candidates None, at any budget, without a search.
     """
+    if not isinstance(node_budget, int):
+        raise TypeError(f"node budget must be an int, got {type(node_budget).__name__}")
     if node_budget < 0:
         raise ValueError(f"node budget must be non-negative, got {node_budget}")
-    if candidate_threshold < 0:
-        raise ValueError(f"candidate threshold must be non-negative, got {candidate_threshold}")
     n = square.n
     record = square.transversal_record
     if record.get("count") == 0:
         return DecomposeResult("none", None, 0, 0)
-    picks = _picks(square)
     masks: list[int] = []
-    _transversals(picks, masks, candidate_threshold + 1)
-    if len(masks) > candidate_threshold:
-        return _decompose_lazy(picks, node_budget)
+    _transversals(_picks(square), masks, DEFAULT_CANDIDATE_THRESHOLD + 1)
+    if len(masks) > DEFAULT_CANDIDATE_THRESHOLD:
+        return DecomposeResult("undecided", None, 0, None)
     record["count"] = len(masks)
     if masks:
         record["first"] = masks[0]
     # A cell on no candidate ends the search at its root, at any budget.
     if reduce(or_, masks, 0) != (1 << n * n) - 1:
         return DecomposeResult("none", None, 0, len(masks))
-    return _decompose_eager(masks, n, node_budget)
+    return _exact_cover(masks, n, node_budget)
 
 
-def _decompose_eager(masks: list[int], n: int, node_budget: int) -> DecomposeResult:
+def _exact_cover(masks: list[int], n: int, node_budget: int) -> DecomposeResult:
     # The candidate index space: bit i stands for candidate ids[i] (an index
     # of masks), rows[i] is its set of row-major cells, cellrows[cell] has bit
     # i set when candidate i covers cell, and keep[i], filled on first use,
@@ -466,48 +459,6 @@ def _index_space(
             if bits:
                 cellrows[cell] |= bits << base
     return ids, rows, cellrows, [None] * len(rows)
-
-
-def _decompose_lazy(picks: list[list[int]], node_budget: int) -> DecomposeResult:
-    # Trades the minimum-remaining-values rule for bounded memory (see the
-    # module docstring).
-    n = len(picks)
-    full = (1 << n) - 1
-    everything = (1 << n * n) - 1
-    parts: list[int] = []
-    nodes = 0
-
-    def cover(covered: int) -> bool:
-        nonlocal nodes
-        free = everything & ~covered
-        if not free:
-            return True
-        r0, c0 = divmod((free & -free).bit_length() - 1, n)
-        # the picks of the open cells, and in row r0 the one of (r0, c0)
-        open_picks = [
-            [u for u in row if not u & full & covered >> r * n] for r, row in enumerate(picks)
-        ]
-        open_picks[r0] = [picks[r0][c0]]
-        through: list[int] = []
-        _transversals(open_picks, through)
-        for mask in through:
-            if nodes == node_budget:
-                raise _Stop
-            nodes += 1
-            parts.append(mask)
-            if cover(covered | mask):
-                return True
-            parts.pop()
-        return False
-
-    try:
-        found = cover(0)
-    except _Stop:
-        return DecomposeResult(status="undecided", decomposition=None, nodes=nodes)
-    if not found:
-        return DecomposeResult(status="none", decomposition=None, nodes=nodes)
-    decomposition = Decomposition(parts=tuple(_transversal(mask, n) for mask in parts))
-    return DecomposeResult(status="some", decomposition=decomposition, nodes=nodes)
 
 
 def verify_decomposition(square: LatinSquare, decomposition: Decomposition) -> tuple[bool, str]:

@@ -3,6 +3,8 @@ import pytest
 from latinsq.core import cyclic_square, from_grid, to_coloring
 from latinsq.links import enumerate_links, repeat_pattern
 from latinsq.rainbow import (
+    NearMatchingFamily,
+    Switcher,
     SwitchRequestSet,
     apply_switcher,
     check_near_matching,
@@ -88,6 +90,29 @@ def test_overlapping_matchings_reported():
     ok, report = check_near_matching(fam)
     assert not ok
     assert any("also in matching" in r[2] for r in report)
+
+
+def test_out_of_range_input_reported():
+    # make_family range-checks, but the checkers must answer on a family
+    # built directly: edge (0, 1) would read row 0 as the last row, and
+    # (6, 1) or (1, 6) lies past the host.
+    host = to_coloring(cyclic_square(5))
+
+    def family(edges, deg0=()):
+        return NearMatchingFamily(host, (tuple(edges),), (frozenset(deg0),), (frozenset(),))
+
+    assert check_near_matching(family([(0, 1, 5)])) == (
+        False, [(1, ("A", 0), "edge (0,1) out of range for order 5")]
+    )
+    assert check_near_matching(family([], [("A", 9)])) == (
+        False, [(1, ("A", 9), "bad vertex ('A', 9) for order 5")]
+    )
+    assert check_near_matching(family([(6, 1, 1)])) == (
+        False, [(1, ("A", 6), "edge (6,1) out of range for order 5")]
+    )
+    fam = make_family(host, [[(1, 1), (2, 2)], [(1, 2), (2, 3)]])
+    sw = Switcher(1, 2, ("A", 1), ("A", 2), ((1, 6, 1), (2, 6, 2), (2, 1, 2), (1, 1, 1)))
+    assert validate_switcher(fam, sw) == "edge (1,6) out of range for order 5"
 
 
 def test_find_switcher_length_two_impossible():

@@ -12,6 +12,7 @@ from latinsq.transversal import (
     _REINDEX_WIDTH,
     DEFAULT_CANDIDATE_THRESHOLD,
     DEFAULT_NODE_BUDGET,
+    DecomposeResult,
     Decomposition,
     ExactSearchRefused,
     _index_space,
@@ -123,9 +124,10 @@ def _reference_squares():
 @pytest.mark.parametrize("limit", [0, 1, 3, None, DEFAULT_CANDIDATE_THRESHOLD + 1])
 def test_engine_matches_reference(limit):
     # counts and ordered masks, on whole squares and under random allowed
-    # columns per row (as the lazy decompose path asks), and the same on
-    # squares with one or two rows replaced by a constant-symbol row (as
-    # max_partial_transversal asks), whose rows are not permutations
+    # columns per row (as max_partial_transversal's barred symbols leave
+    # them), and the same on squares with one or two rows replaced by a
+    # constant-symbol row (as its relaxed rows are), whose rows are not
+    # permutations
     rng, pick = random.Random(2024), random.Random(17)
     for k, sq in enumerate(_reference_squares()):
         n = sq.n
@@ -410,10 +412,9 @@ def test_decompose_output_always_verifies_on_random_samples():
 
 def test_undecided_on_tiny_budget():
     for budget in (0, 1):
-        for threshold in (DEFAULT_CANDIDATE_THRESHOLD, 2):
-            res = decompose(cyclic_square(9), node_budget=budget, candidate_threshold=threshold)
-            assert (res.status, res.nodes) == ("undecided", budget)
-            assert res.decomposition is None
+        res = decompose(cyclic_square(9), node_budget=budget)
+        assert (res.status, res.nodes) == ("undecided", budget)
+        assert res.decomposition is None
 
 
 def test_dead_root_answers_none_at_budget_zero():
@@ -443,11 +444,10 @@ def test_covered_root_is_undecided_at_budget_zero():
 def test_negative_budget_rejected():
     with pytest.raises(ValueError, match="node budget"):
         decompose(cyclic_square(3), node_budget=-5)
-    with pytest.raises(ValueError, match="node budget"):
-        decompose(cyclic_square(3), node_budget=-1, candidate_threshold=0)
-    for threshold in (-1, -7):
-        with pytest.raises(ValueError, match="candidate threshold"):
-            decompose(cyclic_square(3), candidate_threshold=threshold)
+    # a float budget would never equal the node count, so it must not pass
+    for budget in (1.5, 2.0, "3", None):
+        with pytest.raises(TypeError, match="node budget must be an int"):
+            decompose(cyclic_square(9), node_budget=budget)
 
 
 # The first four squares of the order-10 Monte Carlo (master seed 777) with
@@ -467,75 +467,60 @@ def test_branching_order_pinned_on_order10_panel():
             assert ok, msg
 
 
-# Parts of the decomposition of each odd cyclic square that the lazy path
-# finds, each part as its column sequence, in the order the search chose them.
-LAZY_CYCLIC_PARTS = {
-    1: ["1"],
-    3: ["123", "231", "312"],
-    5: ["12345", "23451", "34512", "45123", "51234"],
-    7: ["1234567", "2345671", "3456712", "4567123", "5671234", "6712345", "7123456"],
-    9: [
-        "123456789", "231564897", "312645978", "456789123", "564897231",
-        "645978312", "789123456", "897231564", "978312645",
-    ],
-}
+# n: (resolvable reduced squares, reduced squares, total nodes)
+RESOLVABLE_REDUCED = {1: (1, 1, 1), 2: (0, 1, 0), 3: (1, 1, 3), 4: (1, 4, 4), 5: (6, 56, 30)}
 
 
-@pytest.mark.parametrize("threshold", [0, 2])
-def test_lazy_path_pinned_on_cyclic_squares(threshold):
-    # An even cyclic square has no transversal, so decompose answers before
-    # the lazy path starts; at threshold 2 the single transversal of order 1
-    # stays on the eager path.
-    for n in range(1, 10):
-        res = decompose(cyclic_square(n), candidate_threshold=threshold)
-        if n % 2 == 0:
-            assert (res.status, res.nodes, res.decomposition) == ("none", 0, None), n
-            continue
-        parts = ["".join(str(c) for _r, c in t.cells) for t in res.decomposition.parts]
-        assert (res.status, res.nodes, parts) == ("some", n, LAZY_CYCLIC_PARTS[n]), n
-
-
-# n: (resolvable reduced squares, reduced squares, total nodes on the eager
-# path, total nodes on the lazy path)
-RESOLVABLE_REDUCED = {1: (1, 1, 1, 1), 2: (0, 1, 0, 0), 3: (1, 1, 3, 3), 4: (1, 4, 4, 4), 5: (6, 56, 30, 60)}
-
-
-@pytest.mark.parametrize("path", ["eager", "lazy"])
+@pytest.mark.parametrize("path", ["eager"])
 def test_resolvable_counts_over_reduced_squares(path):
-    threshold = DEFAULT_CANDIDATE_THRESHOLD if path == "eager" else 0
-    for n, (some, total, eager_nodes, lazy_nodes) in RESOLVABLE_REDUCED.items():
-        results = [decompose(sq, candidate_threshold=threshold) for sq in enumerate_reduced(n)]
+    for n, (some, total, nodes) in RESOLVABLE_REDUCED.items():
+        results = [decompose(sq) for sq in enumerate_reduced(n)]
         assert sum(res.status == "some" for res in results) == some, n
         assert len(results) == total, n
-        assert sum(res.nodes for res in results) == (eager_nodes if path == "eager" else lazy_nodes), n
+        assert sum(res.nodes for res in results) == nodes, n
 
 
-@pytest.mark.parametrize("threshold", [DEFAULT_CANDIDATE_THRESHOLD, 2], ids=["eager", "lazy"])
-def test_budget_boundary(threshold):
+@pytest.mark.parametrize("path", ["eager"])
+def test_budget_boundary(path):
     sq = cyclic_square(9)
-    full = decompose(sq, candidate_threshold=threshold)
+    full = decompose(sq)
     assert full.status == "some" and full.nodes > 1
-    exact = decompose(sq, node_budget=full.nodes, candidate_threshold=threshold)
+    exact = decompose(sq, node_budget=full.nodes)
     assert (exact.status, exact.nodes) == (full.status, full.nodes)
-    short = decompose(sq, node_budget=full.nodes - 1, candidate_threshold=threshold)
+    short = decompose(sq, node_budget=full.nodes - 1)
     assert (short.status, short.nodes) == ("undecided", full.nodes - 1)
     assert short.decomposition is None
 
 
 def test_budget_boundary_at_a_none():
     # A search that ends at exactly the budget answers "none", one node
-    # short "undecided": order-10 panel trial 0 on the eager path, and a
-    # reduced order-6 square with 32 transversals on the lazy path.
-    eager = sample_uniform(10, SeededRng(777).derive(0))
-    lazy = from_grid([
-        [1, 2, 3, 4, 5, 6], [2, 1, 4, 3, 6, 5], [3, 4, 5, 6, 1, 2],
-        [4, 3, 6, 5, 2, 1], [5, 6, 1, 2, 4, 3], [6, 5, 2, 1, 3, 4],
-    ])
-    for sq, threshold, nodes in ((eager, DEFAULT_CANDIDATE_THRESHOLD, 27530), (lazy, 0, 90)):
-        exact = decompose(sq, node_budget=nodes, candidate_threshold=threshold)
-        assert (exact.status, exact.nodes) == ("none", nodes), threshold
-        short = decompose(sq, node_budget=nodes - 1, candidate_threshold=threshold)
-        assert (short.status, short.nodes) == ("undecided", nodes - 1), threshold
+    # short "undecided": order-10 panel trial 0.
+    sq = sample_uniform(10, SeededRng(777).derive(0))
+    nodes = 27530
+    exact = decompose(sq, node_budget=nodes)
+    assert (exact.status, exact.nodes) == ("none", nodes)
+    short = decompose(sq, node_budget=nodes - 1)
+    assert (short.status, short.nodes) == ("undecided", nodes - 1)
+
+
+def test_undecided_past_the_candidate_threshold(monkeypatch):
+    # Past the threshold decompose stops collecting and searches nothing: an
+    # odd cyclic square of order 3 to 9 has more than 2 transversals.  An
+    # even one has none, and order 1 has one, so both stay below it.
+    monkeypatch.setattr(transversal, "DEFAULT_CANDIDATE_THRESHOLD", 2)
+    undecided = DecomposeResult("undecided", None, 0, None)
+    for n in range(2, 10):
+        sq = cyclic_square(n)
+        for budget in (DEFAULT_NODE_BUDGET, 0):
+            res = decompose(sq, node_budget=budget)
+            if n % 2:
+                assert res == undecided, (n, budget)
+            else:
+                assert res == DecomposeResult("none", None, 0, 0), (n, budget)
+        if n % 2:
+            assert "count" not in sq.transversal_record, n
+    res = decompose(cyclic_square(1))
+    assert (res.status, res.nodes, res.candidates) == ("some", 1, 1)
 
 
 def test_candidates_counted_on_the_eager_path():
@@ -547,7 +532,6 @@ def test_candidates_counted_on_the_eager_path():
         assert res.candidates <= _REINDEX_WIDTH, t
     assert decompose(cyclic_square(6)).candidates == 0
     assert decompose(cyclic_square(9)).candidates == 2025
-    assert decompose(cyclic_square(9), candidate_threshold=2).candidates is None
 
 
 # Squares sample_uniform(n, SeededRng(3).derive(t), burnin=2000) whose index
@@ -636,17 +620,6 @@ def test_order13_search_pinned():
     assert (res.status, res.nodes, res.candidates) == ("undecided", 2000, 79788)
 
 
-def test_lazy_mode_matches_eager():
-    for sq in [cyclic_square(5), cyclic_square(6), cyclic_square(9)]:
-        eager = decompose(sq)
-        lazy = decompose(sq, candidate_threshold=2)
-        assert eager.status == lazy.status
-        for res in (eager, lazy):
-            if res.status == "some":
-                ok, msg = verify_decomposition(sq, res.decomposition)
-                assert ok, msg
-
-
 def _record_squares():
     """Squares with their decompose budget: all reduced squares of orders 1
     to 5, every 97th of order 6, and the order-10 panel at budget 0."""
@@ -677,15 +650,16 @@ def test_record_answers_alike_in_any_call_order():
             assert set(one.transversal_record) <= {"picks", "count", "first"}
 
 
-def test_truncated_runs_record_no_count():
-    # The lazy path and a limited enumeration stop early, so neither may
-    # leave a count behind.
-    lazy = cyclic_square(9)
-    assert decompose(lazy, candidate_threshold=2).status == "some"
+def test_truncated_runs_record_no_count(monkeypatch):
+    # decompose past the candidate threshold and a limited enumeration stop
+    # early, so neither may leave a count behind.
+    monkeypatch.setattr(transversal, "DEFAULT_CANDIDATE_THRESHOLD", 2)
+    past = cyclic_square(9)
+    assert decompose(past).status == "undecided"
     limited = cyclic_square(9)
     assert len(list(iter_transversals(limited, limit=3))) == 3
     fresh = count_transversals(cyclic_square(9))
-    assert count_transversals(lazy) == count_transversals(limited) == fresh == 2025
+    assert count_transversals(past) == count_transversals(limited) == fresh == 2025
 
 
 def test_verify_decomposition_reports():
