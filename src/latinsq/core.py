@@ -42,11 +42,13 @@ class LatinSquare:
     @cached_property
     def transversal_record(self) -> dict:
         """What the transversal calls learnt of this square, filled by
-        ``latinsq.transversal`` under at most three keys: "picks" (the
+        ``latinsq.transversal`` under at most four keys: "picks" (the
         engine's per-row input), "count" (the number of transversals, set
-        only by a complete enumeration) and "first" (the cell mask of the
-        lexicographically first transversal).  It never holds the list of
-        transversals.  It lives and dies with this object."""
+        only by a complete enumeration), "first" (the cell mask of the
+        lexicographically first transversal) and "dead" (the row-major
+        index of a cell that the counting pass proved to lie on no
+        transversal, so that no decomposition exists).  It never holds the
+        list of transversals.  It lives and dies with this object."""
         return {}
 
 

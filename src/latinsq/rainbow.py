@@ -127,14 +127,27 @@ def check_near_matching(fam: NearMatchingFamily) -> tuple[bool, list[tuple]]:
     """Validity contract; the report lists every violating (i, vertex) pair
     along with colour and disjointness faults.  An edge or exception vertex
     outside the host's order is reported and takes no part in the degree
-    checks."""
+    checks.  So is an edge that is not an (a, b, colour) triple, and a
+    matching without its pair of exception sets, or an exception set
+    without its matching, under vertex None; a missing set is read as
+    empty."""
     n = fam.n
+    m = fam.m
     violations: list[tuple] = []
+    for name, sets in (("deg0", fam.deg0), ("deg2", fam.deg2)):
+        for i in range(len(sets) + 1, m + 1):
+            violations.append((i, None, f"no {name} set for matching {i}"))
+        for i in range(m + 1, len(sets) + 1):
+            violations.append((i, None, f"{name} set {i} has no matching"))
     seen_edges: dict[tuple[int, int], int] = {}
     for i, edges in enumerate(fam.matchings, start=1):
         colors_seen: dict[int, tuple] = {}
         valid = []
-        for (a, b, c) in edges:
+        for e in edges:
+            if not (isinstance(e, (tuple, list)) and len(e) == 3):
+                violations.append((i, None, f"edge {e!r} is not an (a, b, colour) triple"))
+                continue
+            a, b, c = e
             if not (_in_range(n, a) and _in_range(n, b)):
                 violations.append((i, ("A", a), f"edge ({a},{b}) out of range for order {n}"))
                 continue
@@ -148,11 +161,13 @@ def check_near_matching(fam: NearMatchingFamily) -> tuple[bool, list[tuple]]:
                 violations.append((i, ("A", a), f"repeated colour {c} in matching {i}"))
             colors_seen[c] = (a, b)
         deg = _degrees(valid)
-        for v in sorted(fam.deg0[i - 1] | fam.deg2[i - 1], key=repr):
+        zero = fam.deg0[i - 1] if i <= len(fam.deg0) else frozenset()
+        two = fam.deg2[i - 1] if i <= len(fam.deg2) else frozenset()
+        for v in sorted(zero | two, key=repr):
             if not _is_vertex(n, v):
                 violations.append((i, v, f"bad vertex {v!r} for order {n}"))
-        deg0 = {v for v in fam.deg0[i - 1] if _is_vertex(n, v)}
-        deg2 = {v for v in fam.deg2[i - 1] if _is_vertex(n, v)}
+        deg0 = {v for v in zero if _is_vertex(n, v)}
+        deg2 = {v for v in two if _is_vertex(n, v)}
         for v in sorted(deg0 & deg2):
             violations.append((i, v, "vertex in both exception sets"))
         for v in sorted(deg0):

@@ -13,7 +13,10 @@ covers at most n // 2 rows and holds at most min(limit,
 DEFAULT_CANDIDATE_THRESHOLD) entries; a row that would take it past that is
 left to the search, so a small limit leaves a plain depth-first search.  The
 engine counts transversals and, on request, emits each as an n^2-bit
-row-major cell mask, in lexicographic column order.
+row-major cell mask, in lexicographic column order.  When counting, the
+search also ORs together the cells that each table hit takes in the
+searched rows, and keeps the first hit, whose key `_completion` completes
+over the table's rows into the lexicographically first transversal.
 `count_transversals`, `iter_transversals`, `max_partial_transversal` and
 `decompose` call it.  The partial one relaxes k = 0, 1, ...
 rows to rows of one symbol until the square has a transversal: each
@@ -22,19 +25,23 @@ bits drops their cells from the picks of the other rows.
 
 What the public calls learn of a square goes into its record,
 `LatinSquare.transversal_record`, so that no later call on the same object
-works it out again.  It holds at most three things:
+works it out again.  It holds at most four things:
 - the picks, stored by `_picks`; every engine call takes them as they are
   or as a filtered copy, and no caller may change them;
 - the transversal count, stored by `count_transversals`, and by
   `decompose` when it collected every candidate;
-- the cell mask of the first transversal, stored by `decompose` then and by
+- the cell mask of the first transversal, stored with each count and by
   the k = 0 query of `max_partial_transversal`, which stores a count of 0
-  instead when it finds none.
+  instead when it finds none;
+- a dead cell, stored by `count_transversals`: the row-major index of a
+  cell of the search's rows that no table hit took, which is therefore on
+  no transversal.  A dead cell among the table's rows goes unrecorded.
 A count comes only from a complete enumeration, never from a limited one,
 such as `decompose`'s past the candidate threshold.  `count_transversals`
 returns a stored count, `decompose` answers "none" with 0 nodes for a count
-of 0, as its dead-cell test would, and `max_partial_transversal` answers
-with a stored first transversal, or skips k = 0 for a count of 0.
+of 0 or, at a count within the candidate threshold, a dead cell, as its
+dead-cell test would, and `max_partial_transversal` answers with a stored
+first transversal, or skips k = 0 for a count of 0.
 `iter_transversals` shares only the picks.  The record never holds the
 candidate list, which can reach 10^6 masks; that is why
 `count_transversals` counts without materialising them.
@@ -44,7 +51,8 @@ the n^2 cells must be covered exactly once by cell sets of candidate
 transversals.  When the OR of the candidates' cell masks leaves a cell out,
 no cover exists, and `decompose` answers "none" with 0 nodes before it
 builds the index space, as the search's root would (9120 of the 9408 reduced
-squares of order 6 end here).  The solver is Knuth's Algorithm X over
+squares of order 6 end here; after `count_transversals`, 8904 of them end at
+the record, before any enumeration).  The solver is Knuth's Algorithm X over
 bitsets: Python ints hold the set of candidates still alive and, per cell,
 the candidates through it.  Each node branches on the open cell with the
 fewest live candidates (lowest row-major cell on ties) and tries them in
@@ -138,6 +146,7 @@ def _transversals(
     picks: list[list[int]],
     out: Optional[list[int]] = None,
     limit: Optional[int] = None,
+    record: Optional[dict] = None,
 ) -> int:
     """The number of transversals that take one cell of ``picks[r]`` in each
     row r.  A pick is a cell's used bits, its column bit and its symbol bit
@@ -145,7 +154,11 @@ def _transversals(
     mask bit.  A row lists its cells in column order and may leave some out
     or repeat a symbol.  Appends each transversal's cell mask, bit r * n + c
     for 0-based cell (r, c), to ``out`` if given, lexicographic in the
-    columns of rows 0..n-1, and stops once ``out`` holds ``limit`` masks."""
+    columns of rows 0..n-1, and stops once ``out`` holds ``limit`` masks.
+    When counting, stores in ``record``, if given, the first transversal's
+    cell mask under "first" and, when a cell of the searched rows 0..top-1
+    is on no transversal, the lowest such cell's row-major index under
+    "dead"."""
     n = len(picks)
     full = (1 << n) - 1
     counting = out is None
@@ -155,8 +168,14 @@ def _transversals(
     top, table = _table(picks, bound, counting)
     complement = full | full << n
     get = table.get
+    # When counting: the first table hit's remaining bits, cells and hit
+    # picks, the OR of the hits' cells in rows 0..top-2 and that of their
+    # picks in row top-1.
+    first = None
+    cover = last = 0
 
     def rec(r: int, used: int, cells: int) -> int:
+        nonlocal first, cover, last
         total = 0
         shift = r * n
         if r + 1 < top:
@@ -164,9 +183,19 @@ def _transversals(
                 if not used & u:
                     total += rec(r + 1, used | u, cells | (u & -u) << shift)
         elif counting:
+            rest = used ^ complement
+            hits = 0
             for u in picks[r]:
                 if not used & u:
-                    total += get((used | u) ^ complement, 0)
+                    count = get(rest ^ u)
+                    if count:
+                        total += count
+                        hits |= u
+            if hits:
+                if first is None:
+                    first = rest, cells, hits
+                cover |= cells
+                last |= hits
         else:
             for u in picks[r]:
                 if not used & u:
@@ -181,11 +210,40 @@ def _transversals(
         return total
 
     try:
-        return rec(0, 0, 0)
+        total = rec(0, 0, 0)
     except _Stop:
         return len(out)
     finally:
         del rec  # it refers to itself; free out with the caller's reference
+    if record is not None:
+        shift = (top - 1) * n
+        dead = ((1 << top * n) - 1) & ~(cover | (last & full) << shift)
+        if dead:
+            record["dead"] = (dead & -dead).bit_length() - 1
+        if first is not None:
+            rest, cells, hits = first
+            low = hits & -hits  # the column bit of the first hit
+            for u in picks[top - 1]:
+                if u & low:
+                    break
+            record["first"] = cells | low << shift | _completion(picks, top, rest ^ u)
+    return total
+
+
+def _completion(picks: list[list[int]], r: int, rest: int) -> Optional[int]:
+    """The cell mask of rows r..n-1 in the lexicographically first way for
+    them to take one pick each that together use exactly the bits of rest,
+    or None if there is none.  A module function, so that its recursion
+    leaves no cyclic garbage."""
+    n = len(picks)
+    if r == n:
+        return 0
+    for u in picks[r]:
+        if u & rest == u:
+            tail = _completion(picks, r + 1, rest ^ u)
+            if tail is not None:
+                return (u & -u) << r * n | tail
+    return None
 
 
 def _table(picks: list[list[int]], bound: int, counting: bool) -> tuple[int, dict]:
@@ -227,7 +285,8 @@ def _grow_counts(
     for u in row:
         for key, count in counts.items():
             if not key & u:
-                grown[key | u] = get(key | u, 0) + count
+                key |= u
+                grown[key] = get(key, 0) + count
         if len(grown) > bound:
             return None
     return grown
@@ -254,12 +313,14 @@ def _grow_masks(
 
 
 def _cells(mask: int) -> list[int]:
-    """The set bits of mask, ascending."""
+    """The set bits of mask, ascending.  Taken from the top, which makes
+    fewer new ints than taking mask & -mask from the bottom."""
     cells = []
     while mask:
-        low = mask & -mask
-        mask ^= low
-        cells.append(low.bit_length() - 1)
+        top = mask.bit_length() - 1
+        cells.append(top)
+        mask ^= 1 << top
+    cells.reverse()
     return cells
 
 
@@ -282,11 +343,13 @@ def iter_transversals(square: LatinSquare, limit: int | None = None) -> Iterator
 
 
 def count_transversals(square: LatinSquare) -> int:
-    """Number of transversals, without materialising them."""
+    """Number of transversals, without materialising them.  The count, the
+    first transversal and a dead cell, if the search proved one, go into the
+    square's record."""
     record = square.transversal_record
     count = record.get("count")
     if count is None:
-        count = record["count"] = _transversals(_picks(square))
+        count = record["count"] = _transversals(_picks(square), record=record)
     return count
 
 
@@ -351,8 +414,11 @@ def decompose(square: LatinSquare, node_budget: int = DEFAULT_NODE_BUDGET) -> De
         raise ValueError(f"node budget must be non-negative, got {node_budget}")
     n = square.n
     record = square.transversal_record
-    if record.get("count") == 0:
-        return DecomposeResult("none", None, 0, 0)
+    count = record.get("count")
+    # A count of 0, or a cell that the counting pass found on no transversal,
+    # ends the search at its root, as the test below would.
+    if count == 0 or "dead" in record and count <= DEFAULT_CANDIDATE_THRESHOLD:
+        return DecomposeResult("none", None, 0, count)
     masks: list[int] = []
     _transversals(_picks(square), masks, DEFAULT_CANDIDATE_THRESHOLD + 1)
     if len(masks) > DEFAULT_CANDIDATE_THRESHOLD:

@@ -115,6 +115,34 @@ def test_out_of_range_input_reported():
     assert validate_switcher(fam, sw) == "edge (1,6) out of range for order 5"
 
 
+def test_missing_exception_sets_reported():
+    # a family built directly with fewer (or more) exception sets than
+    # matchings: each missing set is reported and read as empty
+    host = to_coloring(cyclic_square(5))
+    edge = (1, 1, host.edge_color(1, 1))
+    assert check_near_matching(NearMatchingFamily(host, ((edge,),), (), ())) == (False, [
+        (1, None, "no deg0 set for matching 1"),
+        (1, None, "no deg2 set for matching 1"),
+    ])
+    zero = frozenset({("A", 2)})
+    assert check_near_matching(NearMatchingFamily(host, ((edge,),), (zero,), ())) == (False, [
+        (1, None, "no deg2 set for matching 1"),
+    ])
+    assert check_near_matching(
+        NearMatchingFamily(host, ((edge,),), (zero, frozenset()), (frozenset(),))
+    ) == (False, [(2, None, "deg0 set 2 has no matching")])
+
+
+def test_malformed_edge_reported():
+    # an edge given as a pair, not an (a, b, colour) triple, is reported and
+    # takes no part in the degree checks
+    host = to_coloring(cyclic_square(5))
+    fam = NearMatchingFamily(host, (((1, 1), (2, 2, 3)),), (frozenset(),), (frozenset(),))
+    assert check_near_matching(fam) == (
+        False, [(1, None, "edge (1, 1) is not an (a, b, colour) triple")]
+    )
+
+
 def test_find_switcher_length_two_impossible():
     fam = perfect_family(klein_power_square(3))
     assert find_switcher(fam, 1, 2, ("A", 1), ("A", 2), max_len=2) is None

@@ -1,3 +1,4 @@
+import gc
 import random
 import tracemalloc
 from itertools import combinations, permutations, product
@@ -521,6 +522,11 @@ def test_undecided_past_the_candidate_threshold(monkeypatch):
             assert "count" not in sq.transversal_record, n
     res = decompose(cyclic_square(1))
     assert (res.status, res.nodes, res.candidates) == ("some", 1, 1)
+    # A dead cell recorded by a count past the threshold does not answer for
+    # decompose either.
+    dead = next(sq for sq in enumerate_reduced(6) if count_transversals(sq) == 8)
+    assert "dead" in dead.transversal_record
+    assert decompose(dead) == undecided
 
 
 def test_candidates_counted_on_the_eager_path():
@@ -647,7 +653,74 @@ def test_record_answers_alike_in_any_call_order():
         for order in permutations(calls):
             one = from_grid(sq.cells)
             assert {name: calls[name](one) for name in order} == fresh, (sq.cells, order)
-            assert set(one.transversal_record) <= {"picks", "count", "first"}
+            assert set(one.transversal_record) <= {"picks", "count", "first", "dead"}
+
+
+def test_count_first_answers_alike_on_the_order6_scan():
+    # The benchmark's call order on every reduced order-6 square answers as
+    # decompose and max_partial_transversal do on fresh copies.  The counting
+    # pass records a dead cell for 6804 of the 7020 squares with 8
+    # transversals, so that decompose answers them without an enumeration.
+    recorded = 0
+    for sq in enumerate_reduced(6):
+        count = count_transversals(sq)
+        recorded += count > 0 and "dead" in sq.transversal_record
+        res, partial = decompose(sq), max_partial_transversal(sq)
+        assert res == decompose(from_grid(sq.cells)), sq.cells
+        assert partial == max_partial_transversal(from_grid(sq.cells)), sq.cells
+        assert res.candidates == count, sq.cells
+    assert recorded == 6804
+
+
+def _first_squares():
+    for n in range(1, 11):
+        yield cyclic_square(n)
+        for t in range(3):
+            yield sample_uniform(n, SeededRng(2323).derive(t), burnin=300)
+
+
+def test_count_records_the_first_transversal_and_a_dead_cell():
+    for sq in _first_squares():
+        n = sq.n
+        count = count_transversals(sq)
+        record = sq.transversal_record
+        first = next(iter_transversals(sq, limit=1), None)
+        assert (first is None) == (count == 0), sq.cells
+        if first is not None:
+            assert transversal._transversal(record["first"], n) == first, sq.cells
+        else:
+            assert "first" not in record, sq.cells
+        if "dead" in record:
+            dead = divmod(record["dead"], n)
+            cell = (dead[0] + 1, dead[1] + 1)
+            assert all(cell not in t.cells for t in iter_transversals(sq)), sq.cells
+            assert decompose(sq) == DecomposeResult("none", None, 0, count), sq.cells
+
+
+def test_public_calls_leave_no_cyclic_garbage():
+    # A self-referencing closure left behind as garbage costs the benchmark
+    # its tail latency when the collector runs; each call must free
+    # everything it made by reference counting alone.
+    sq = sample_uniform(7, SeededRng(11).derive(0), burnin=500)
+    calls = {
+        "count": count_transversals,
+        "decompose": decompose,
+        "partial": max_partial_transversal,
+        "iter": lambda s: list(iter_transversals(s)),
+    }
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        shared = from_grid(sq.cells)
+        for name, call in calls.items():
+            call(from_grid(sq.cells))
+            assert gc.collect() == 0, name
+            call(shared)
+            assert gc.collect() == 0, name
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_truncated_runs_record_no_count(monkeypatch):
