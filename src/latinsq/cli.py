@@ -6,6 +6,11 @@ connector-demo.  All randomness flows from --seed through per-trial derived
 streams, so identical invocations produce identical report bodies
 (timing fields aside) regardless of --workers.
 
+Each subcommand returns its answer and exit code, and `main` alone writes
+the answer: to the --out file, or to stdout.  A report's elapsed_seconds
+spans the whole command, and tarry-check's offending square goes to
+stderr after the answer.
+
 Exit codes: 0 success, 1 invalid input (usage errors included), 2 infeasible
 or undecided-dominated, 3 assertion failure (a reproduction claim was
 violated).
@@ -63,6 +68,7 @@ class ExperimentReport:
     trials: list = field(default_factory=list)
     summary: dict = field(default_factory=dict)
     elapsed_seconds: float = 0.0
+    note: str = ""  # written to stderr after the body; not part of the report
 
     def to_json(self) -> str:
         return json.dumps(
@@ -84,17 +90,6 @@ class ExperimentReport:
         for key in sorted(self.summary):
             lines.append(f"  {key} = {self.summary[key]}")
         return "\n".join(lines) + "\n"
-
-
-def _emit(report: ExperimentReport, args, csv_rows: list[str] | None = None) -> None:
-    fmt = args.format
-    if fmt == "json":
-        body = report.to_json() + "\n"
-    elif fmt == "csv":  # FORMATS lets csv through for census-links only
-        body = "\n".join(csv_rows) + "\n"
-    else:
-        body = report.to_text()
-    _write(body, args.out)
 
 
 def _write(body: str, out: str | None) -> None:
@@ -139,8 +134,7 @@ def _mc_trial(task) -> dict:
     return record
 
 
-def cmd_mc_decomposable(args) -> int:
-    t0 = time.perf_counter()
+def cmd_mc_decomposable(args) -> tuple[ExperimentReport, int]:
     if args.trials < 1:
         raise ValueError(f"trials must be positive, got {args.trials}")
     if args.workers < 1:
@@ -151,7 +145,6 @@ def cmd_mc_decomposable(args) -> int:
             records = list(pool.map(_mc_trial, tasks))
     else:
         records = [_mc_trial(t) for t in tasks]
-    records.sort(key=lambda r: r["trial"])
     some = sum(1 for r in records if r["status"] == "some")
     none = sum(1 for r in records if r["status"] == "none")
     undecided = sum(1 for r in records if r["status"] == "undecided")
@@ -172,20 +165,17 @@ def cmd_mc_decomposable(args) -> int:
             "ci95_wilson": interval,
         },
     )
-    report.elapsed_seconds = time.perf_counter() - t0
-    _emit(report, args)
     if bad:
-        return EXIT_ASSERTION
+        return report, EXIT_ASSERTION
     if undecided > some + none:
-        return EXIT_INFEASIBLE
-    return EXIT_OK
+        return report, EXIT_INFEASIBLE
+    return report, EXIT_OK
 
 
 # --- tarry-check --------------------------------------------------------------
 
 
-def cmd_tarry_check(args) -> int:
-    t0 = time.perf_counter()
+def cmd_tarry_check(args) -> tuple[ExperimentReport, int]:
     n = args.order
     examined = 0
     resolvable = 0
@@ -222,13 +212,10 @@ def cmd_tarry_check(args) -> int:
             "transversal_counts": {str(k): v for k, v in sorted(transversal_histogram.items())},
         },
     )
-    report.elapsed_seconds = time.perf_counter() - t0
-    _emit(report, args)
     if resolvable or undecided:
-        if offender is not None:
-            sys.stderr.write("offending square:\n" + square_to_text(offender))
-        return EXIT_ASSERTION
-    return EXIT_OK
+        report.note = "offending square:\n" + square_to_text(offender)
+        return report, EXIT_ASSERTION
+    return report, EXIT_OK
 
 
 # --- census-links -------------------------------------------------------------
@@ -243,8 +230,7 @@ def _distinct_pair(rng: SeededRng, n: int) -> tuple[int, int]:
             return a, b
 
 
-def cmd_census_links(args) -> int:
-    t0 = time.perf_counter()
+def cmd_census_links(args) -> tuple[ExperimentReport | str, int]:
     if args.order < 2:
         raise ValueError(f"order must be at least 2 to pick distinct endpoints, got {args.order}")
     if args.pairs < 0:
@@ -306,9 +292,7 @@ def cmd_census_links(args) -> int:
         trials=records,
         summary=summary,
     )
-    report.elapsed_seconds = time.perf_counter() - t0
-    _emit(report, args, csv_rows=rows)
-    return EXIT_OK
+    return ("\n".join(rows) + "\n" if args.format == "csv" else report), EXIT_OK
 
 
 # --- probe-subgraph -----------------------------------------------------------
@@ -326,8 +310,7 @@ def _read_probe_edges(path: str) -> list[tuple[int, int, int]]:
     return [tuple(e) for e in edges]
 
 
-def cmd_probe_subgraph(args) -> int:
-    t0 = time.perf_counter()
+def cmd_probe_subgraph(args) -> tuple[ExperimentReport, int]:
     edges = _read_probe_edges(args.graph)
     rng = SeededRng(args.seed)
     result = subgraph_probability_probe(edges, args.order, args.trials, rng.derive(0))
@@ -345,16 +328,13 @@ def cmd_probe_subgraph(args) -> int:
         seed=args.seed,
         summary=summary,
     )
-    report.elapsed_seconds = time.perf_counter() - t0
-    _emit(report, args)
-    return EXIT_OK
+    return report, EXIT_OK
 
 
 # --- absorber-demo ------------------------------------------------------------
 
 
-def cmd_absorber_demo(args) -> int:
-    t0 = time.perf_counter()
+def cmd_absorber_demo(args) -> tuple[ExperimentReport, int]:
     rng = SeededRng(args.seed)
     records = []
     artifacts = []
@@ -400,21 +380,19 @@ def cmd_absorber_demo(args) -> int:
             "failed": failures,
         },
     )
-    report.elapsed_seconds = time.perf_counter() - t0
     if args.dump:
         with open(args.dump, "w") as fh:
             json.dump(artifacts, fh, sort_keys=True)
-    _emit(report, args)
     if failures:
-        return EXIT_INFEASIBLE if all(r["status"] != "invalid" for r in records) else EXIT_ASSERTION
-    return EXIT_OK
+        invalid = any(r["status"] == "invalid" for r in records)
+        return report, EXIT_ASSERTION if invalid else EXIT_INFEASIBLE
+    return report, EXIT_OK
 
 
 # --- connector-demo -----------------------------------------------------------
 
 
-def cmd_connector_demo(args) -> int:
-    t0 = time.perf_counter()
+def cmd_connector_demo(args) -> tuple[ExperimentReport, int]:
     rng = SeededRng(args.seed)
     graph = build_connector(args.size, args.roots, spread=args.spread, rng=rng.derive(0))
     stress = rng.derive(1)
@@ -441,49 +419,43 @@ def cmd_connector_demo(args) -> int:
             "max_degree": max_deg,
         },
     )
-    report.elapsed_seconds = time.perf_counter() - t0
-    _emit(report, args)
-    return EXIT_OK if failed == 0 else EXIT_INFEASIBLE
+    return report, EXIT_OK if failed == 0 else EXIT_INFEASIBLE
 
 
 # --- plain square commands ------------------------------------------------------
 
 
-def cmd_sample(args) -> int:
+def cmd_sample(args) -> tuple[str, int]:
     rng = SeededRng(args.seed)
     blocks = []
     for square in sample_squares(
         args.order, rng.derive(0), args.count, burnin=args.burnin, thin=args.thin
     ):
         blocks.append(square_to_text(square))
-    _write("\n".join(blocks), args.out)
-    return EXIT_OK
+    return "\n".join(blocks), EXIT_OK
 
 
-def cmd_count_transversals(args) -> int:
+def cmd_count_transversals(args) -> tuple[str, int]:
     square = _read_square(args.square)
-    _write(f"{count_transversals(square)}\n", args.out)
-    return EXIT_OK
+    return f"{count_transversals(square)}\n", EXIT_OK
 
 
-def cmd_decompose(args) -> int:
+def cmd_decompose(args) -> tuple[str, int]:
     square = _read_square(args.square)
     res = decompose(square, node_budget=args.node_budget)
     if res.status == "some":
         body = decomposition_to_grid_text(square, res.decomposition)
     else:
         body = res.status + "\n"
-    _write(body, args.out)
-    return EXIT_INFEASIBLE if res.status == "undecided" else EXIT_OK
+    return body, EXIT_INFEASIBLE if res.status == "undecided" else EXIT_OK
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> tuple[str, int]:
     square = _read_square(args.square)
     with open(args.parts) as fh:
         decomposition = decomposition_from_grid_text(fh.read())
     ok, msg = verify_decomposition(square, decomposition)
-    _write(("ok" if ok else f"invalid: {msg}") + "\n", args.out)
-    return EXIT_OK if ok else EXIT_ASSERTION
+    return ("ok" if ok else f"invalid: {msg}") + "\n", EXIT_OK if ok else EXIT_ASSERTION
 
 
 # --- wiring -------------------------------------------------------------------
@@ -598,11 +570,20 @@ def main(argv=None) -> int:
             f" which writes {' or '.join(FORMATS[args.command])}\n"
         )
         return EXIT_INVALID
+    t0 = time.perf_counter()
     try:
-        return args.func(args)
+        body, code = args.func(args)
+        note = ""
+        if isinstance(body, ExperimentReport):
+            body.elapsed_seconds = time.perf_counter() - t0
+            note = body.note
+            body = body.to_json() + "\n" if args.format == "json" else body.to_text()
+        _write(body, args.out)
     except (ValidationError, ValueError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVALID
+    sys.stderr.write(note)
+    return code
 
 
 if __name__ == "__main__":

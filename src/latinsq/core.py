@@ -236,6 +236,16 @@ def check_transversal(square: LatinSquare, cells, partial: bool = False) -> str 
     return None
 
 
+def check_limit(limit) -> None:
+    """Accept None or a non-negative int as a search's `limit`: anything
+    else raises TypeError, a negative int ValueError."""
+    if limit is not None:
+        if not isinstance(limit, int):
+            raise TypeError(f"limit must be an int or None, got {type(limit).__name__}")
+        if limit < 0:
+            raise ValueError(f"limit must be non-negative, got {limit}")
+
+
 # --- text formats -----------------------------------------------------------
 #
 # Square file: line 1 is n, then n lines of n space-separated symbols.

@@ -28,12 +28,11 @@ table.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 
-from .core import LatinSquare, ProperColoring
+from .core import LatinSquare, ProperColoring, check_limit
 from .rainbow import Vertex, _check_vertex
 from .sampler import SeededRng, enumerate_all, sample_squares
 
@@ -122,9 +121,10 @@ class Link:
 
 @dataclass
 class CensusResult:
-    params: dict
+    """A path-pair census: the number of pairs counted, and whether the
+    count stopped at INT64_MAX.  Callers that want the time take it."""
+
     count: int
-    elapsed: float
     saturated: bool = False
 
 
@@ -346,9 +346,9 @@ def enumerate_links(
 ):
     """Every embedding of pat with start at u and end at v, exactly once, in
     a fixed deterministic order, or the first `limit` of them.
-    Parity-impossible requests yield nothing."""
-    if limit is not None and limit < 0:
-        raise ValueError(f"limit must be non-negative, got {limit}")
+    Parity-impossible requests yield nothing.  A `limit` that is not an
+    int or None raises TypeError."""
+    check_limit(limit)
     ui, vi = _pair_ids(host, u, v)
     return _search(host, ui, vi, pat, limit, emit=True)[1]
 
@@ -404,7 +404,9 @@ def census_path_pairs(
     """Ordered pairs (P1, P2) of vertex-disjoint paths with the same colour
     sequence: P1 from x1 to y1, P2 from x2 to y2, both of the given odd
     length.  P1 is enumerated; P2 is the forced colour walk from x2.  The
-    count stops at `limit` pairs when one is given.
+    count stops at `limit` pairs when one is given; a `limit` that is not
+    an int or None raises TypeError.  The result holds the count and
+    whether it saturated, not the time the call took.
     """
     if length < 1:
         raise ValueError("path length must be positive")
@@ -412,14 +414,11 @@ def census_path_pairs(
         raise ValueError("path length must be odd")
     if len(set(endpoints)) != 4:
         raise ValueError("the four endpoints must be distinct")
-    if limit is not None and limit < 0:
-        raise ValueError(f"limit must be non-negative, got {limit}")
-    t0 = time.perf_counter()
-    params = {"length": length, "endpoints": [list(p) for p in endpoints]}
+    check_limit(limit)
     n = host.n
     x1, y1, x2, y2 = (_vertex_id(n, p) for p in endpoints)
     if limit == 0 or (x1 < n) == (y1 < n) or (x2 < n) == (y2 < n):
-        return CensusResult(params=params, count=0, elapsed=time.perf_counter() - t0)
+        return CensusResult(count=0)
     via, color = host.partners
     m, s = 2 * n, n + 1
     cap = limit if limit is not None else float("inf")
@@ -460,9 +459,7 @@ def census_path_pairs(
         return False
 
     rec(x1, 0, 1 << x1)
-    return CensusResult(
-        params=params, count=count, elapsed=time.perf_counter() - t0, saturated=saturated
-    )
+    return CensusResult(count=count, saturated=saturated)
 
 
 @dataclass(frozen=True)
@@ -497,27 +494,23 @@ def subgraph_probability_probe(
     n: int,
     trials: int,
     rng: SeededRng,
-    exact: bool | None = None,
 ) -> ProbeResult:
     """Probability that a uniform square's colouring contains the given
     coloured edges (same endpoints, same colours).
 
     `edges` is a list of (row, column, colour) triples forming a small
-    properly coloured bipartite graph.  At n = 4 an exact mode iterates all
-    576 squares and returns the rational probability; otherwise the estimate
-    comes with a binomial standard error.
+    properly coloured bipartite graph.  At n = 4 the probe is exact: it
+    iterates all 576 squares, ignores `trials` and `rng`, and returns the
+    rational probability.  At any other n it samples `trials` squares and
+    the estimate comes with a binomial standard error.
     """
     edges = [tuple(e) for e in edges]
     _check_probe_graph(edges, n)
-    if exact is None:
-        exact = n == 4
 
     def contains(sq: LatinSquare) -> bool:
         return all(sq.cells[a - 1][b - 1] == c for (a, b, c) in edges)
 
-    if exact:
-        if n != 4:
-            raise ValueError("exact mode is implemented by full enumeration only at n = 4")
+    if n == 4:
         hits = 0
         total = 0
         for sq in enumerate_all(4):

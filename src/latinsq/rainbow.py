@@ -219,7 +219,10 @@ def validate_switcher(fam: NearMatchingFamily, sw: Switcher) -> str | None:
         return f"path length {len(sw.path)} is not an even number >= 4"
     seq = [sw.x]
     cur = sw.x
-    for (a, b, c) in sw.path:
+    for e in sw.path:
+        if not (isinstance(e, (tuple, list)) and len(e) == 3):
+            return f"edge {e!r} is not an (a, b, colour) triple"
+        a, b, c = e
         if not (_in_range(fam.n, a) and _in_range(fam.n, b)):
             return f"edge ({a},{b}) out of range for order {fam.n}"
         ea, eb = ("A", a), ("B", b)
@@ -365,21 +368,6 @@ def make_pair(i: int, u, j: int, v) -> Pair:
     return frozenset({(i, u), (j, v)})
 
 
-@dataclass(frozen=True)
-class SwitchRequestSet:
-    """A collection of well-formed unordered request pairs."""
-
-    pairs: frozenset[Pair]
-
-    @classmethod
-    def of(cls, pairs) -> "SwitchRequestSet":
-        out = set()
-        for p in pairs:
-            (i, u), (j, v) = tuple(p)
-            out.add(make_pair(i, u, j, v))
-        return cls(pairs=frozenset(out))
-
-
 def pair_counts(pairs, i: int, u) -> tuple[int, int]:
     """(outgoing, incoming) multiplicities of (i, u) in a pair collection.
 
@@ -399,9 +387,8 @@ def pair_counts(pairs, i: int, u) -> tuple[int, int]:
     return out, inc
 
 
-def is_le1_balanced(requests, i: int, u) -> bool:
-    """True iff (i, u) has exactly one outgoing and one incoming request, or
-    none of either."""
-    pairs = requests.pairs if isinstance(requests, SwitchRequestSet) else requests
+def is_le1_balanced(pairs, i: int, u) -> bool:
+    """True iff (i, u) has exactly one outgoing and one incoming request in
+    the pair collection, or none of either."""
     out, inc = pair_counts(pairs, i, u)
     return (out, inc) in ((0, 0), (1, 1))

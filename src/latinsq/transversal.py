@@ -90,6 +90,7 @@ from .core import (
     LatinSquare,
     PartialTransversal,
     Transversal,
+    check_limit,
     check_transversal,
 )
 
@@ -331,11 +332,7 @@ def _transversal(mask: int, n: int) -> Transversal:
 def iter_transversals(square: LatinSquare, limit: int | None = None) -> Iterator[Transversal]:
     """All transversals, or the first `limit` of them, lexicographic in the
     column chosen for rows 1..n."""
-    if limit is not None:
-        if not isinstance(limit, int):
-            raise TypeError(f"limit must be an int or None, got {type(limit).__name__}")
-        if limit < 0:
-            raise ValueError(f"limit must be non-negative, got {limit}")
+    check_limit(limit)
     masks: list[int] = []
     if limit != 0:
         _transversals(_picks(square), masks, limit)

@@ -1,9 +1,12 @@
+import io
 import json
+import sys
 
 import pytest
 
 from latinsq.cli import FORMATS, build_parser, main, wilson_interval
 from latinsq.core import cyclic_square, square_from_text, square_to_text, squares_from_text
+from latinsq.transversal import decompose
 
 
 def run(capsys, *argv):
@@ -649,3 +652,44 @@ def test_every_subcommand_rejects_an_unwritable_out_file(tmp_path, capsys):
         code, out, err = run(capsys, "--out", out_file, *argv)
         assert code == 1 and out == "", (argv, code, err)
         assert err.startswith("error: ") and "Traceback" not in err, (argv, err)
+
+
+def test_report_bodies_alike_on_stdout_and_in_the_out_file(tmp_path, capsys):
+    # one path writes every report: the same body, exit code and stderr
+    # whether the answer goes to stdout or to --out, and elapsed_seconds
+    # is set on both
+    graph = tmp_path / "h.json"
+    graph.write_text(json.dumps({"edges": [[1, 1, 1]]}))
+    out_file = tmp_path / "out"
+    for argv in (
+        ["tarry-check", "--order", "4"],
+        ["mc-decomposable", "--order", "5", "--trials", "3"],
+        ["census-links", "--order", "6", "--pairs", "3", "--burnin", "100"],
+        ["census-links", "--order", "6", "--length", "3", "--pairs", "3", "--burnin", "100"],
+        ["probe-subgraph", str(graph), "--order", "5", "--trials", "20"],
+        ["absorber-demo", "--count", "2", "--indices", "6", "--universe", "60"],
+        ["connector-demo", "--size", "256", "--roots", "2", "--pairings", "2"],
+    ):
+        for fmt in ("json", "text"):
+            flags = ["--seed", "5", "--format", fmt]
+            code, out, err = run(capsys, *flags, *argv)
+            code_file, out_empty, err_file = run(capsys, *flags, "--out", str(out_file), *argv)
+            written = out_file.read_text()
+            assert (code_file, out_empty, err_file) == (code, "", err), (argv, fmt)
+            if fmt == "text":
+                assert written == out and out.startswith(argv[0] + ": "), argv
+                continue
+            body, body_file = json.loads(out), json.loads(written)
+            assert body.pop("elapsed_seconds") > 0 and body_file.pop("elapsed_seconds") > 0, argv
+            assert body == body_file and body["command"] == argv[0], argv
+
+
+def test_tarry_check_writes_the_offending_square_after_its_report(monkeypatch):
+    stream = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", stream)
+    monkeypatch.setattr(sys, "stderr", stream)
+    assert main(["tarry-check", "--order", "4"]) == 3
+    report, note = stream.getvalue().split("offending square:\n")
+    assert report.startswith("tarry-check: ") and report.endswith("\n")
+    square = square_from_text(note)
+    assert square.n == 4 and decompose(square).status == "some"

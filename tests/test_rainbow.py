@@ -5,7 +5,6 @@ from latinsq.links import enumerate_links, repeat_pattern
 from latinsq.rainbow import (
     NearMatchingFamily,
     Switcher,
-    SwitchRequestSet,
     apply_switcher,
     check_near_matching,
     family_from_json,
@@ -141,6 +140,11 @@ def test_malformed_edge_reported():
     assert check_near_matching(fam) == (
         False, [(1, None, "edge (1, 1) is not an (a, b, colour) triple")]
     )
+    # validate_switcher reports a path edge of the wrong shape the same way
+    fam = make_family(host, [[(1, 1), (2, 2)], [(1, 2), (2, 3)]])
+    for edge in ((1, 1), (1, 1, 1, 1), 7):
+        sw = Switcher(1, 2, ("A", 1), ("A", 2), (edge, (2, 2, 3), (2, 3, 5), (1, 2, 2)))
+        assert validate_switcher(fam, sw) == f"edge {edge!r} is not an (a, b, colour) triple"
 
 
 def test_find_switcher_length_two_impossible():
@@ -231,12 +235,12 @@ def test_family_json_round_trip():
 
 
 def test_le1_balance_cases():
-    empty = SwitchRequestSet.of([])
+    empty = frozenset()
     assert is_le1_balanced(empty, 1, "u")
-    one = SwitchRequestSet.of([make_pair(1, "u", 2, "v")])
+    one = frozenset([make_pair(1, "u", 2, "v")])
     assert not is_le1_balanced(one, 1, "u")
     assert not is_le1_balanced(one, 2, "v")
-    both = SwitchRequestSet.of([make_pair(1, "u", 2, "v"), make_pair(1, "v", 2, "u")])
+    both = frozenset([make_pair(1, "u", 2, "v"), make_pair(1, "v", 2, "u")])
     assert is_le1_balanced(both, 1, "u")
     assert is_le1_balanced(both, 2, "v")
     assert is_le1_balanced(both, 1, "v")
