@@ -191,9 +191,9 @@ def cmd_tarry_check(args) -> tuple[ExperimentReport, int]:
         prefix = [list(cyclic_square(n).row(r)) for r in range(1, args.cyclic_prefix_rows + 1)]
     for square in enumerate_reduced(n, row_prefix=prefix):
         examined += 1
-        res = decompose(square, node_budget=args.node_budget)
-        # read from the square's record when decompose collected every candidate
+        # counted first, so that decompose can answer from the square's record
         tc = count_transversals(square)
+        res = decompose(square, node_budget=args.node_budget)
         transversal_histogram[tc] = transversal_histogram.get(tc, 0) + 1
         if res.status == "some":
             resolvable += 1
@@ -311,6 +311,8 @@ def _read_probe_edges(path: str) -> list[tuple[int, int, int]]:
 
 
 def cmd_probe_subgraph(args) -> tuple[ExperimentReport, int]:
+    if args.trials < 1:
+        raise ValueError(f"trials must be positive, got {args.trials}")
     edges = _read_probe_edges(args.graph)
     rng = SeededRng(args.seed)
     result = subgraph_probability_probe(edges, args.order, args.trials, rng.derive(0))
@@ -320,11 +322,15 @@ def cmd_probe_subgraph(args) -> tuple[ExperimentReport, int]:
         "hits": result.hits,
         "trials": result.trials,
     }
-    if result.exact is not None:
+    params = {"order": args.order, "edges": [list(e) for e in edges]}
+    if result.exact is None:
+        params["trials"] = args.trials
+    else:
+        # the exact probe enumerates every square and draws no trials
         summary["exact"] = f"{result.exact.numerator}/{result.exact.denominator}"
     report = ExperimentReport(
         command="probe-subgraph",
-        params={"order": args.order, "trials": args.trials, "edges": [list(e) for e in edges]},
+        params=params,
         seed=args.seed,
         summary=summary,
     )

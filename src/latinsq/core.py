@@ -43,12 +43,12 @@ class LatinSquare:
     def transversal_record(self) -> dict:
         """What the transversal calls learnt of this square, filled by
         ``latinsq.transversal`` under at most four keys: "picks" (the
-        engine's per-row input), "count" (the number of transversals, set
-        only by a complete enumeration), "first" (the cell mask of the
-        lexicographically first transversal) and "dead" (the row-major
-        index of a cell that the counting pass proved to lie on no
-        transversal, so that no decomposition exists).  It never holds the
-        list of transversals.  It lives and dies with this object."""
+        engine's per-row input) and, written only by ``count_transversals``,
+        "count" (the number of transversals), "first" (the cell mask of the
+        lexicographically first transversal) and "dead" (the row-major index
+        of a cell that the counting pass proved to lie on no transversal, so
+        that no decomposition exists).  It never holds the list of
+        transversals.  It lives and dies with this object."""
         return {}
 
 
@@ -213,14 +213,18 @@ def from_coloring(coloring: ProperColoring) -> LatinSquare:
 
 def check_transversal(square: LatinSquare, cells, partial: bool = False) -> str | None:
     """None if the cells form a (partial) transversal of the square, else the
-    first violation in the given cell order."""
+    first violation in the given cell order, such as a cell that is not a
+    tuple or list of two ints."""
     n = square.n
     if not partial and len(cells) != n:
         return f"{len(cells)} cells, expected {n}"
     rows_seen: set[int] = set()
     cols_seen: set[int] = set()
     syms_seen: set[int] = set()
-    for (r, c) in cells:
+    for cell in cells:
+        if not (isinstance(cell, (tuple, list)) and len(cell) == 2 and all(isinstance(k, int) for k in cell)):
+            return f"cell {cell!r} is not a (row, column) pair"
+        r, c = cell
         if not (1 <= r <= n and 1 <= c <= n):
             return f"cell ({r},{c}) out of range"
         if r in rows_seen:

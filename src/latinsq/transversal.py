@@ -25,26 +25,20 @@ bits drops their cells from the picks of the other rows.
 
 What the public calls learn of a square goes into its record,
 `LatinSquare.transversal_record`, so that no later call on the same object
-works it out again.  It holds at most four things:
-- the picks, stored by `_picks`; every engine call takes them as they are
-  or as a filtered copy, and no caller may change them;
-- the transversal count, stored by `count_transversals`, and by
-  `decompose` when it collected every candidate;
-- the cell mask of the first transversal, stored with each count and by
-  the k = 0 query of `max_partial_transversal`, which stores a count of 0
-  instead when it finds none;
-- a dead cell, stored by `count_transversals`: the row-major index of a
-  cell of the search's rows that no table hit took, which is therefore on
-  no transversal.  A dead cell among the table's rows goes unrecorded.
-A count comes only from a complete enumeration, never from a limited one,
-such as `decompose`'s past the candidate threshold.  `count_transversals`
-returns a stored count, `decompose` answers "none" with 0 nodes for a count
-of 0 or, at a count within the candidate threshold, a dead cell, as its
+works it out again.  `_picks` stores the picks, which every engine call
+takes as they are or as a filtered copy and no caller may change.
+`count_transversals` alone stores the rest: the transversal count, the cell
+mask of the first transversal when there is one, and a dead cell, the
+row-major index of a cell of the search's rows that no table hit took and
+which is therefore on no transversal (one among the table's rows goes
+unrecorded; a count of 0 always comes with one, since rows 0..top-1 then
+have no hit).  The other calls only read: `decompose` answers "none" with
+0 nodes for a dead cell at a count within the candidate threshold, as its
 dead-cell test would, and `max_partial_transversal` answers with a stored
-first transversal, or skips k = 0 for a count of 0.
-`iter_transversals` shares only the picks.  The record never holds the
-candidate list, which can reach 10^6 masks; that is why
-`count_transversals` counts without materialising them.
+first transversal, or skips k = 0 for a count of 0.  `iter_transversals`
+shares only the picks.  The record never holds the candidate list, which
+can reach 10^6 masks; that is why `count_transversals` counts without
+materialising them.
 
 Decomposing a square into n disjoint transversals is an exact cover problem:
 the n^2 cells must be covered exactly once by cell sets of candidate
@@ -368,15 +362,13 @@ def max_partial_transversal(square: LatinSquare) -> PartialTransversal:
     picks = _picks(square)
     record = square.transversal_record
     found: list[int] = []
-    # k = 0 asks for the first transversal, unless a call on this square has
-    # found it or found that there is none
-    if "first" not in record and record.get("count") != 0:
-        if _transversals(picks, found, 1):
-            record["first"] = found[0]
-        else:
-            record["count"] = 0
-    if "first" in record:
-        return PartialTransversal(_transversal(record["first"], n).cells)
+    # k = 0 asks for the first transversal, unless a count on this square
+    # has found it or found that there is none
+    first = record.get("first")
+    if first is None and record.get("count") != 0 and _transversals(picks, found, 1):
+        first = found[0]
+    if first is not None:
+        return PartialTransversal(_transversal(first, n).cells)
     # The last rows are relaxed first, so the search gives them the columns
     # left instead of trying each, and the other rows are barred from S up
     # front: 180-210 us a square without a transversal on the order-6 scan,
@@ -411,18 +403,14 @@ def decompose(square: LatinSquare, node_budget: int = DEFAULT_NODE_BUDGET) -> De
         raise ValueError(f"node budget must be non-negative, got {node_budget}")
     n = square.n
     record = square.transversal_record
-    count = record.get("count")
-    # A count of 0, or a cell that the counting pass found on no transversal,
-    # ends the search at its root, as the test below would.
-    if count == 0 or "dead" in record and count <= DEFAULT_CANDIDATE_THRESHOLD:
-        return DecomposeResult("none", None, 0, count)
+    # A cell that the counting pass found on no transversal ends the search
+    # at its root, as the test below would.
+    if "dead" in record and record["count"] <= DEFAULT_CANDIDATE_THRESHOLD:
+        return DecomposeResult("none", None, 0, record["count"])
     masks: list[int] = []
     _transversals(_picks(square), masks, DEFAULT_CANDIDATE_THRESHOLD + 1)
     if len(masks) > DEFAULT_CANDIDATE_THRESHOLD:
         return DecomposeResult("undecided", None, 0, None)
-    record["count"] = len(masks)
-    if masks:
-        record["first"] = masks[0]
     # A cell on no candidate ends the search at its root, at any budget.
     if reduce(or_, masks, 0) != (1 << n * n) - 1:
         return DecomposeResult("none", None, 0, len(masks))

@@ -1,12 +1,18 @@
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import latinsq
+from latinsq import cli
+from latinsq.absorber import CorrectionSet
 from latinsq.cli import FORMATS, build_parser, main, wilson_interval
-from latinsq.core import cyclic_square, square_from_text, square_to_text, squares_from_text
-from latinsq.transversal import decompose
+from latinsq.core import Decomposition, cyclic_square, square_from_text, square_to_text, squares_from_text
+from latinsq.transversal import DecomposeResult, decompose
 
 
 def run(capsys, *argv):
@@ -287,14 +293,26 @@ def test_probe_subgraph_exact(tmp_path, capsys):
     assert code == 0
     body = json.loads(out)
     assert body["summary"]["exact"] == "1/4"
+    # it enumerates all 576 squares, so params name no trials; they do
+    # where the probe samples
+    assert body["params"] == {"order": 4, "edges": [[1, 1, 1]]}
+    assert body["summary"]["trials"] == 576
+    code, out, _ = run(
+        capsys, "--format", "json", "probe-subgraph", str(graph), "--order", "5", "--trials", "7"
+    )
+    body = json.loads(out)
+    assert code == 0 and body["params"] == {"order": 5, "trials": 7, "edges": [[1, 1, 1]]}
+    assert body["summary"]["trials"] == 7
 
 
 def test_probe_subgraph_bad_input_exit_code(tmp_path, capsys):
     graph = tmp_path / "h.json"
     graph.write_text(json.dumps({"edges": [[1, 1, 1]]}))
-    code, out, err = run(capsys, "probe-subgraph", str(graph), "--order", "7", "--trials", "0")
-    assert code == 1 and out == ""
-    assert err.startswith("error: ") and "trials must be positive" in err, err
+    for order in ("4", "7"):
+        for trials in ("0", "-3"):
+            code, out, err = run(capsys, "probe-subgraph", str(graph), "--order", order, "--trials", trials)
+            assert code == 1 and out == "", (order, trials)
+            assert err.startswith("error: ") and "trials must be positive" in err, err
     for body, message in (
         ({"nodes": [[1, 1, 1]]}, "`edges` list"),
         ([[1, 1, 1]], "`edges` list"),
@@ -388,6 +406,60 @@ def test_absorber_demo_bad_input_exit_code(tmp_path, capsys):
         code, out, err = run(capsys, "absorber-demo", "--instance", str(path))
         assert code == 1 and out == "", text
         assert err.startswith("error: ") and message in err and "Traceback" not in err, (text, err)
+
+
+def test_absorber_demo_infeasible_instance_exits_2(tmp_path, capsys):
+    # two indices, each holding half of a four-vertex universe: the
+    # feasibility check finds too few free vertices before any stage runs
+    path = tmp_path / "tight.json"
+    path.write_text(json.dumps({
+        "indices": [1, 2], "universe": [1, 2, 3, 4],
+        "reservoir": {"1": [1], "2": [2]}, "surplus": {"1": [2], "2": [1]},
+        "chosen": {"1": [1], "2": [2]},
+    }))
+    code, out, err = run(capsys, "--format", "json", "absorber-demo", "--instance", str(path))
+    body = json.loads(out)
+    assert (code, err) == (2, "")
+    assert body["trials"] == [{"instance": 0, "status": "infeasible", "stage": "feasibility check"}]
+    assert body["summary"] == {"verified": 0, "failed": 1}
+
+
+def test_absorber_demo_failed_verification_exits_3(monkeypatch, capsys):
+    # an answer with one extra same-index pair fails verify_corrections
+    real = cli.decompose_corrections
+
+    def spoiled(inst, rng):
+        cset = real(inst, rng)
+        i, (u, v) = inst.indices[0], inst.universe[:2]
+        return CorrectionSet(pairs=cset.pairs | {frozenset({(i, u), (i, v)})})
+
+    monkeypatch.setattr(cli, "decompose_corrections", spoiled)
+    code, out, _ = run(
+        capsys, "--seed", "5", "--format", "json",
+        "absorber-demo", "--count", "2", "--indices", "6", "--universe", "60",
+    )
+    body = json.loads(out)
+    assert code == 3
+    assert body["summary"] == {"verified": 0, "failed": 2}
+    for record in body["trials"]:
+        assert record["status"] == "invalid", record
+        assert ["malformed", 1, 1] in record["violations"], record
+
+
+def test_mc_decomposable_failed_verification_exits_3(monkeypatch, capsys):
+    # a "some" answer with no parts fails verify_decomposition, and each
+    # trial reports the violation
+    empty = DecomposeResult("some", Decomposition(parts=()), 0, 0)
+    monkeypatch.setattr(cli, "decompose", lambda square, node_budget: empty)
+    code, out, _ = run(
+        capsys, "--seed", "11", "--format", "json", "mc-decomposable", "--order", "5", "--trials", "3"
+    )
+    body = json.loads(out)
+    assert code == 3
+    assert body["trials"] == [
+        {"trial": t, "status": "some", "nodes": 0, "verified": False, "violation": "0 parts, expected 5"}
+        for t in range(3)
+    ]
 
 
 def test_connector_demo(capsys):
@@ -693,3 +765,16 @@ def test_tarry_check_writes_the_offending_square_after_its_report(monkeypatch):
     assert report.startswith("tarry-check: ") and report.endswith("\n")
     square = square_from_text(note)
     assert square.n == 4 and decompose(square).status == "some"
+
+
+def test_python_m_runs_the_cli(tmp_path):
+    # the package's __main__ entry point, in a fresh interpreter
+    path = tmp_path / "sq.txt"
+    path.write_text(square_to_text(cyclic_square(5)))
+    src = str(Path(latinsq.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "latinsq", "count-transversals", str(path)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "15\n", "")

@@ -20,7 +20,7 @@ from latinsq.core import (
     ProperColoring,
 )
 from latinsq.sampler import SeededRng, enumerate_all, sample_uniform
-from latinsq.transversal import decompose, verify_decomposition
+from latinsq.transversal import decompose, iter_transversals, verify_decomposition
 
 
 def test_from_grid_accepts_mod9_addition_table():
@@ -139,6 +139,74 @@ def test_transversal_checker_matches_rainbow_matching_view():
             len({c for (_, c, _) in edges}) == 5 and len({k for (_, _, k) in edges}) == 5
         )
         assert is_transversal == is_rainbow_pm
+
+
+def test_transversal_checker_verdicts():
+    sq = cyclic_square(5)
+    diagonal = [(r, r) for r in range(1, 6)]
+    assert check_transversal(sq, diagonal) is None
+    assert check_transversal(sq, diagonal[:4]) == "4 cells, expected 5"
+    assert check_transversal(sq, diagonal[:4], partial=True) is None
+    assert check_transversal(sq, [(6, 1)] + diagonal[1:]) == "cell (6,1) out of range"
+    assert check_transversal(sq, [(1, 1), (1, 2)] + diagonal[2:]) == "row 1 used twice"
+    # a cell that is not a pair of ints gets a verdict in cell order
+    for cell in ((5,), ("5", 4), (1.0, 1), (1, 2, 3), 7, None):
+        assert check_transversal(sq, [cell] + diagonal[1:]) == f"cell {cell!r} is not a (row, column) pair"
+    assert check_transversal(sq, diagonal[:4] + [(5,)]) == "cell (5,) is not a (row, column) pair"
+    assert check_transversal(sq, [(6, 1), (5,)], partial=True) == "cell (6,1) out of range"
+    assert check_transversal(sq, [list(cell) for cell in diagonal]) is None
+
+
+def _is_transversal(square, cells) -> bool:
+    """An oracle for check_transversal: n pairs of ints in range, with no
+    row, column or symbol twice."""
+    n = square.n
+    if len(cells) != n or not all(
+        isinstance(cell, tuple) and len(cell) == 2 and all(type(k) is int for k in cell)
+        for cell in cells
+    ):
+        return False
+    if not all(1 <= r <= n and 1 <= c <= n for r, c in cells):
+        return False
+    rows, cols = zip(*cells)
+    syms = {square.symbol(r, c) for r, c in cells}
+    return len(set(rows)) == len(set(cols)) == len(syms) == n
+
+
+def test_transversal_checker_answers_every_mutant():
+    # Seeded mutations of transversals: drop, duplicate or swap cells or
+    # coordinates, go out of range, or break a cell's shape.  Each mutant
+    # gets a verdict, never an exception, and the verdict agrees with the
+    # oracle.
+    rnd = random.Random(2526)
+    kinds = set()
+    for t in range(40):
+        n = rnd.randint(1, 8)
+        sq = sample_uniform(n, SeededRng(2526).derive(t), burnin=50)
+        first = next(iter_transversals(sq, limit=1), None)
+        if first is None:
+            continue
+        for _ in range(25):
+            cells = list(first.cells)
+            kind = rnd.choice(["drop", "duplicate", "swap", "range", "shape"])
+            k = rnd.randrange(n)
+            r, c = cells[k]
+            if kind == "drop":
+                del cells[k]
+            elif kind == "duplicate":
+                cells[rnd.randrange(n)] = cells[k]
+            elif kind == "swap":
+                j = rnd.randrange(n)
+                cells[k], cells[j] = (r, cells[j][1]), (cells[j][0], c)
+            elif kind == "range":
+                cells[k] = rnd.choice([(0, c), (n + 1, c), (r, 0), (r, n + 1), (-r, c)])
+            else:
+                cells[k] = rnd.choice([(r,), (r, c, 1), (str(r), c), (r, float(c)), r, None])
+            kinds.add(kind)
+            verdict = check_transversal(sq, cells)
+            assert (verdict is None) == _is_transversal(sq, cells), (kind, cells, verdict)
+            assert verdict is None or isinstance(verdict, str)
+    assert kinds == {"drop", "duplicate", "swap", "range", "shape"}
 
 
 def test_square_text_round_trip():

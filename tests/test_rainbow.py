@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from latinsq.core import cyclic_square, from_grid, to_coloring
@@ -145,6 +147,139 @@ def test_malformed_edge_reported():
     for edge in ((1, 1), (1, 1, 1, 1), 7):
         sw = Switcher(1, 2, ("A", 1), ("A", 2), (edge, (2, 2, 3), (2, 3, 5), (1, 2, 2)))
         assert validate_switcher(fam, sw) == f"edge {edge!r} is not an (a, b, colour) triple"
+
+
+def test_switcher_faults_reported():
+    # every fault of validate_switcher on the cyclic square of order 5,
+    # whose cell (a, b) has colour (a + b - 2) % 5 + 1; each path runs from
+    # A1 to A2 through B b1, A a2 and B b2
+    host = to_coloring(cyclic_square(5))
+
+    def path(*cells):
+        return tuple((a, b, host.edge_color(a, b)) for a, b in cells)
+
+    def verdict(path_, i=1, j=2, x=("A", 1), y=("A", 2), odd=None, even=None):
+        odd = [e[:2] for e in path_[0::2]] if odd is None else odd
+        even = [e[:2] for e in path_[1::2]] if even is None else even
+        return validate_switcher(make_family(host, [odd, even]), Switcher(i, j, x, y, path_))
+
+    # no path of length 4 is a switcher: its second edge meets both odd
+    # edges, so its colour is missing from the odd half
+    fine = path((1, 2), (3, 2), (3, 1), (2, 1))  # colours 2, 4, 3, 2
+    odd_twice = path((1, 1), (3, 1), (3, 4), (2, 4))  # odd colours 1, 1
+    even_twice = path((1, 1), (3, 1), (3, 2), (2, 2))  # even colours 3, 3
+    assert verdict(fine, i=1, j=1) == "bad matching indices (1,1)"
+    assert verdict(fine, i=0) == "bad matching indices (0,2)"
+    assert verdict(fine, j=3) == "bad matching indices (1,3)"
+    endpoints = "endpoints must be distinct vertices of the same class"
+    assert verdict(fine, y=("A", 1)) == endpoints
+    assert verdict(fine, y=("B", 2)) == endpoints
+    assert verdict(fine[:3]) == "path length 3 is not an even number >= 4"
+    assert verdict(fine[:2]) == "path length 2 is not an even number >= 4"
+    assert verdict(fine[1:2] + fine[0:1] + fine[2:]) == "edge (3,2) does not continue the path at ('A', 1)"
+    assert verdict(((1, 2, 3),) + fine[1:]) == "edge (1,2) colour 3 disagrees with host"
+    assert verdict(fine, y=("A", 4)) == "path ends at ('A', 2), not ('A', 4)"
+    assert verdict(path((1, 1), (3, 1), (3, 1), (2, 1))) == "path revisits a vertex"
+    assert verdict(fine, odd=[(3, 1)]) == "odd edge (1, 2, 2) not in matching 1"
+    assert verdict(fine, even=[(3, 2)]) == "even edge (2, 1, 2) not in matching 2"
+    assert verdict(odd_twice) == "odd half is not rainbow"
+    assert verdict(even_twice) == "even half is not rainbow"
+    assert verdict(fine) == "odd and even halves use different colour sets"
+
+
+def test_switcher_mutants_get_a_verdict():
+    # Seeded mutations of a valid switcher's path: drop, duplicate or swap
+    # edges, recolour one, or move an endpoint out of range.  None of them
+    # is a switcher, and each gets a fault, never an exception.
+    sq = sample_uniform(8, SeededRng(17).derive(0), burnin=2000)
+    fam = planted_family(sq, ("A", 1), ("A", 5), 3)
+    sw = find_switcher(fam, 1, 2, ("A", 1), ("A", 5), max_len=6)
+    assert validate_switcher(fam, sw) is None
+    rnd = random.Random(2527)
+    kinds = set()
+    for _ in range(300):
+        edges = list(sw.path)
+        k = rnd.randrange(len(edges))
+        a, b, c = edges[k]
+        kind = rnd.choice(["drop", "duplicate", "swap", "colour", "range"])
+        if kind == "drop":
+            del edges[k]
+        elif kind == "duplicate":
+            edges.insert(k, edges[k])
+        elif kind == "swap":
+            j = rnd.choice([j for j in range(len(edges)) if j != k])
+            edges[k], edges[j] = edges[j], edges[k]
+        elif kind == "colour":
+            edges[k] = (a, b, c % 8 + 1)
+        else:
+            edges[k] = rnd.choice([(0, b, c), (9, b, c), (a, 0, c), (a, 9, c)])
+        kinds.add(kind)
+        mutant = Switcher(sw.i, sw.j, sw.x, sw.y, tuple(edges))
+        assert isinstance(validate_switcher(fam, mutant), str), (kind, edges)
+    assert kinds == {"drop", "duplicate", "swap", "colour", "range"}
+
+
+def test_near_matching_faults_reported():
+    host = to_coloring(cyclic_square(5))
+    none = frozenset()
+
+    def check(edges, deg0=none, deg2=none):
+        return check_near_matching(NearMatchingFamily(host, (tuple(edges),), (deg0,), (deg2,)))
+
+    assert check([(1, 1, 2)]) == (False, [(1, ("A", 1), "edge (1,1) colour 2 disagrees with host")])
+    both = frozenset({("A", 3)})
+    assert check([(1, 1, 1)], both, both) == (False, [
+        (1, ("A", 3), "vertex in both exception sets"),
+        (1, ("A", 3), "degree 0, required 2"),
+    ])
+    two = frozenset({("A", 1)})
+    assert check([(1, 1, 1), (1, 2, 2)], deg2=two) == (True, [])
+    assert check([(1, 1, 1)], deg2=two) == (False, [(1, ("A", 1), "degree 1, required 2")])
+    assert check([(1, 1, 1), (1, 2, 2)]) == (False, [(1, ("A", 1), "degree 2 > 1")])
+
+
+def test_near_matching_mutants_get_a_verdict():
+    # Seeded mutations of a valid family: drop, duplicate or swap edges, or
+    # columns between edges, recolour one, go out of range, or add a vertex
+    # to an exception set.  Each gets a (bool, list) verdict whose flag
+    # says whether the list is empty; the mutations that must break the
+    # family are reported.
+    fam = perfect_family(cyclic_square(7))
+    rnd = random.Random(2528)
+    kinds = set()
+    for _ in range(300):
+        matchings = [list(m) for m in fam.matchings]
+        deg0, deg2 = list(fam.deg0), list(fam.deg2)
+        i = rnd.randrange(fam.m)
+        k = rnd.randrange(len(matchings[i]))
+        a, b, c = matchings[i][k]
+        kind = rnd.choice(["drop", "duplicate", "swap", "swap columns", "colour", "range", "deg0", "deg2"])
+        broken = kind not in ("drop", "swap")
+        if kind == "drop":
+            del matchings[i][k]
+        elif kind == "duplicate":
+            matchings[i].append(matchings[i][k])
+        elif kind == "swap":
+            j = rnd.randrange(fam.m)
+            matchings[i], matchings[j] = matchings[j], matchings[i]
+        elif kind == "swap columns":
+            k2 = (k + 1) % len(matchings[i])
+            a2, b2, c2 = matchings[i][k2]
+            matchings[i][k], matchings[i][k2] = (a, b2, c), (a2, b, c2)
+        elif kind == "colour":
+            matchings[i][k] = (a, b, c % 7 + 1)
+        elif kind == "range":
+            matchings[i][k] = rnd.choice([(0, b, c), (8, b, c), (a, 0, c), (a, 8, c)])
+        elif kind == "deg0":
+            deg0[i] = deg0[i] | {("A", a)}  # a vertex of degree 1
+        else:
+            deg2[i] = deg2[i] | {rnd.choice([("A", a), ("B", 8), ("C", 1)])}
+        kinds.add(kind)
+        mutant = NearMatchingFamily(fam.base, tuple(map(tuple, matchings)), tuple(deg0), tuple(deg2))
+        ok, report = check_near_matching(mutant)
+        assert ok == (report == []) and all(isinstance(r[2], str) for r in report), (kind, report)
+        assert ok != broken, (kind, report)
+    assert kinds == {"drop", "duplicate", "swap", "swap columns", "colour", "range", "deg0", "deg2"}
 
 
 def test_find_switcher_length_two_impossible():

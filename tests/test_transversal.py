@@ -656,6 +656,30 @@ def test_record_answers_alike_in_any_call_order():
             assert set(one.transversal_record) <= {"picks", "count", "first", "dead"}
 
 
+def test_count_is_the_only_writer_of_the_record():
+    # decompose, max_partial_transversal and iter_transversals, in any
+    # order, leave only the picks; count_transversals stores the count, the
+    # first transversal when there is one, and a dead cell for a count of 0.
+    for sq, budget in _record_squares():
+        readers = {
+            "decompose": lambda s: decompose(s, node_budget=budget),
+            "iter": lambda s: list(iter_transversals(s)),
+        }
+        if sq.n <= transversal.DEFAULT_EXACT_BOUND:
+            readers["partial"] = max_partial_transversal
+        for order in permutations(readers):
+            one = from_grid(sq.cells)
+            for name in order:
+                readers[name](one)
+            assert set(one.transversal_record) == {"picks"}, (sq.cells, order)
+        count = count_transversals(one)
+        record = one.transversal_record
+        assert record["count"] == count, sq.cells
+        assert ("first" in record) == (count > 0), sq.cells
+        if count == 0:
+            assert "dead" in record, sq.cells
+
+
 def test_count_first_answers_alike_on_the_order6_scan():
     # The benchmark's call order on every reduced order-6 square answers as
     # decompose and max_partial_transversal do on fresh copies.  The counting
@@ -746,3 +770,69 @@ def test_verify_decomposition_reports():
     bad = Transversal(cells=((1, 1), (2, 1), (3, 3)))
     ok, msg = verify_decomposition(sq, Decomposition(parts=(t, bad, t)))
     assert not ok and "column 1 used twice" in msg
+    # the third diagonal twice leaves (1,2) uncovered before (1,3) is seen twice
+    t2 = Transversal(cells=((1, 3), (2, 1), (3, 2)))
+    assert verify_decomposition(sq, Decomposition(parts=(t, t2, t2))) == (False, "cell (1,2) uncovered")
+
+
+def _is_decomposition(square, parts) -> bool:
+    """An oracle for verify_decomposition: n transversals covering every
+    cell once, each cell a pair of ints in range."""
+    n = square.n
+    cells = [cell for part in parts for cell in part.cells]
+    if len(parts) != n or any(len(part.cells) != n for part in parts):
+        return False
+    if not all(type(r) is int and type(c) is int and 1 <= r <= n and 1 <= c <= n for r, c in cells):
+        return False
+    for part in parts:
+        rows, cols = zip(*part.cells)
+        syms = [square.symbol(r, c) for r, c in part.cells]
+        if len(set(rows)) < n or len(set(cols)) < n or len(set(syms)) < n:
+            return False
+    return len(set(cells)) == n * n
+
+
+def test_verify_decomposition_answers_every_mutant():
+    # Seeded mutations of valid decompositions: drop, duplicate or swap
+    # parts or cells, or move a cell out of range.  Each mutant gets a
+    # verdict, never an exception, and the verdict agrees with the oracle.
+    rnd = random.Random(2525)
+    squares = [cyclic_square(n) for n in (3, 5, 7)]
+    squares += [sample_uniform(n, SeededRng(2525).derive(n), burnin=300) for n in (5, 6, 7, 8)]
+    kinds = ("ok", "parts, expected", "cells, expected", "out of range", "used twice",
+             "covered twice", "uncovered")
+    verdicts = set()
+    for sq in squares:
+        res = decompose(sq)
+        if res.status != "some":
+            continue
+        n = sq.n
+        for _ in range(60):
+            parts = [list(part.cells) for part in res.decomposition.parts]
+            kind = rnd.choice(["drop part", "duplicate part", "swap parts", "drop cell",
+                               "duplicate cell", "swap cells", "out of range"])
+            k = rnd.randrange(n)
+            if kind == "drop part":
+                del parts[k]
+            elif kind == "duplicate part":
+                parts[rnd.randrange(n)] = list(parts[k])
+            elif kind == "swap parts":
+                j = rnd.randrange(n)
+                parts[k], parts[j] = parts[j], parts[k]
+            elif kind == "drop cell":
+                del parts[k][rnd.randrange(n)]
+            elif kind == "duplicate cell":
+                parts[k][rnd.randrange(n)] = parts[k][rnd.randrange(n)]
+            elif kind == "swap cells":
+                j = rnd.randrange(n)
+                a, b = rnd.randrange(n), rnd.randrange(n)
+                parts[k][a], parts[j][b] = parts[j][b], parts[k][a]
+            else:
+                r, c = parts[k][0]
+                parts[k][0] = rnd.choice([(0, c), (n + 1, c), (r, 0), (r, n + 1)])
+            mutant = tuple(Transversal(cells=tuple(cells)) for cells in parts)
+            ok, msg = verify_decomposition(sq, Decomposition(parts=mutant))
+            assert isinstance(msg, str) and ok == _is_decomposition(sq, mutant), (kind, msg)
+            assert (msg == "ok") == ok, msg
+            verdicts.add(next(kind for kind in kinds if kind in msg))
+    assert verdicts == set(kinds), verdicts
