@@ -167,12 +167,19 @@ class CorrectionSet:
 
     @classmethod
     def from_json(cls, text: str) -> "CorrectionSet":
+        """Parse `to_json`'s form; raises ValueError naming a missing or
+        ill-typed field, a degenerate pair or a repeated one."""
         d = json.loads(text)
-        return cls(
-            pairs=frozenset(
-                make_pair(p[0][0], p[0][1], p[1][0], p[1][1]) for p in d["pairs"]
-            )
-        )
+        rows = d.get("pairs") if isinstance(d, dict) else None
+        if not (isinstance(rows, list) and all(
+                isinstance(p, list) and len(p) == 2
+                and all(isinstance(e, list) and len(e) == 2 and all(type(x) is int for x in e) for e in p)
+                for p in rows)):
+            raise ValueError("field 'pairs' must be a list of [[i, u], [j, v]] integer pairs")
+        pairs = frozenset(make_pair(i, u, j, v) for ((i, u), (j, v)) in rows)
+        if len(pairs) != len(rows):
+            raise ValueError("field 'pairs' repeats a pair")
+        return cls(pairs=pairs)
 
 
 @dataclass

@@ -23,6 +23,13 @@ start then counts the links to every end, the counts stay on the colouring
 (``ProperColoring.link_counts``), and every further end from that start is
 a lookup.  The path-pair census and the closed-walk count read the same
 table.
+
+The search's colour lookups keep every pattern edge between a row and a
+column: the table reads colour 0 between two vertices of one class, which
+no check accepts, and a forced step always crosses to the other class.  So
+a pattern with an odd cycle, or an end on the same side as the start when
+the pattern puts it on the other, never reaches a leaf, and parity needs no
+pre-pass.
 """
 
 from __future__ import annotations
@@ -50,6 +57,8 @@ class Pattern:
     end: int
 
     def __post_init__(self):
+        if not (0 <= self.start < self.num_vertices and 0 <= self.end < self.num_vertices):
+            raise ValueError("start and end must be vertices of the pattern")
         if self.start == self.end:
             raise ValueError("start and end vertices must differ")
         seen = set()
@@ -92,12 +101,23 @@ class Pattern:
 
     @classmethod
     def from_json(cls, text: str) -> "Pattern":
+        """Parse `to_json`'s form; raises ValueError naming a missing or
+        ill-typed field, or the fault of the pattern it describes."""
         data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError("a pattern must be a JSON object")
+        for name in ("vertices", "start", "end"):
+            if type(data.get(name)) is not int:
+                raise ValueError(f"field '{name}' must be an integer")
+        edges = data.get("edges")
+        if not (isinstance(edges, list) and all(
+                isinstance(e, list) and len(e) == 3 and all(type(x) is int for x in e) for e in edges)):
+            raise ValueError("field 'edges' must be a list of [a, b, class] integer triples")
         return cls(
-            num_vertices=int(data["vertices"]),
-            edges=tuple((a - 1, b - 1, c) for (a, b, c) in data["edges"]),
-            start=int(data["start"]) - 1,
-            end=int(data["end"]) - 1,
+            num_vertices=data["vertices"],
+            edges=tuple((a - 1, b - 1, c) for (a, b, c) in edges),
+            start=data["start"] - 1,
+            end=data["end"] - 1,
         )
 
 
@@ -128,61 +148,6 @@ class CensusResult:
     saturated: bool = False
 
 
-def _bipartition_parity(pat: Pattern) -> tuple[bool, bool | None]:
-    """(is_bipartite, same_side_forced) for start/end; None if either side
-    assignment is realisable (disconnected endpoints)."""
-    color: dict[int, int] = {}
-    comp: dict[int, int] = {}
-    adj: dict[int, list[int]] = {v: [] for v in range(pat.num_vertices)}
-    for (a, b, _c) in pat.edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    cid = 0
-    for v0 in range(pat.num_vertices):
-        if v0 in color:
-            continue
-        color[v0] = 0
-        comp[v0] = cid
-        queue = [v0]
-        while queue:
-            v = queue.pop()
-            for w in adj[v]:
-                if w not in color:
-                    color[w] = color[v] ^ 1
-                    comp[w] = cid
-                    queue.append(w)
-                elif color[w] == color[v]:
-                    return False, None
-        cid += 1
-    if comp[pat.start] != comp[pat.end]:
-        return True, None
-    return True, color[pat.start] == color[pat.end]
-
-
-def _elimination_order(pat: Pattern, first: tuple[int, ...]) -> list[int]:
-    """The vertices of `first` (the start, or the start and the end), then
-    greedily the vertex with most already-placed neighbours (most
-    constrained first); ties by vertex index."""
-    adj: dict[int, set[int]] = {v: set() for v in range(pat.num_vertices)}
-    for (a, b, _c) in pat.edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    placed = list(first)
-    placed_set = set(placed)
-    while len(placed) < pat.num_vertices:
-        best = None
-        best_score = -1
-        for v in range(pat.num_vertices):
-            if v in placed_set:
-                continue
-            score = len(adj[v] & placed_set)
-            if score > best_score:
-                best, best_score = v, score
-        placed.append(best)
-        placed_set.add(best)
-    return placed
-
-
 def _vertex_id(n: int, v: Vertex) -> int:
     side, i = _check_vertex(n, v)
     return i - 1 if side == "A" else n + i - 1
@@ -194,26 +159,33 @@ def _vertex_of(n: int, x: int) -> Vertex:
 
 def _plan(pat: Pattern, first: tuple[int, ...]):
     """One step per vertex of the elimination order after the start:
-    (w, forced_from, forced_slot, checks).  A class is bound at the first
-    step that closes one of its edges, which the order alone decides, so
-    each check knows statically whether it binds its class (``True``) or
+    (w, forced_from, forced_slot, checks).  The order places the vertices
+    of `first` (the start, or the start and the end), then again and again
+    the unplaced vertex with the most placed neighbours (most constrained
+    first), the lowest index on ties.  A class is bound at the first step
+    that closes one of its edges, which the order alone decides, so each
+    check knows statically whether it binds its class (``True``) or
     compares with the bound colour.  ``forced_slot`` >= 0 names a class
     bound before the step, whose colour forces w's image from the image of
     ``forced_from``; otherwise w branches over the side opposite its first
     placed neighbour, or over every vertex when it has none.  Also returns
     the sorted classes."""
-    order = _elimination_order(pat, first)
-    pos = {w: i for i, w in enumerate(order)}
     classes = sorted({cls for (_a, _b, cls) in pat.edges})
     slot = {cls: k for k, cls in enumerate(classes)}
     adj: dict[int, list[tuple[int, int]]] = {w: [] for w in range(pat.num_vertices)}
     for (a, b, cls) in pat.edges:
         adj[a].append((b, slot[cls]))
         adj[b].append((a, slot[cls]))
+    done: set[int] = set()
     bound: set[int] = set()
     steps = []
-    for i, w in enumerate(order):
-        placed = [(z, k) for (z, k) in adj[w] if pos[z] < i]
+    for i in range(pat.num_vertices):
+        if i < len(first):
+            w = first[i]
+        else:  # max keeps the first, i.e. lowest, of equal scores
+            w = max((v for v in adj if v not in done),
+                    key=lambda v: sum(z in done for (z, _k) in adj[v]))
+        placed = [(z, k) for (z, k) in adj[w] if z in done]
         forced = next(((z, k) for (z, k) in placed if k in bound), (-1, -1))
         checks = []
         for (z, k) in placed:
@@ -221,6 +193,7 @@ def _plan(pat: Pattern, first: tuple[int, ...]):
                 checks.append((z, k, k not in bound))
                 bound.add(k)
         steps.append((w, *forced, tuple(checks)))
+        done.add(w)
     return steps[1:], classes
 
 
@@ -234,8 +207,7 @@ def _search(host: ProperColoring, ui: int, vi: int | None, pat: Pattern, limit, 
     m, s = 2 * n, n + 1
     ends = [0] * m
     links: list[Link] = []
-    ok, same_side = _bipartition_parity(pat)
-    if limit == 0 or not ok or vi is not None and same_side not in (None, (ui < n) == (vi < n)):
+    if limit == 0:
         return ends, links
     via, color = host.partners
     steps, classes = _plan(pat, (pat.start,) if vi is None else (pat.start, pat.end))

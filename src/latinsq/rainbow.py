@@ -90,7 +90,7 @@ def make_family(
         triples = []
         for e in edges:
             a, b = e[0], e[1]
-            if not (1 <= a <= n and 1 <= b <= n):
+            if not (_in_range(n, a) and _in_range(n, b)):
                 raise ValueError(f"edge ({a},{b}) out of range for order {n}")
             triples.append((a, b, base.edge_color(a, b)))
         canon.append(tuple(sorted(triples)))
@@ -104,15 +104,25 @@ def make_family(
 
 
 def family_from_json(text: str, base: ProperColoring) -> NearMatchingFamily:
+    """Parse `NearMatchingFamily.to_json`'s form over the host `base`;
+    raises ValueError naming a missing, ill-typed or inconsistent field."""
     data = json.loads(text)
-    if data["n"] != base.n:
-        raise ValueError(f"family order {data['n']} does not match host order {base.n}")
-    return make_family(
-        base,
-        data["matchings"],
-        deg0=[[tuple(v) for v in s] for s in data["R"]],
-        deg2=[[tuple(v) for v in s] for s in data["T"]],
-    )
+    if not isinstance(data, dict):
+        raise ValueError("a family must be a JSON object")
+    if data.get("n") != base.n:
+        raise ValueError(f"field 'n' is {data.get('n')!r}, not the host order {base.n}")
+    m = data.get("m")
+    if not (type(m) is int and m >= 0):
+        raise ValueError("field 'm' must be a non-negative integer")
+    lists = {}
+    for name in ("matchings", "R", "T"):
+        rows = data.get(name)
+        if not (isinstance(rows, list) and len(rows) == m and all(
+                isinstance(row, list) and all(isinstance(p, list) and len(p) == 2 for p in row)
+                for row in rows)):
+            raise ValueError(f"field '{name}' must be a list of {m} lists of pairs")
+        lists[name] = [[tuple(p) for p in row] for row in rows]
+    return make_family(base, lists["matchings"], deg0=lists["R"], deg2=lists["T"])
 
 
 def _degrees(edges) -> dict[Vertex, int]:
@@ -209,12 +219,24 @@ class Switcher:
         return Switcher(i=self.i, j=self.j, x=self.y, y=self.x, path=self.path[::-1])
 
 
+def _ends_fault(fam: NearMatchingFamily, i, j, x, y) -> str | None:
+    """The first fault of a switcher's matching indices (i, j) and
+    endpoints (x, y), or None when they fit fam."""
+    if not (_in_range(fam.m, i) and _in_range(fam.m, j)) or i == j:
+        return f"bad matching indices ({i!r},{j!r})"
+    for v in (x, y):
+        if not _is_vertex(fam.n, v):
+            return f"bad vertex {v!r} for order {fam.n}"
+    if not same_side(x, y) or x == y:
+        return "endpoints must be distinct vertices of the same class"
+    return None
+
+
 def validate_switcher(fam: NearMatchingFamily, sw: Switcher) -> str | None:
     """None if sw is a valid switcher for fam, else the first fault."""
-    if not (1 <= sw.i <= fam.m and 1 <= sw.j <= fam.m) or sw.i == sw.j:
-        return f"bad matching indices ({sw.i},{sw.j})"
-    if not same_side(sw.x, sw.y) or sw.x == sw.y:
-        return "endpoints must be distinct vertices of the same class"
+    fault = _ends_fault(fam, sw.i, sw.j, sw.x, sw.y)
+    if fault is not None:
+        return fault
     if len(sw.path) < 4 or len(sw.path) % 2 != 0:
         return f"path length {len(sw.path)} is not an even number >= 4"
     seq = [sw.x]
@@ -269,16 +291,12 @@ def find_switcher(
     lexicographic in the vertices visited, so the first hit is deterministic.
     Length 2 is impossible under a proper colouring, so lengths below 4 are
     never searched.  Returns None when no switcher of length <= max_len
-    exists (legitimately common).
+    exists (legitimately common).  Bad matching indices or endpoints raise
+    ValueError with the fault `validate_switcher` would report.
     """
-    if not (1 <= i <= fam.m and 1 <= j <= fam.m) or i == j:
-        raise ValueError(f"bad matching indices ({i},{j})")
-    _check_vertex(fam.n, x)
-    _check_vertex(fam.n, y)
-    if x == y:
-        raise ValueError("endpoints must be distinct")
-    if not same_side(x, y):
-        raise ValueError("endpoints must lie in the same vertex class")
+    fault = _ends_fault(fam, i, j, x, y)
+    if fault is not None:
+        raise ValueError(fault)
 
     adj_i: dict[Vertex, list[tuple[Vertex, Edge]]] = {}
     adj_j: dict[Vertex, list[tuple[Vertex, Edge]]] = {}

@@ -520,6 +520,8 @@ def verify_decomposition(square: LatinSquare, decomposition: Decomposition) -> t
         return False, f"{len(parts)} parts, expected {n}"
     seen = [[0] * n for _ in range(n)]
     for k, part in enumerate(parts, start=1):
+        if not (isinstance(part, Transversal) and isinstance(part.cells, (tuple, list))):
+            return False, f"part {k}: {part!r} is not a Transversal with a tuple of cells"
         err = check_transversal(square, part.cells)
         if err is not None:
             return False, f"part {k}: {err}"

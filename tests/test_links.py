@@ -82,6 +82,30 @@ def test_single_edge_pattern_cases():
     assert enumerate_links(host, ("A", 2), ("A", 3), pe) == []
 
 
+def test_odd_cycles_have_no_links():
+    # An odd cycle cannot map into the bipartite host: a triangle, and a
+    # 5-cycle hanging off a pendant path from the start, each with distinct
+    # and with repeated classes, find no link between any pair at any limit.
+    triangles = [
+        Pattern(num_vertices=3, edges=((0, 1, 1), (1, 2, 2), (2, 0, 3)), start=0, end=2),
+        Pattern(num_vertices=3, edges=((0, 1, 1), (1, 2, 2), (2, 0, 1)), start=0, end=1),
+    ]
+    cycles = [
+        Pattern(num_vertices=7, edges=((0, 1, 1), (1, 2, 2)) + tuple(
+            (2 + t, 2 + (t + 1) % 5, cls) for t, cls in enumerate(classes)), start=0, end=4)
+        for classes in ((3, 4, 5, 6, 7), (1, 2, 1, 2, 3))
+    ]
+    for n in range(3, 8):
+        host = to_coloring(sample_uniform(n, SeededRng(2626).derive(n), burnin=100))
+        verts = [(side, i) for side in "AB" for i in range(1, n + 1)]
+        for pat in triangles + cycles:
+            for u, v in itertools.permutations(verts, 2):
+                assert count_links(host, u, v, pat) == 0
+            for limit in (None, 0, 1, 2):
+                for u, v in itertools.permutations(verts, 2):
+                    assert enumerate_links(host, u, v, pat, limit) == []
+
+
 def test_l1_between_same_class_always_zero():
     for n in (3, 4, 5, 6):
         host = to_coloring(cyclic_square(n))

@@ -297,6 +297,36 @@ def test_find_switcher_bad_arguments():
         find_switcher(fam, 1, 2, ("A", 1), ("B", 2))
 
 
+def test_switcher_ends_get_one_verdict():
+    # validate_switcher reports, and find_switcher raises ValueError with,
+    # the same first fault of the indices and endpoints, whatever their type
+    host = to_coloring(cyclic_square(5))
+    fam = make_family(host, [[(1, 2), (3, 1)], [(3, 2), (2, 1)]])
+    path = tuple((a, b, host.edge_color(a, b)) for a, b in ((1, 2), (3, 2), (3, 1), (2, 1)))
+    cases = [
+        (dict(i="1"), "bad matching indices ('1',2)"),
+        (dict(i=1.5), "bad matching indices (1.5,2)"),
+        (dict(j=None), "bad matching indices (1,None)"),
+        (dict(j=3), "bad matching indices (1,3)"),
+        (dict(x=None), "bad vertex None for order 5"),
+        (dict(x=("A", "1")), "bad vertex ('A', '1') for order 5"),
+        (dict(y=("C", 2)), "bad vertex ('C', 2) for order 5"),
+        (dict(y=["A", 2]), "bad vertex ['A', 2] for order 5"),
+        (dict(y=("A", 6)), "bad vertex ('A', 6) for order 5"),
+        (dict(y=("B", 2)), "endpoints must be distinct vertices of the same class"),
+        (dict(y=("A", 1)), "endpoints must be distinct vertices of the same class"),
+    ]
+    for change, fault in cases:
+        ends = {"i": 1, "j": 2, "x": ("A", 1), "y": ("A", 2), **change}
+        assert validate_switcher(fam, Switcher(path=path, **ends)) == fault, change
+        with pytest.raises(ValueError) as exc:
+            find_switcher(fam, **ends)
+        assert str(exc.value) == fault, change
+    # good ends pass on to the path checks
+    fault = validate_switcher(fam, Switcher(1, 2, ("A", 1), ("A", 2), path))
+    assert fault == "odd and even halves use different colour sets"
+
+
 def test_planted_switcher_found_and_applied():
     sq = sample_uniform(8, SeededRng(17).derive(0), burnin=2000)
     fam = planted_family(sq, ("A", 1), ("A", 5), 3)

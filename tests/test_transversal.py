@@ -775,6 +775,16 @@ def test_verify_decomposition_reports():
     assert verify_decomposition(sq, Decomposition(parts=(t, t2, t2))) == (False, "cell (1,2) uncovered")
 
 
+def test_verify_decomposition_reports_parts_that_are_not_transversals():
+    sq = cyclic_square(3)
+    t = Transversal(cells=((1, 1), (2, 2), (3, 3)))
+    plain = ((1, 2), (2, 3), (3, 1))
+    for part in (plain, Transversal(cells=None), None, Transversal(cells=7)):
+        ok, msg = verify_decomposition(sq, Decomposition(parts=(t, part, t)))
+        assert not ok and msg == f"part 2: {part!r} is not a Transversal with a tuple of cells"
+    assert verify_decomposition(sq, Decomposition(parts=(t, Transversal(cells=plain), t)))[0] is False
+
+
 def _is_decomposition(square, parts) -> bool:
     """An oracle for verify_decomposition: n transversals covering every
     cell once, each cell a pair of ints in range."""
