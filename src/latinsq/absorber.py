@@ -13,7 +13,8 @@ nine-edge gadget on three fresh vertices and one fresh colour, after which
 the whole graph is a disjoint union of rainbow 2-cycles that read off as the
 answer.  Greedy colour/vertex choices run under a colour cap computed from
 the instance, with a bounded randomised retry loop, replacing asymptotic
-slack with desk-scale feasibility.
+slack with desk-scale feasibility.  Its stage graphs, each a `Counter` of
+(tail, head, colour) arcs, are built only when asked for.
 
 `build_connector` wires up a sparse routing graph: stacked levels of size
 2^depth forming interleaved binary trees (max degree 4), plus one attachment
@@ -27,8 +28,8 @@ import functools
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
-from itertools import chain, repeat
+from dataclasses import dataclass
+from itertools import chain, repeat, starmap
 
 from .rainbow import make_pair
 from .sampler import SeededRng
@@ -134,7 +135,7 @@ class CorrectionInstance:
     @classmethod
     def from_json(cls, text: str) -> "CorrectionInstance":
         """Parse `to_json`'s form; raises ValueError naming a missing or
-        ill-typed field."""
+        ill-typed field, or a vertex list that repeats a vertex."""
         d = json.loads(text)
         if not isinstance(d, dict):
             raise ValueError("a correction instance must be a JSON object")
@@ -146,6 +147,9 @@ class CorrectionInstance:
             if not isinstance(table, dict):
                 raise ValueError(f"field '{name}' must be an object keyed by index")
             sets[name] = {i: frozenset(_int_tuple(table.get(str(i)), f"{name}.{i}")) for i in idx}
+            for i, vertices in sets[name].items():
+                if len(vertices) != len(table[str(i)]):
+                    raise ValueError(f"field '{name}.{i}' repeats a vertex")
         return cls(indices=idx, universe=universe, **sets)
 
 
@@ -182,31 +186,31 @@ class CorrectionSet:
         return cls(pairs=pairs)
 
 
-@dataclass
-class DirectedColoredMultigraph:
-    """Intermediate object: a multiset of coloured arcs (tail, head, colour)."""
-
-    edges: Counter = field(default_factory=Counter)
-
-
-def check_conservation(graph: DirectedColoredMultigraph, inst: CorrectionInstance) -> list:
+def check_conservation(arcs: Counter, inst: CorrectionInstance) -> list:
     """Violations (index, vertex, net degree, target) of the per-colour
-    net-degree contract: +1 on surplus vertices, -1 on chosen vertices, 0
-    elsewhere.  Those inside the instance come first, ordered as
-    `inst.indices` and then `inst.universe`; those at a vertex outside the
-    universe or a colour that is not an index follow, with target 0, in the
-    order the arcs first reach them.  One pass over the arcs takes their net
-    degrees off a copy of the instance's contract; only the keys left
-    nonzero are then placed and sorted, since every other (colour, vertex)
-    meets its target."""
+    net-degree contract on `arcs`, a stage graph: a `Counter` of (tail,
+    head, colour) arcs.  The contract is +1 on surplus vertices, -1 on
+    chosen vertices, 0 elsewhere.  Those inside the instance come first,
+    ordered as `inst.indices` and then `inst.universe`; those at a vertex
+    outside the universe or a colour that is not an index follow, with
+    target 0, in the order the arcs first reach them.  One pass over the
+    arcs takes their net degrees off a copy of the instance's contract; only
+    the keys left nonzero are then placed and sorted, since every other
+    (colour, vertex) meets its target.  An arc whose key is not a triple or
+    whose multiplicity is not a number raises a ValueError that names it."""
     contract = inst._contract
     off = dict(contract)  # (colour, vertex) -> target - net degree
     get = off.get
-    for (t, h, c), m in graph.edges.items():
-        slot = c, t
-        off[slot] = get(slot, 0) - m
-        slot = c, h
-        off[slot] = get(slot, 0) + m
+    try:
+        for arc, m in arcs.items():
+            t, h, c = arc
+            slot = c, t
+            off[slot] = get(slot, 0) - m
+            slot = c, h
+            off[slot] = get(slot, 0) + m
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"arc {arc!r}: not a (tail, head, colour) triple with count {m!r}") from None
     keys = [slot for slot, d in off.items() if d]
     if not keys:
         return []
@@ -426,9 +430,10 @@ def decompose_corrections(
     """Decompose balanced correction requirements into pair requests.
 
     Returns a CorrectionSet satisfying `verify_corrections`; with
-    `collect_stages` also returns the intermediate multigraphs after each
-    stage, for external conservation checks.  Raises InfeasibleError when a
-    greedy stage exhausts its candidates in every retry.
+    `collect_stages` also the (name, graph) list of the four stage graphs,
+    each a `Counter` of (tail, head, colour) arcs, built only then, for
+    external conservation checks.  Raises InfeasibleError when a greedy
+    stage exhausts its candidates in every retry.
     """
     biggest = max((len(inst.surplus.get(i, ())) for i in inst.indices), default=0)
     color_cap = max(8, 2 * biggest)
@@ -454,6 +459,15 @@ def decompose_corrections(
     raise last_error
 
 
+def _order(items, rng: SeededRng | None):
+    """`items` as given for rng None, else a shuffled copy."""
+    if rng is None:
+        return items
+    items = list(items)
+    rng.shuffle(items)
+    return items
+
+
 def _decompose_once(
     inst: CorrectionInstance,
     rng: SeededRng | None,
@@ -461,26 +475,15 @@ def _decompose_once(
     collect_stages: bool,
 ):
     # rng None takes every candidate in sorted order; a stream shuffles them
-    stages: list[tuple[str, DirectedColoredMultigraph]] = []
-
-    def snapshot(name: str, edges) -> None:
-        if collect_stages:
-            stages.append((name, DirectedColoredMultigraph(Counter(edges))))
-
     # stage 1: one arc per requirement, surplus -> chosen in colour i
     arcs: list = []
     for i in inst.indices:
         sur = sorted(inst.surplus.get(i, ()))
-        cho = sorted(inst.chosen.get(i, ()))
-        if rng is not None:
-            rng.shuffle(cho)
+        cho = _order(sorted(inst.chosen.get(i, ())), rng)
         arcs.extend(zip(sur, cho, repeat(i)))
-    snapshot("initial", arcs)
 
     # stage 2: cycle decomposition; stage 3: make every cycle rainbow
-    cycles = _decompose_into_cycles(arcs)
-    cycles = _repair_rainbow(cycles)
-    snapshot("rainbow", (e for cyc in cycles for e in cyc))
+    cycles = _repair_rainbow(_decompose_into_cycles(arcs))
 
     # blocked[i]: the vertices v whose slot (i, v) the chord and gadget
     # stages may not take, colour i's held set (reservoir and surplus) and
@@ -494,15 +497,13 @@ def _decompose_once(
     colors_sorted = sorted(inst.indices)
 
     # stage 4: triangulate cycles of length >= 4 with fresh-coloured chords
-    pairs: list = []
-    triangles: list = []  # (x, y, z, a, b, c) directed x->y->z->x
-    dprime_edges: list = []
+    pairs: list = []  # (i, u, j, v): the pair {(i, u), (j, v)}
+    triangles: list = []  # (x, y, z, a, b, c): x->y in a, y->z in b, z->x in c
     for cyc in sorted(cycles):
         L = len(cyc)
-        dprime_edges.extend(cyc)
         if L == 2:
             (u, v, i), (_v, _u, j) = cyc
-            pairs.append(make_pair(i, u, j, v))
+            pairs.append((i, u, j, v))
             continue
         verts = [e[0] for e in cyc]  # position p holds the tail of edge p
         # the colour of each side, keyed by its two positions in order: the
@@ -512,10 +513,7 @@ def _decompose_once(
         chords, tri_list = _zigzag_triangles(L)
         for (p, q) in chords:
             x, y = verts[p], verts[q]
-            cands = colors_sorted
-            if rng is not None:
-                cands = list(colors_sorted)
-                rng.shuffle(cands)
+            cands = _order(colors_sorted, rng)
             chosen_color = None
             for i in cands:
                 b = blocked[i]
@@ -532,28 +530,16 @@ def _decompose_once(
             color[p, q] = chosen_color
             blocked[chosen_color].update((x, y))
             chord_ends[chosen_color] += 2
-            dprime_edges.append((x, y, chosen_color))
-            dprime_edges.append((y, x, chosen_color))
         for (p, q, r) in tri_list:
             triangles.append((verts[p], verts[q], verts[r], color[p, q], color[q, r], color[p, r]))
-    snapshot("triangulated", dprime_edges)
 
     # stage 5: replace each rainbow triangle by the 2-cycle gadget
-    final_edges: list = []
-    for p in pairs:
-        (i, u), (j, v) = sorted(p)
-        final_edges.append((u, v, i))
-        final_edges.append((v, u, j))
     for (x, y, z, a, b, c) in triangles:
-        cands_v = universe_sorted
-        if rng is not None:
-            cands_v = list(universe_sorted)
-            rng.shuffle(cands_v)
         # the first three vertices free in all three colours and off the
         # triangle; the universe does not repeat, so none comes twice
         fresh = []
         ba, bb, bc = blocked[a], blocked[b], blocked[c]
-        for v in cands_v:
+        for v in _order(universe_sorted, rng):
             if v in ba or v in bb or v in bc or v in (x, y, z):
                 continue
             fresh.append(v)
@@ -564,10 +550,7 @@ def _decompose_once(
                 "triangle gadget", f"no fresh vertices for triangle ({x},{y},{z})"
             )
         xp, yp, zp = fresh
-        cands_c = colors_sorted
-        if rng is not None:
-            cands_c = list(colors_sorted)
-            rng.shuffle(cands_c)
+        cands_c = _order(colors_sorted, rng)
         d = None
         for i in cands_c:
             if i in (a, b, c):
@@ -587,29 +570,26 @@ def _decompose_once(
         blocked[b].update((yp, zp))
         blocked[c].update((xp, zp))
         blocked[d].update(fresh)
-        gadget = [
-            (x, xp, a), (xp, yp, a), (yp, y, a),
-            (y, yp, b), (yp, zp, b), (zp, z, b),
-            (z, zp, c), (zp, xp, c), (xp, x, c),
-            (yp, xp, d), (xp, zp, d), (zp, yp, d),
-        ]
-        final_edges.extend(gadget)
-        pairs.extend(
-            [
-                make_pair(a, x, c, xp),
-                make_pair(a, xp, d, yp),
-                make_pair(a, yp, b, y),
-                make_pair(b, yp, d, zp),
-                make_pair(b, zp, c, z),
-                make_pair(c, zp, d, xp),
-            ]
-        )
-    snapshot("two-cycles", final_edges)
+        pairs += ((a, x, c, xp), (a, xp, d, yp), (a, yp, b, y),
+                  (b, yp, d, zp), (b, zp, c, z), (c, zp, d, xp))
 
-    result = CorrectionSet(pairs=frozenset(pairs))
-    if collect_stages:
-        return result, stages
-    return result
+    result = CorrectionSet(pairs=frozenset(starmap(make_pair, pairs)))
+    if not collect_stages:
+        return result
+    # each stage graph read off the structures the next stage used; a chord
+    # lies in two triangles, once in each direction
+    triangulated = [e for cyc in cycles if len(cyc) == 2 for e in cyc]
+    for (x, y, z, a, b, c) in triangles:
+        triangulated += (x, y, a), (y, z, b), (z, x, c)
+    final = []
+    for (i, u, j, v) in pairs:
+        final += (u, v, i), (v, u, j)
+    return result, [
+        ("initial", Counter(arcs)),
+        ("rainbow", Counter(chain.from_iterable(cycles))),
+        ("triangulated", Counter(triangulated)),
+        ("two-cycles", Counter(final)),
+    ]
 
 
 def _malformed(pair) -> list:

@@ -82,7 +82,8 @@ def make_family(
     deg0=None,
     deg2=None,
 ) -> NearMatchingFamily:
-    """Build a family from (a, b) edge lists, reading colours off the host."""
+    """Build a family from (a, b) edge lists, reading colours off the host;
+    `deg0` or `deg2` None means no exception sets, a list needs one per matching."""
     n = base.n
     m = len(matchings)
     canon = []
@@ -94,8 +95,9 @@ def make_family(
                 raise ValueError(f"edge ({a},{b}) out of range for order {n}")
             triples.append((a, b, base.edge_color(a, b)))
         canon.append(tuple(sorted(triples)))
-    deg0 = [frozenset(_check_vertex(n, v) for v in s) for s in (deg0 or [[]] * m)]
-    deg2 = [frozenset(_check_vertex(n, v) for v in s) for s in (deg2 or [[]] * m)]
+    none = [[]] * m
+    deg0 = [frozenset(_check_vertex(n, v) for v in s) for s in (none if deg0 is None else deg0)]
+    deg2 = [frozenset(_check_vertex(n, v) for v in s) for s in (none if deg2 is None else deg2)]
     if len(deg0) != m or len(deg2) != m:
         raise ValueError("exception set lists must match the number of matchings")
     return NearMatchingFamily(

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -7,7 +8,6 @@ import pytest
 from latinsq.absorber import (
     CorrectionInstance,
     CorrectionSet,
-    DirectedColoredMultigraph,
     InfeasibleError,
     _deal_chosen,
     build_connector,
@@ -120,6 +120,27 @@ def test_decompose_without_stages_returns_the_same_pairs():
         assert decompose_corrections(inst, SeededRng(78).derive(t)) == cset, t
 
 
+def test_final_stage_is_the_answer():
+    # on the instances of the retry digest below, the "two-cycles" stage is
+    # exactly the arcs u -> v in i and v -> u in j of the returned pairs
+    # {(i, u), (j, v)}, each once
+    decomposed = 0
+    for t in range(40):
+        try:
+            inst = random_correction_instance(
+                SeededRng(77).derive(t), num_indices=8, universe_size=30, max_surplus=3
+            )
+        except ValueError:
+            continue
+        cset, stages = decompose_corrections(inst, SeededRng(78).derive(t), collect_stages=True)
+        arcs = Counter()
+        for (i, u), (j, v) in cset.pairs:
+            arcs.update([(u, v, i), (v, u, j)])
+        assert dict(stages)["two-cycles"] == arcs, t
+        decomposed += 1
+    assert decomposed == 36
+
+
 def test_decompose_digest_with_retries_unchanged():
     # pairs and stage graphs of tightly packed instances, 16 of whose
     # decompositions retry with shuffled candidates; re-recorded when the
@@ -141,7 +162,7 @@ def test_decompose_digest_with_retries_unchanged():
         h.update(cset.to_json().encode())
         for name, graph in stages:
             h.update(name.encode())
-            h.update(repr(sorted(graph.edges.items())).encode())
+            h.update(repr(sorted(graph.items())).encode())
     assert decomposed == 36
     assert h.hexdigest()[:16] == "cfd2d0b5c7412ce0"
 
@@ -162,7 +183,7 @@ def test_benchmark_shape_digest_unchanged():
         h.update(cset.to_json().encode())
         for name, graph in stages:
             h.update(name.encode())
-            h.update(repr(sorted(graph.edges.items())).encode())
+            h.update(repr(sorted(graph.items())).encode())
             h.update(repr(check_conservation(graph, inst)).encode())
         h.update(repr(verify_corrections(inst, cset)).encode())
     assert h.hexdigest()[:16] == "b1664b69c6bd91f7"
@@ -244,7 +265,7 @@ def test_per_colour_degree_cap_after_final_stage():
     final = dict(stages)["two-cycles"]
     outs: dict = {}
     ins: dict = {}
-    for (t, h, c), m in final.edges.items():
+    for (t, h, c), m in final.items():
         outs[(t, c)] = outs.get((t, c), 0) + m
         ins[(h, c)] = ins.get((h, c), 0) + m
     assert all(v <= 1 for v in outs.values())
@@ -337,7 +358,7 @@ def test_instance_json_round_trip():
 
 def _dense_conservation(graph, inst):
     net = Counter()
-    for (t, h, c), m in graph.edges.items():
+    for (t, h, c), m in graph.items():
         net[(t, c)] += m
         net[(h, c)] -= m
     bad = []
@@ -397,23 +418,33 @@ def _equivalence_cases(count):
         yield (_permuted(inst, rnd) if t % 2 else inst), [g for _n, g in stages], cset, rnd
 
 
-def _mutated_graph(graph, inst, rnd):
+def _mutated_graph(graph, inst, rnd, malformed=False):
     """A copy of the stage graph with arcs added, removed or redirected,
-    some of them at vertices or colours outside the instance."""
-    edges = Counter(graph.edges)
+    some of them at vertices or colours outside the instance; with
+    `malformed`, a mutation may also end on a key that is not a (tail, head,
+    colour) triple or a multiplicity that is not a number."""
+    edges = Counter(graph)
     uni, idx = list(inst.universe) + [10**6, "x"], list(inst.indices) + [0, 99]
+    moves = ("add", "remove", "redirect") + (("malform",) if malformed else ())
     for _ in range(rnd.randint(1, 4)):
-        move = rnd.choice(("add", "remove", "redirect") if edges else ("add",))
+        move = rnd.choice(moves if edges else ("add",))
         if move == "add":
             edges[(rnd.choice(uni), rnd.choice(uni), rnd.choice(idx))] += rnd.randint(1, 2)
             continue
+        if move == "malform":
+            t, h, c = rnd.choice(uni), rnd.choice(uni), rnd.choice(idx)
+            if rnd.random() < 0.5:
+                edges[rnd.choice(((t, h), (t, h, c, c), t, None))] = rnd.randint(1, 2)
+            else:
+                edges[(t, h, c)] = rnd.choice((None, "1"))
+            break
         t, h, c = rnd.choice(sorted(edges, key=repr))
         edges[(t, h, c)] -= 1
         if not edges[(t, h, c)]:
             del edges[(t, h, c)]
         if move == "redirect":
             edges[rnd.choice(((t, rnd.choice(uni), c), (t, h, rnd.choice(idx))))] += 1
-    return DirectedColoredMultigraph(edges=edges)
+    return edges
 
 
 def _mutated_set(cset, inst, rnd):
@@ -431,16 +462,25 @@ def _mutated_set(cset, inst, rnd):
 
 
 def test_sparse_conservation_matches_dense():
-    broken = 0
+    # six mutants a graph, since about half of them end on a malformed arc
+    broken = rejected = 0
     for inst, graphs, _cset, rnd in _equivalence_cases(60):
         for graph in graphs:
             assert check_conservation(graph, inst) == _dense_conservation(graph, inst) == []
-            for _ in range(3):
-                bad = _mutated_graph(graph, inst, rnd)
+            for _ in range(6):
+                bad = _mutated_graph(graph, inst, rnd, malformed=True)
+                odd = [arc for arc, m in bad.items()
+                       if not (isinstance(arc, tuple) and len(arc) == 3 and type(m) is int)]
+                if odd:  # a malformed arc gets a ValueError that names it
+                    with pytest.raises(ValueError, match=re.escape(f"arc {odd[0]!r}:")):
+                        check_conservation(bad, inst)
+                    rejected += 1
+                    continue
                 got = check_conservation(bad, inst)
                 assert got == _dense_conservation(bad, inst)
                 broken += bool(got)
     assert broken > 500  # most mutants break conservation; the checks agree on them all
+    assert rejected > 300
 
 
 def test_sparse_verify_matches_dense():
@@ -455,18 +495,64 @@ def test_sparse_verify_matches_dense():
     assert set(rules) == {"membership", "A1-1", "A1-2", "A1-3", "A1-4"}, rules
 
 
+def _malformed_pairs(inst, rnd):
+    """One to three seeded malformed pairs, each with the ("malformed", ...)
+    entries it should get: one slot, a shared index, a shared vertex, or an
+    element that is not a pair (three slots, a slot beside a bare vertex, or
+    a bare vertex)."""
+    uni, idx = list(inst.universe), list(inst.indices)
+    out = {}
+    for _ in range(rnd.randint(1, 3)):
+        (i, j), (u, v) = rnd.sample(idx, 2), rnd.sample(uni, 2)
+        kind = rnd.choice(("one slot", "shared index", "shared vertex", "not a pair"))
+        if kind == "one slot":
+            pair = frozenset({(i, u)})
+        elif kind == "shared index":
+            pair = frozenset({(i, u), (i, v)})
+        elif kind == "shared vertex":
+            pair = frozenset({(i, u), (j, u)})
+        else:
+            kind, pair = rnd.choice((("three slots", frozenset({(i, u), (j, v), (i, v)})),
+                                     ("slot and vertex", frozenset({(i, u), v})),
+                                     ("vertex", u)))
+        items = pair if isinstance(pair, frozenset) else [pair]
+        out[pair] = kind, [("malformed", *x) if isinstance(x, tuple) else ("malformed", None, x)
+                           for x in items]
+    return out
+
+
+def test_verify_sets_malformed_pairs_apart():
+    # malformed pairs added to the valid set, and to a mutant of it, get
+    # their ("malformed", ...) entries, and the rest of the verdict is that
+    # of the set without them: its membership entries as a multiset, its
+    # A1 entries in order
+    kinds = Counter()
+    for inst, _graphs, cset, rnd in _equivalence_cases(60):
+        for base in (cset, _mutated_set(cset, inst, rnd)):
+            extra = _malformed_pairs(inst, rnd)
+            kinds.update(kind for kind, _want in extra.values())
+            want = Counter(e for _kind, entries in extra.values() for e in entries)
+            _ok, rest = verify_corrections(inst, base)
+            a1 = [v for v in rest if v[0].startswith("A1")]
+            ok, got = verify_corrections(inst, CorrectionSet(pairs=base.pairs | frozenset(extra)))
+            head = len(got) - len(a1)
+            assert not ok and got[head:] == a1
+            assert Counter(got[:head]) == want + Counter(v for v in rest if v[0] == "membership")
+    assert len(kinds) == 6, kinds
+
+
 def test_conservation_reports_arcs_outside_the_instance():
     inst = random_correction_instance(SeededRng(1).derive(0), num_indices=6, universe_size=40)
     _cset, stages = decompose_corrections(inst, SeededRng(2), collect_stages=True)
-    edges = Counter(stages[-1][1].edges)
-    assert check_conservation(DirectedColoredMultigraph(edges), inst) == []
+    edges = Counter(stages[-1][1])
+    assert check_conservation(edges, inst) == []
     edges[(10**6, "x", 1)] += 1  # vertices outside the universe
     edges[(1, 2, 99)] += 1  # a colour that is not an index
-    assert check_conservation(DirectedColoredMultigraph(edges), inst) == [
+    assert check_conservation(edges, inst) == [
         (1, 10**6, 1, 0), (1, "x", -1, 0), (99, 1, 1, 0), (99, 2, -1, 0),
     ]
     edges[(1, 2, 3)] += 1  # in-instance violations come first
-    assert check_conservation(DirectedColoredMultigraph(edges), inst) == [
+    assert check_conservation(edges, inst) == [
         (3, 1, 1, 0), (3, 2, -1, 0),
         (1, 10**6, 1, 0), (1, "x", -1, 0), (99, 1, 1, 0), (99, 2, -1, 0),
     ]

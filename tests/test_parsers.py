@@ -94,9 +94,27 @@ def test_json_parsers_answer_every_mutant():
                 parse(bad)
 
 
+def _repeating(name, i):
+    """A valid instance's JSON with the first vertex of index i's list in
+    field `name` written twice."""
+    inst = CorrectionInstance(
+        indices=(1, 2, 3),
+        universe=tuple(range(1, 11)),
+        reservoir={1: frozenset({2, 5}), 2: frozenset({1}), 3: frozenset({7, 8})},
+        surplus={1: frozenset({1}), 2: frozenset({2})},
+        chosen={1: frozenset({2}), 2: frozenset({1})},
+    )
+    d = json.loads(inst.to_json())
+    d[name][str(i)].append(d[name][str(i)][0])
+    return json.dumps(d)
+
+
 def test_json_parsers_name_the_field():
     cases = [
         (CorrectionSet.from_json, "{}", "'pairs'"),
+        (CorrectionInstance.from_json, _repeating("reservoir", 3), "'reservoir.3' repeats a vertex"),
+        (CorrectionInstance.from_json, _repeating("surplus", 1), "'surplus.1' repeats a vertex"),
+        (CorrectionInstance.from_json, _repeating("chosen", 2), "'chosen.2' repeats a vertex"),
         (CorrectionSet.from_json, '{"pairs": [[1]]}', "'pairs'"),
         (CorrectionSet.from_json, '{"pairs": [[[1, 2], [2, "3"]]]}', "'pairs'"),
         (CorrectionSet.from_json, '{"pairs": [[[1, 2], [2, 3]], [[2, 3], [1, 2]]]}', "repeats a pair"),

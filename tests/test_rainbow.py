@@ -134,6 +134,17 @@ def test_missing_exception_sets_reported():
     ) == (False, [(2, None, "deg0 set 2 has no matching")])
 
 
+def test_make_family_reads_an_empty_exception_list_as_given():
+    # an empty deg0 or deg2 list holds no set for either matching, as
+    # [[]] holds one too few; only None means "no exception sets"
+    host = to_coloring(cyclic_square(5))
+    for given in ([], [[]]):
+        for key in ("deg0", "deg2"):
+            with pytest.raises(ValueError, match="exception set lists must match"):
+                make_family(host, [[(1, 1)], [(2, 2)]], **{key: given})
+    assert make_family(host, [[(1, 1)], [(2, 2)]]).deg0 == (frozenset(), frozenset())
+
+
 def test_malformed_edge_reported():
     # an edge given as a pair, not an (a, b, colour) triple, is reported and
     # takes no part in the degree checks
