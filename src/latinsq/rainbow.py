@@ -392,12 +392,16 @@ def pair_counts(pairs, i: int, u) -> tuple[int, int]:
     """(outgoing, incoming) multiplicities of (i, u) in a pair collection.
 
     Outgoing counts pairs containing the element (i, u) itself; incoming
-    counts pairs containing u whose other element carries index i.
+    counts pairs containing u whose other element carries index i.  A pair
+    that is not two (index, vertex) slots raises a ValueError that names it.
     """
     out = 0
     inc = 0
     for p in pairs:
-        (i1, u1), (i2, u2) = tuple(p)
+        try:
+            (i1, u1), (i2, u2) = p
+        except (TypeError, ValueError):
+            raise ValueError(f"pair {p!r}: not two (index, vertex) slots") from None
         if (i1, u1) == (i, u) or (i2, u2) == (i, u):
             out += 1
         if u1 == u and i2 == i and u2 != u:
@@ -409,6 +413,7 @@ def pair_counts(pairs, i: int, u) -> tuple[int, int]:
 
 def is_le1_balanced(pairs, i: int, u) -> bool:
     """True iff (i, u) has exactly one outgoing and one incoming request in
-    the pair collection, or none of either."""
+    the pair collection, or none of either.  A pair that is not two (index,
+    vertex) slots raises a ValueError that names it, as in `pair_counts`."""
     out, inc = pair_counts(pairs, i, u)
     return (out, inc) in ((0, 0), (1, 1))

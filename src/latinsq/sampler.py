@@ -37,9 +37,12 @@ a time.  A subclass that overrides `randint` does not see these draws;
 
 The enumerators build squares row by row.  Each row is a permutation of
 1..n with an n^2-bit code (bit c*n + s - 1 for symbol s in column c), so a
-row fits under the rows above iff its code shares no bit with theirs.
-Taking rows from lexicographically sorted lists gives the squares in
-row-major lexicographic order.
+row fits under the rows above iff its code shares no bit with theirs.  The
+search checks forward: placing a row filters the lists of the later rows
+but the last to the entries that fit under it, and a list left empty ends
+the branch.  The last row is forced, the symbol each column lacks, and is
+looked up by its code.  Taking rows from lexicographically sorted lists
+gives the squares in row-major lexicographic order.
 """
 
 from __future__ import annotations
@@ -484,17 +487,33 @@ def _permutations(n: int) -> list[tuple[tuple[int, ...], int]]:
 
 def _row_search(n: int, choices: list[list[tuple[tuple[int, ...], int]]]) -> Iterator[LatinSquare]:
     """The squares whose row r is a permutation from `choices[r]`, in the
-    lists' order; a row fits when its code shares no bit with the rows above."""
+    lists' order, by forward checking.  Placing a row filters the lists of
+    the later rows but the last to the entries whose code shares no bit with
+    its own, and skips the branch if one comes out empty; every entry left
+    fits under the rows placed.  The last row is forced: its code is the
+    full n^2-bit mask minus the codes above, looked up among `choices[n - 1]`.
+    """
+    full = (1 << n * n) - 1
+    last = {code: row for row, code in choices[-1]}
     rows: list[tuple[int, ...]] = []
 
-    def extend(used: int) -> Iterator[LatinSquare]:
-        if len(rows) == n:
-            yield _trusted_square(rows)
+    def extend(lists: list[list[tuple[tuple[int, ...], int]]], used: int) -> Iterator[LatinSquare]:
+        if not lists:
+            row = last.get(full ^ used)
+            if row is not None:
+                yield _trusted_square([*rows, row])
             return
-        for row, code in choices[len(rows)]:
-            if not used & code:
+        later = lists[1:]
+        for row, code in lists[0]:
+            kept = []
+            for entries in later:
+                fits = [entry for entry in entries if not entry[1] & code]
+                if not fits:
+                    break
+                kept.append(fits)
+            else:
                 rows.append(row)
-                yield from extend(used | code)
+                yield from extend(kept, used | code)
                 rows.pop()
 
-    return extend(0)
+    return extend(choices[:-1], 0)

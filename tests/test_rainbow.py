@@ -1,4 +1,6 @@
+import itertools
 import random
+import re
 
 import pytest
 
@@ -430,6 +432,73 @@ def test_pair_counts_orientation():
     assert pair_counts(pairs, 2, "v") == (1, 0)
     assert pair_counts(pairs, 2, "u") == (0, 1)
     assert pair_counts(pairs, 1, "v") == (0, 1)
+
+
+def _oracle_counts(pairs, i, u):
+    out = sum((i, u) in p for p in pairs)
+    inc = sum(any(x[1] == u and y[0] == i and y[1] != u for x, y in itertools.permutations(p)) for p in pairs)
+    return out, inc
+
+
+def test_pair_counts_names_a_malformed_pair():
+    good = make_pair(1, "u", 2, "v")
+    for bad in [frozenset({(1, 2)}), frozenset({(1, "u"), (2, "v"), (3, "w")}), frozenset({1, 2}), None,
+                ((1, "u"), (2, "v", 3)), ((1, "u"), 5)]:
+        for check in (pair_counts, is_le1_balanced):
+            with pytest.raises(ValueError, match=re.escape(f"pair {bad!r}: not two (index, vertex) slots")):
+                check([good, bad], 1, "u")
+
+
+def test_le1_balance_mutants_get_a_verdict():
+    # Seeded mutations of a balanced collection (couples {(i,u),(j,v)},
+    # {(i,v),(j,u)} on disjoint vertices): drop or duplicate a pair, swap a
+    # pair's vertices, move a slot out of range, or make a pair malformed
+    # (a slot dropped or added, an element that is no slot).  Each gets the
+    # oracle's verdict on every slot, or a ValueError naming its malformed
+    # pair; the mutations that must unbalance a slot do.
+    vertices = [(side, k) for side in "AB" for k in range(1, 5)]
+    slots = [(i, u) for i in range(4) for u in [*vertices, ("C", 9)]]
+    rnd = random.Random(2529)
+    kinds = set()
+    for _ in range(200):
+        order = rnd.sample(vertices, len(vertices))
+        pairs = []
+        for u, v in zip(order[::2], order[1::2]):
+            i, j = rnd.sample(range(1, 4), 2)
+            pairs += [make_pair(i, u, j, v), make_pair(i, v, j, u)]
+        assert all(is_le1_balanced(pairs, i, u) for i, u in slots)
+        k = rnd.randrange(len(pairs))
+        (i, u), (j, v) = pairs[k]
+        kind = rnd.choice(["drop", "duplicate", "swap", "range", "drop slot", "add slot", "no slot"])
+        if kind == "drop":
+            del pairs[k]
+        elif kind == "duplicate":
+            pairs.insert(k, pairs[k])
+        elif kind == "swap":
+            pairs[k] = make_pair(i, v, j, u)
+        elif kind == "range":
+            pairs[k] = rnd.choice([make_pair(0, u, j, v), make_pair(i, ("C", 9), j, v)])
+        elif kind == "drop slot":
+            pairs[k] = frozenset({(i, u)})
+        elif kind == "add slot":
+            pairs[k] = pairs[k] | {(0, u)}
+        else:
+            pairs[k] = rnd.choice([None, 7, frozenset({i, j}), frozenset({(i, u), (j, v, 1)})])
+        kinds.add(kind)
+        if kind in ("drop slot", "add slot", "no slot"):
+            message = re.escape(f"pair {pairs[k]!r}: not two (index, vertex) slots")
+            for check in (pair_counts, is_le1_balanced):
+                with pytest.raises(ValueError, match=message):
+                    check(pairs, *rnd.choice(slots))
+            continue
+        verdicts = []
+        for i, u in slots:
+            counts = _oracle_counts(pairs, i, u)
+            assert pair_counts(pairs, i, u) == counts, (kind, pairs, i, u)
+            verdicts.append(is_le1_balanced(pairs, i, u))
+            assert verdicts[-1] == (counts in ((0, 0), (1, 1))), (kind, pairs, i, u)
+        assert not all(verdicts), (kind, pairs)
+    assert kinds == {"drop", "duplicate", "swap", "range", "drop slot", "add slot", "no slot"}
 
 
 def test_make_pair_rejects_degenerate():

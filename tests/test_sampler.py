@@ -10,6 +10,8 @@ from latinsq.core import ValidationError, cyclic_square, from_grid
 from latinsq.sampler import (
     MarkovState,
     SeededRng,
+    _permutations,
+    _row_search,
     _walk,
     enumerate_all,
     enumerate_reduced,
@@ -528,6 +530,9 @@ def test_enumerate_all_distinct_and_valid():
 # replaced: the squares, and the order they come in, must not change.
 REDUCED_6_SHA256 = "1739f6e58d571d2f5d349b140011def02ade1595b91ba380c480067276d3dd26"
 ALL_4_SHA256 = "b83d07c2a99e309d15ea9e3eb62b4fa133609a08c65621d29280ce8b7fc8cab7"
+# Recorded on the row search that tested every entry of each row's list
+# against the rows above, before forward checking replaced it.
+ALL_5_SHA256 = "c7aa207f47681aa8410c70349f121ad249c308973ddd14664752d58fa74758e6"
 
 
 def _cells_digest(squares):
@@ -537,13 +542,55 @@ def _cells_digest(squares):
 def test_enumerations_pinned():
     assert _cells_digest(enumerate_reduced(6)) == REDUCED_6_SHA256
     assert _cells_digest(enumerate_all(4)) == ALL_4_SHA256
+    assert _cells_digest(enumerate_all(5)) == ALL_5_SHA256
 
 
 def test_enumerations_in_row_major_order():
     for squares in [*(enumerate_reduced(n) for n in range(1, 7)),
-                    *(enumerate_all(n) for n in range(1, 5))]:
+                    *(enumerate_all(n) for n in range(1, 6))]:
         cells = [sq.cells for sq in squares]
         assert all(a < b for a, b in zip(cells, cells[1:]))
+
+
+def _cycle_type(p):
+    seen, lengths = set(), []
+    for start in range(1, len(p) + 1):
+        length = 0
+        while start not in seen:
+            seen.add(start)
+            start = p[start - 1]
+            length += 1
+        if length:
+            lengths.append(length)
+    return tuple(sorted(lengths, reverse=True))
+
+
+def test_order7_second_row_classes():
+    # Squares of order 7 with the identity as first row, one derangement pi
+    # of each cycle type as second row, and rows 3..7 sorted by their first
+    # entry.  Conjugating pi by a permutation applied to the columns and the
+    # symbols alike is an isotopy, so each class stands for every
+    # derangement of its type, and each class square for 5! orderings of
+    # rows 3..7 and 7! first rows: the total is the number of Latin squares
+    # of order 7.
+    perms = _permutations(7)
+    identity = perms[:1]
+    types_ = Counter(_cycle_type(p) for p, _ in perms if all(p[c] != c + 1 for c in range(7)))
+    classes = {(3, 2, 2): (2, 3, 1, 5, 4, 7, 6), (4, 3): (2, 3, 4, 1, 6, 7, 5),
+               (5, 2): (2, 3, 4, 5, 1, 7, 6), (7,): (2, 3, 4, 5, 6, 7, 1)}
+    counts = {}
+    for kind, pi in classes.items():
+        assert _cycle_type(pi) == kind
+        free = [s for s in range(1, 8) if s not in (1, pi[0])]
+        choices = [identity, [e for e in perms if e[0] == pi]]
+        choices += [[e for e in perms if e[0][0] == s] for s in free]
+        counts[kind] = sum(1 for _ in _row_search(7, choices))
+    assert counts == {(3, 2, 2): 55296, (4, 3): 54528, (5, 2): 55040, (7,): 54720}
+    assert {kind: types_[kind] for kind in classes} == {(3, 2, 2): 210, (4, 3): 420, (5, 2): 504, (7,): 720}
+    assert sum(types_.values()) == sum(types_[kind] for kind in classes)  # every type is covered
+    total = sum(types_[kind] * counts[kind] for kind in classes)
+    assert total == 101_652_480
+    assert total * 5040 * 120 == 61_479_419_904_000
 
 
 def test_enumeration_limits_enforced():
@@ -576,6 +623,14 @@ def test_enumerate_reduced_prefix_rows_must_match_whole():
     assert list(enumerate_reduced(4, [[1, 2, 3, 4], [2, 1]])) == []
     # and a prefix longer than the square matches none either
     assert list(enumerate_reduced(2, [[1, 2], [2, 1], [1, 2]])) == []
+
+
+def test_enumerate_reduced_last_prefix_row_must_be_forced():
+    # the last row is read off the columns; a whole prefix whose last row is
+    # another permutation matches no square
+    rows = [[1, 2, 3, 4], [2, 1, 4, 3], [3, 4, 1, 2]]
+    assert [sq.cells[3] for sq in enumerate_reduced(4, [*rows, [4, 3, 2, 1]])] == [(4, 3, 2, 1)]
+    assert list(enumerate_reduced(4, [*rows, [4, 3, 1, 2]])) == []
 
 
 def test_numpy_loads_on_the_first_draw():
