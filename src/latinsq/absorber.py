@@ -196,13 +196,16 @@ def check_conservation(arcs: Counter, inst: CorrectionInstance) -> list:
     target 0, in the order the arcs first reach them.  One pass over the
     arcs takes their net degrees off a copy of the instance's contract; only
     the keys left nonzero are then placed and sorted, since every other
-    (colour, vertex) meets its target.  An arc whose key is not a triple or
-    whose multiplicity is not a number raises a ValueError that names it."""
+    (colour, vertex) meets its target.  An arc whose key is not a tuple of
+    three or whose multiplicity is not a number raises a ValueError that
+    names it."""
     contract = inst._contract
     off = dict(contract)  # (colour, vertex) -> target - net degree
     get = off.get
     try:
         for arc, m in arcs.items():
+            if not isinstance(arc, tuple):
+                raise ValueError  # named below, as a bad unpacking is
             t, h, c = arc
             slot = c, t
             off[slot] = get(slot, 0) - m

@@ -46,9 +46,11 @@ class LatinSquare:
         engine's per-row input) and, written only by ``count_transversals``,
         "count" (the number of transversals), "first" (the cell mask of the
         lexicographically first transversal) and "dead" (the row-major index
-        of a cell that the counting pass proved to lie on no transversal, so
-        that no decomposition exists).  It never holds the list of
-        transversals.  It lives and dies with this object."""
+        of the lowest cell of the rows that the counting search covers, the
+        last ones, that it proved to lie on no transversal, so that no
+        decomposition exists; a square whose dead cells all lie in the first
+        rows, which the counting table covers, gets none).  It never holds
+        the list of transversals.  It lives and dies with this object."""
         return {}
 
 
@@ -213,9 +215,11 @@ def from_coloring(coloring: ProperColoring) -> LatinSquare:
 
 def check_transversal(square: LatinSquare, cells, partial: bool = False) -> str | None:
     """None if the cells form a (partial) transversal of the square, else the
-    first violation in the given cell order, such as a cell that is not a
-    tuple or list of two ints."""
+    first violation in the given cell order, such as cells that are not a
+    tuple or list, or a cell that is not a tuple or list of two ints."""
     n = square.n
+    if not isinstance(cells, (tuple, list)):
+        return f"cells {cells!r} are not a tuple or list"
     if not partial and len(cells) != n:
         return f"{len(cells)} cells, expected {n}"
     rows_seen: set[int] = set()

@@ -393,15 +393,19 @@ def pair_counts(pairs, i: int, u) -> tuple[int, int]:
 
     Outgoing counts pairs containing the element (i, u) itself; incoming
     counts pairs containing u whose other element carries index i.  A pair
-    that is not two (index, vertex) slots raises a ValueError that names it.
+    that is not two (index, vertex) slots, each a tuple of two as in
+    `verify_corrections`, raises a ValueError that names it.
     """
     out = 0
     inc = 0
     for p in pairs:
         try:
-            (i1, u1), (i2, u2) = p
+            a, b = p
         except (TypeError, ValueError):
-            raise ValueError(f"pair {p!r}: not two (index, vertex) slots") from None
+            a = b = None
+        if not all(isinstance(x, tuple) and len(x) == 2 for x in (a, b)):
+            raise ValueError(f"pair {p!r}: not two (index, vertex) slots")
+        (i1, u1), (i2, u2) = a, b
         if (i1, u1) == (i, u) or (i2, u2) == (i, u):
             out += 1
         if u1 == u and i2 == i and u2 != u:

@@ -4,24 +4,32 @@ One engine, `_transversals`, finds transversals by meeting in the middle
 (Horowitz and Sahni, J. ACM 21, 1974), with bitmasks for the columns and
 symbols in use.  Its input is a list of picks per row: the column bit and
 the shifted symbol bit of each cell the row may take, in column order.
-The engine first builds a table of the last rows, from the bottom row up:
-each partial transversal of those rows, keyed by its column and symbol
-bits, maps to its cell masks, or to their number when only counting.
-A depth-first search over the first rows then joins each of its partial
-transversals with the table entries under the complementary key.  The table
-covers at most n // 2 rows and holds at most min(limit,
-DEFAULT_CANDIDATE_THRESHOLD) entries; a row that would take it past that is
-left to the search, so a small limit leaves a plain depth-first search.  The
-engine counts transversals and, on request, emits each as an n^2-bit
-row-major cell mask, in lexicographic column order.  When counting, the
-search also ORs together the cells that each table hit takes in the
-searched rows, and keeps the first hit, whose key `_completion` completes
-over the table's rows into the lexicographically first transversal.
-`count_transversals`, `iter_transversals`, `max_partial_transversal` and
-`decompose` call it.  The partial one relaxes k = 0, 1, ...
-rows to rows of one symbol until the square has a transversal: each
-relaxed row of symbol s takes every column, and one mask of the k symbols'
-bits drops their cells from the picks of the other rows.
+The engine builds a table of one part of the rows, keyed by the column and
+symbol bits of each of their partial transversals, and a depth-first search
+over the other rows joins each of its partial transversals with the table
+entries under the complementary key.  The engine counts transversals and,
+on request, emits each as an n^2-bit row-major cell mask, in lexicographic
+column order.  To emit, the table holds the cell masks of the last rows,
+grown from the bottom row up, and the search runs over the first rows, so
+the masks come out in order.  It covers at most n // 2 rows and holds at
+most min(limit, DEFAULT_CANDIDATE_THRESHOLD) entries; a row that would take
+it past that is left to the search, so a small limit leaves a plain
+depth-first search.  To count, the table holds the counts of the first
+rows, and the search runs over the last ones.  The squares of a scan in
+lexicographic order share their first rows, so the last count table is
+kept, and a count whose first rows are the same reuses it (8 344 of the
+9 408 counts of the order-6 scan).  One is kept only at orders up to
+DEFAULT_EXACT_BOUND; there it covers the larger half of the rows, but
+never the last, and above that the smaller half.  Its keys come in the
+lexicographic order of their first partial transversals, so the first key
+that the search hits, which `_completion` completes on both sides, leads
+the lexicographically first transversal; the search also ORs together the
+cells that each table hit takes in the searched rows.  `count_transversals`,
+`iter_transversals`, `max_partial_transversal` and `decompose` call the
+engine.  The partial one relaxes k = 0, 1, ... rows to rows of one symbol
+until the square has a transversal: each relaxed row of symbol s takes
+every column, and one mask of the k symbols' bits drops their cells from
+the picks of the other rows.
 
 What the public calls learn of a square goes into its record,
 `LatinSquare.transversal_record`, so that no later call on the same object
@@ -29,16 +37,16 @@ works it out again.  `_picks` stores the picks, which every engine call
 takes as they are or as a filtered copy and no caller may change.
 `count_transversals` alone stores the rest: the transversal count, the cell
 mask of the first transversal when there is one, and a dead cell, the
-row-major index of a cell of the search's rows that no table hit took and
-which is therefore on no transversal (one among the table's rows goes
-unrecorded; a count of 0 always comes with one, since rows 0..top-1 then
-have no hit).  The other calls only read: `decompose` answers "none" with
-0 nodes for a dead cell at a count within the candidate threshold, as its
-dead-cell test would, and `max_partial_transversal` answers with a stored
-first transversal, or skips k = 0 for a count of 0.  `iter_transversals`
-shares only the picks.  The record never holds the candidate list, which
-can reach 10^6 masks; that is why `count_transversals` counts without
-materialising them.
+row-major index of a cell of the searched last rows that no table hit took
+and which is therefore on no transversal (one among the table's first rows
+goes unrecorded; a count of 0 always comes with one, since the searched
+rows then have no hit).  The other calls only read: `decompose` answers
+"none" with 0 nodes for a dead cell at a count within the candidate
+threshold, as its dead-cell test would, and `max_partial_transversal`
+answers with a stored first transversal, or skips k = 0 for a count of 0.
+`iter_transversals` shares only the picks.  The record never holds the
+candidate list, which can reach 10^6 masks; that is why
+`count_transversals` counts without materialising them.
 
 Decomposing a square into n disjoint transversals is an exact cover problem:
 the n^2 cells must be covered exactly once by cell sets of candidate
@@ -150,30 +158,40 @@ def _transversals(
     or repeat a symbol.  Appends each transversal's cell mask, bit r * n + c
     for 0-based cell (r, c), to ``out`` if given, lexicographic in the
     columns of rows 0..n-1, and stops once ``out`` holds ``limit`` masks.
-    When counting, stores in ``record``, if given, the first transversal's
-    cell mask under "first" and, when a cell of the searched rows 0..top-1
-    is on no transversal, the lowest such cell's row-major index under
-    "dead"."""
+
+    When emitting, the table holds the masks of the last rows top..n-1 and
+    the search runs over rows 0..top-1, so the masks come out in order.
+    When counting, the table holds the counts of the first rows 0..top-1,
+    kept from the last count whose first rows were the same (see
+    `_first_rows`), and the search runs over rows top..n-1.  It then stores
+    in ``record``, if given, the first transversal's cell mask under "first"
+    and, when a cell of the searched rows top..n-1 is on no transversal, the
+    lowest such cell's row-major index under "dead"."""
     n = len(picks)
     full = (1 << n) - 1
     counting = out is None
     bound = DEFAULT_CANDIDATE_THRESHOLD
     if limit is not None:
         bound = min(limit, bound)
-    top, table = _table(picks, bound, counting)
+    if counting:
+        start, table = _first_rows(picks, bound)
+        stop = n
+    else:
+        start = 0
+        stop, table = _table(picks, bound)
+    leaf = stop - 1
     complement = full | full << n
     get = table.get
-    # When counting: the first table hit's remaining bits, cells and hit
-    # picks, the OR of the hits' cells in rows 0..top-2 and that of their
-    # picks in row top-1.
-    first = None
+    # When counting: the table keys that the search hit, the OR of the hits'
+    # cells in rows start..n-2 and that of their picks in row n-1.
+    hit: set[int] = set()
     cover = last = 0
 
     def rec(r: int, used: int, cells: int) -> int:
-        nonlocal first, cover, last
+        nonlocal cover, last
         total = 0
         shift = r * n
-        if r + 1 < top:
+        if r < leaf:
             for u in picks[r]:
                 if not used & u:
                     total += rec(r + 1, used | u, cells | (u & -u) << shift)
@@ -182,13 +200,13 @@ def _transversals(
             hits = 0
             for u in picks[r]:
                 if not used & u:
-                    count = get(rest ^ u)
+                    key = rest ^ u
+                    count = get(key)
                     if count:
                         total += count
                         hits |= u
+                        hit.add(key)
             if hits:
-                if first is None:
-                    first = rest, cells, hits
                 cover |= cells
                 last |= hits
         else:
@@ -205,76 +223,96 @@ def _transversals(
         return total
 
     try:
-        total = rec(0, 0, 0)
+        total = rec(start, 0, 0)
     except _Stop:
         return len(out)
     finally:
         del rec  # it refers to itself; free out with the caller's reference
     if record is not None:
-        shift = (top - 1) * n
-        dead = ((1 << top * n) - 1) & ~(cover | (last & full) << shift)
+        searched = ((1 << n * n) - 1) ^ ((1 << start * n) - 1)
+        dead = searched & ~(cover | (last & full) << leaf * n)
         if dead:
             record["dead"] = (dead & -dead).bit_length() - 1
-        if first is not None:
-            rest, cells, hits = first
-            low = hits & -hits  # the column bit of the first hit
-            for u in picks[top - 1]:
-                if u & low:
-                    break
-            record["first"] = cells | low << shift | _completion(picks, top, rest ^ u)
+        if hit:
+            # The table's key order is that of each key's first partial
+            # transversal, so the first key hit leads the first transversal.
+            key = next(key for key in table if key in hit)
+            record["first"] = _completion(picks, 0, start, key) | _completion(
+                picks, start, n, key ^ complement
+            )
     return total
 
 
-def _completion(picks: list[list[int]], r: int, rest: int) -> Optional[int]:
-    """The cell mask of rows r..n-1 in the lexicographically first way for
-    them to take one pick each that together use exactly the bits of rest,
-    or None if there is none.  A module function, so that its recursion
-    leaves no cyclic garbage."""
-    n = len(picks)
-    if r == n:
+def _completion(picks: list[list[int]], r: int, stop: int, rest: int) -> Optional[int]:
+    """The cell mask of rows r..stop-1 in the lexicographically first way
+    for them to take one pick each that together use exactly the bits of
+    rest, or None if there is none.  A module function, so that its
+    recursion leaves no cyclic garbage."""
+    if r == stop:
         return 0
     for u in picks[r]:
         if u & rest == u:
-            tail = _completion(picks, r + 1, rest ^ u)
+            tail = _completion(picks, r + 1, stop, rest ^ u)
             if tail is not None:
-                return (u & -u) << r * n | tail
+                return (u & -u) << r * len(picks) | tail
     return None
 
 
-def _table(picks: list[list[int]], bound: int, counting: bool) -> tuple[int, dict]:
-    """The first row top of the table, and the table: the used bits of each
-    partial transversal of rows top..n-1 mapped to its count, or to its cell
-    masks in lexicographic order.  It grows from the bottom row up to n // 2
-    rows, and by no row that would take it past bound entries."""
+# The last count table grown at an order of at most DEFAULT_EXACT_BOUND, as
+# (bound, a copy of the picks of the rows it was grown from, top, table), or
+# None after a count at a higher order.
+_count_memo: Optional[tuple[int, list[list[int]], int, dict[int, int]]] = None
+
+
+def _first_rows(picks: list[list[int]], bound: int) -> tuple[int, dict[int, int]]:
+    """`_count_table` of the first rows of picks, or the table of the last
+    count whose bound and first rows, all that the growth reads, were the
+    same.  The squares of a scan in lexicographic order share their first
+    rows, so consecutive counts reuse one table.  A table is kept only at
+    orders up to DEFAULT_EXACT_BOUND, where it has at most C(9, 4)^2 = 15 876
+    keys.  There its growth is shared and the search is not, so it takes the
+    larger half of the rows, leaving the search at least the last row;
+    elsewhere it takes the smaller half, the other half of the emitting
+    table's split."""
+    global _count_memo
     n = len(picks)
-    top = n
-    level = {0: 1} if counting else ([0], [0])
-    while top > n - n // 2:
-        row = picks[top - 1]
-        if counting:
-            grown = _grow_counts(level, row, bound)
+    kept = n <= DEFAULT_EXACT_BOUND
+    rows = picks[: min(n - 1, (n + 1) // 2) if kept else n // 2]
+    memo = _count_memo
+    if memo is not None and memo[0] == bound and memo[1] == rows:
+        return memo[2], memo[3]
+    top, table = _count_table(rows, bound)
+    _count_memo = (bound, [row[:] for row in rows], top, table) if kept else None
+    return top, table
+
+
+def _count_table(rows: list[list[int]], bound: int) -> tuple[int, dict[int, int]]:
+    """The number top of rows in the table, and the table: the used bits of
+    each partial transversal of rows 0..top-1 mapped to their number, in the
+    lexicographic order of each key's first partial transversal.  It takes
+    as many of the given rows, from the first, as fit in bound keys.  A table
+    grows from its last row up, with the new row as the outer loop, as
+    `_grow_masks` does, which keeps that order: it is the table that growing
+    from row 0 down with the keys as the outer loop would give, but that
+    loop is slower (a short inner loop per key)."""
+    top = len(rows)
+    while True:
+        counts: Optional[dict[int, int]] = {0: 1}
+        for row in reversed(rows[:top]):
+            counts = _grow_counts(counts, row, bound)
+            if counts is None:
+                break
         else:
-            grown = _grow_masks(level, row, (top - 1) * n, bound)
-        if grown is None:
-            break
-        level, top = grown, top - 1
-    if counting:
-        return top, level
-    groups: dict[int, list[int]] = {}
-    for key, mask in zip(*level):
-        group = groups.get(key)
-        if group is None:
-            groups[key] = [mask]
-        else:
-            group.append(mask)
-    return top, groups
+            return top, counts
+        top -= 1
 
 
 def _grow_counts(
     counts: dict[int, int], row: list[int], bound: int
 ) -> Optional[dict[int, int]]:
     """counts extended by one more significant row, equal keys merged, or
-    None past bound keys."""
+    None past bound keys.  The new row is the outer loop, so the keys stay
+    in the order of their first partial transversals."""
     grown: dict[int, int] = {}
     get = grown.get
     for u in row:
@@ -285,6 +323,29 @@ def _grow_counts(
         if len(grown) > bound:
             return None
     return grown
+
+
+def _table(picks: list[list[int]], bound: int) -> tuple[int, dict[int, list[int]]]:
+    """The first row top of the emitting table, and the table: the used bits
+    of each partial transversal of rows top..n-1 mapped to its cell masks in
+    lexicographic order.  It grows from the bottom row up to n // 2 rows, and
+    by no row that would take it past bound masks."""
+    n = len(picks)
+    top = n
+    level = ([0], [0])
+    while top > n - n // 2:
+        grown = _grow_masks(level, picks[top - 1], (top - 1) * n, bound)
+        if grown is None:
+            break
+        level, top = grown, top - 1
+    groups: dict[int, list[int]] = {}
+    for key, mask in zip(*level):
+        group = groups.get(key)
+        if group is None:
+            groups[key] = [mask]
+        else:
+            group.append(mask)
+    return top, groups
 
 
 def _grow_masks(
@@ -516,6 +577,8 @@ def verify_decomposition(square: LatinSquare, decomposition: Decomposition) -> t
     """True plus "ok", or False plus the first violation found."""
     n = square.n
     parts = decomposition.parts
+    if not isinstance(parts, (tuple, list)):
+        return False, f"parts {parts!r} are not a tuple of Transversals"
     if len(parts) != n:
         return False, f"{len(parts)} parts, expected {n}"
     seen = [[0] * n for _ in range(n)]

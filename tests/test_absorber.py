@@ -422,7 +422,8 @@ def _mutated_graph(graph, inst, rnd, malformed=False):
     """A copy of the stage graph with arcs added, removed or redirected,
     some of them at vertices or colours outside the instance; with
     `malformed`, a mutation may also end on a key that is not a (tail, head,
-    colour) triple or a multiplicity that is not a number."""
+    colour) triple, such as a three-character string, or a multiplicity that
+    is not a number."""
     edges = Counter(graph)
     uni, idx = list(inst.universe) + [10**6, "x"], list(inst.indices) + [0, 99]
     moves = ("add", "remove", "redirect") + (("malform",) if malformed else ())
@@ -434,7 +435,7 @@ def _mutated_graph(graph, inst, rnd, malformed=False):
         if move == "malform":
             t, h, c = rnd.choice(uni), rnd.choice(uni), rnd.choice(idx)
             if rnd.random() < 0.5:
-                edges[rnd.choice(((t, h), (t, h, c, c), t, None))] = rnd.randint(1, 2)
+                edges[rnd.choice(((t, h), (t, h, c, c), t, None, "abc"))] = rnd.randint(1, 2)
             else:
                 edges[(t, h, c)] = rnd.choice((None, "1"))
             break

@@ -161,7 +161,7 @@ def _is_transversal(square, cells) -> bool:
     """An oracle for check_transversal: n pairs of ints in range, with no
     row, column or symbol twice."""
     n = square.n
-    if len(cells) != n or not all(
+    if not isinstance(cells, (tuple, list)) or len(cells) != n or not all(
         isinstance(cell, tuple) and len(cell) == 2 and all(type(k) is int for k in cell)
         for cell in cells
     ):
@@ -175,7 +175,8 @@ def _is_transversal(square, cells) -> bool:
 
 def test_transversal_checker_answers_every_mutant():
     # Seeded mutations of transversals: drop, duplicate or swap cells or
-    # coordinates, go out of range, or break a cell's shape.  Each mutant
+    # coordinates, go out of range, break a cell's shape, or replace the
+    # cells by something that is no list (None or an int).  Each mutant
     # gets a verdict, never an exception, and the verdict agrees with the
     # oracle.
     rnd = random.Random(2526)
@@ -188,7 +189,7 @@ def test_transversal_checker_answers_every_mutant():
             continue
         for _ in range(25):
             cells = list(first.cells)
-            kind = rnd.choice(["drop", "duplicate", "swap", "range", "shape"])
+            kind = rnd.choice(["drop", "duplicate", "swap", "range", "shape", "no list"])
             k = rnd.randrange(n)
             r, c = cells[k]
             if kind == "drop":
@@ -200,13 +201,15 @@ def test_transversal_checker_answers_every_mutant():
                 cells[k], cells[j] = (r, cells[j][1]), (cells[j][0], c)
             elif kind == "range":
                 cells[k] = rnd.choice([(0, c), (n + 1, c), (r, 0), (r, n + 1), (-r, c)])
-            else:
+            elif kind == "shape":
                 cells[k] = rnd.choice([(r,), (r, c, 1), (str(r), c), (r, float(c)), r, None])
+            else:
+                cells = rnd.choice([None, n])
             kinds.add(kind)
             verdict = check_transversal(sq, cells)
             assert (verdict is None) == _is_transversal(sq, cells), (kind, cells, verdict)
             assert verdict is None or isinstance(verdict, str)
-    assert kinds == {"drop", "duplicate", "swap", "range", "shape"}
+    assert kinds == {"drop", "duplicate", "swap", "range", "shape", "no list"}
 
 
 def test_square_text_round_trip():

@@ -455,7 +455,8 @@ def test_le1_balance_mutants_get_a_verdict():
     # pair's vertices, move a slot out of range, or make a pair malformed
     # (a slot dropped or added, an element that is no slot).  Each gets the
     # oracle's verdict on every slot, or a ValueError naming its malformed
-    # pair; the mutations that must unbalance a slot do.
+    # pair, also one of two-character strings, which unpack like slots; the
+    # mutations that must unbalance a slot do.
     vertices = [(side, k) for side in "AB" for k in range(1, 5)]
     slots = [(i, u) for i in range(4) for u in [*vertices, ("C", 9)]]
     rnd = random.Random(2529)
@@ -483,7 +484,8 @@ def test_le1_balance_mutants_get_a_verdict():
         elif kind == "add slot":
             pairs[k] = pairs[k] | {(0, u)}
         else:
-            pairs[k] = rnd.choice([None, 7, frozenset({i, j}), frozenset({(i, u), (j, v, 1)})])
+            pairs[k] = rnd.choice([None, 7, frozenset({i, j}), frozenset({(i, u), (j, v, 1)}),
+                                   frozenset({"ab", "cd"})])
         kinds.add(kind)
         if kind in ("drop slot", "add slot", "no slot"):
             message = re.escape(f"pair {pairs[k]!r}: not two (index, vertex) slots")

@@ -721,6 +721,64 @@ def test_count_records_the_first_transversal_and_a_dead_cell():
             assert decompose(sq) == DecomposeResult("none", None, 0, count), sq.cells
 
 
+def _fresh_count(sq):
+    """The count and "first" of a fresh copy of sq, with no table kept."""
+    transversal._count_memo = None
+    copy = from_grid(sq.cells)
+    return count_transversals(copy), copy.transversal_record.get("first")
+
+
+def test_count_table_memo_never_serves_a_wrong_table(monkeypatch):
+    # A count reuses the first rows' table of the last count whose first
+    # rows were the same.  The order-6 squares in a shuffled order, among
+    # order-5 and order-7 squares and picks that share an order-6 square's
+    # first three rows but allow other cells below them, answer as fresh
+    # copies and the reference do, with a dead cell on no transversal.
+    rnd = random.Random(2929)
+    scan = list(enumerate_reduced(6))
+    squares = scan[:]
+    rnd.shuffle(squares)
+    others = list(enumerate_reduced(5))
+    others += [sample_uniform(7, SeededRng(29).derive(t), burnin=300) for t in range(40)]
+    items = []
+    for k, sq in enumerate(squares):
+        items.append(sq)
+        if k % 50 == 0:
+            items.append(others[k // 50 % len(others)])
+        if k % 20 == 0:
+            allowed = [63] * 3 + [rnd.getrandbits(6) | rnd.getrandbits(6) for _ in range(3)]
+            items.append((_symbol_bits(sq), allowed))
+    expected = [item if isinstance(item, tuple) else _fresh_count(item) for item in items]
+    for item, want in zip(items, expected):
+        if isinstance(item, tuple):
+            sym, allowed = item
+            record = {}
+            every: list[int] = []
+            count = _transversals(_engine_picks(sym, allowed), record=record)
+            _reference_transversals(sym, allowed, every)
+            assert (count, record.get("first")) == (len(every), every[0] if every else None), item
+        else:
+            count = count_transversals(item)
+            record = item.transversal_record
+            assert (count, record.get("first")) == want, item.cells
+            every = [sum(1 << (r - 1) * item.n + c - 1 for r, c in t.cells) for t in iter_transversals(item)]
+        if "dead" in record:
+            assert not any(mask >> record["dead"] & 1 for mask in every), item
+    # The scan in its own order grows one table for each of its 1064
+    # distinct first three rows.
+    grown = []
+    grow = transversal._count_table
+    monkeypatch.setattr(transversal, "_count_table", lambda rows, bound: grown.append(rows) or grow(rows, bound))
+    transversal._count_memo = None
+    for sq in scan:
+        count_transversals(from_grid(sq.cells))
+    assert len(grown) == len({sq.cells[:3] for sq in scan}) == 1064
+    # Above DEFAULT_EXACT_BOUND no table is kept.
+    assert transversal._count_memo is not None
+    count_transversals(sample_uniform(10, SeededRng(29).derive(0), burnin=300))
+    assert transversal._count_memo is None
+
+
 def test_public_calls_leave_no_cyclic_garbage():
     # A self-referencing closure left behind as garbage costs the benchmark
     # its tail latency when the collector runs; each call must free
@@ -789,6 +847,8 @@ def _is_decomposition(square, parts) -> bool:
     """An oracle for verify_decomposition: n transversals covering every
     cell once, each cell a pair of ints in range."""
     n = square.n
+    if not isinstance(parts, (tuple, list)):
+        return False
     cells = [cell for part in parts for cell in part.cells]
     if len(parts) != n or any(len(part.cells) != n for part in parts):
         return False
@@ -804,13 +864,14 @@ def _is_decomposition(square, parts) -> bool:
 
 def test_verify_decomposition_answers_every_mutant():
     # Seeded mutations of valid decompositions: drop, duplicate or swap
-    # parts or cells, or move a cell out of range.  Each mutant gets a
+    # parts or cells, move a cell out of range, or replace the parts by
+    # something that is no tuple (None or an int).  Each mutant gets a
     # verdict, never an exception, and the verdict agrees with the oracle.
     rnd = random.Random(2525)
     squares = [cyclic_square(n) for n in (3, 5, 7)]
     squares += [sample_uniform(n, SeededRng(2525).derive(n), burnin=300) for n in (5, 6, 7, 8)]
     kinds = ("ok", "parts, expected", "cells, expected", "out of range", "used twice",
-             "covered twice", "uncovered")
+             "covered twice", "uncovered", "not a tuple of Transversals")
     verdicts = set()
     for sq in squares:
         res = decompose(sq)
@@ -820,7 +881,7 @@ def test_verify_decomposition_answers_every_mutant():
         for _ in range(60):
             parts = [list(part.cells) for part in res.decomposition.parts]
             kind = rnd.choice(["drop part", "duplicate part", "swap parts", "drop cell",
-                               "duplicate cell", "swap cells", "out of range"])
+                               "duplicate cell", "swap cells", "out of range", "no tuple"])
             k = rnd.randrange(n)
             if kind == "drop part":
                 del parts[k]
@@ -837,10 +898,12 @@ def test_verify_decomposition_answers_every_mutant():
                 j = rnd.randrange(n)
                 a, b = rnd.randrange(n), rnd.randrange(n)
                 parts[k][a], parts[j][b] = parts[j][b], parts[k][a]
-            else:
+            elif kind == "out of range":
                 r, c = parts[k][0]
                 parts[k][0] = rnd.choice([(0, c), (n + 1, c), (r, 0), (r, n + 1)])
             mutant = tuple(Transversal(cells=tuple(cells)) for cells in parts)
+            if kind == "no tuple":
+                mutant = rnd.choice([None, n])
             ok, msg = verify_decomposition(sq, Decomposition(parts=mutant))
             assert isinstance(msg, str) and ok == _is_decomposition(sq, mutant), (kind, msg)
             assert (msg == "ok") == ok, msg
