@@ -728,7 +728,7 @@ class ConnectorGraph:
 
 def connector_depth(size: int, spread: float) -> int:
     """Largest depth with 2**depth <= size / (spread * log2(size))."""
-    if size < 4 or spread < 1:
+    if size < 4 or not spread >= 1:  # NaN fails too
         raise ValueError("need size >= 4 and spread >= 1")
     bound = size / (spread * math.log2(size))
     if bound < 1:

@@ -399,6 +399,8 @@ def cmd_absorber_demo(args) -> tuple[ExperimentReport, int]:
 
 
 def cmd_connector_demo(args) -> tuple[ExperimentReport, int]:
+    if args.pairings < 0:
+        raise ValueError(f"pairings must be non-negative, got {args.pairings}")
     rng = SeededRng(args.seed)
     graph = build_connector(args.size, args.roots, spread=args.spread, rng=rng.derive(0))
     stress = rng.derive(1)

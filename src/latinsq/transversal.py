@@ -12,19 +12,21 @@ on request, emits each as an n^2-bit row-major cell mask, in lexicographic
 column order.  To emit, the table holds the cell masks of the last rows,
 grown from the bottom row up, and the search runs over the first rows, so
 the masks come out in order.  It covers at most n // 2 rows and holds at
-most min(limit, DEFAULT_CANDIDATE_THRESHOLD) entries; a row that would take
-it past that is left to the search, so a small limit leaves a plain
-depth-first search.  To count, the table holds the counts of the first
-rows, and the search runs over the last ones.  The squares of a scan in
-lexicographic order share their first rows, so the last count table is
-kept, and a count whose first rows are the same reuses it (8 344 of the
-9 408 counts of the order-6 scan).  One is kept only at orders up to
-DEFAULT_EXACT_BOUND; there it covers the larger half of the rows, but
-never the last, and above that the smaller half.  Its keys come in the
-lexicographic order of their first partial transversals, so the first key
-that the search hits, which `_completion` completes on both sides, leads
-the lexicographically first transversal; the search also ORs together the
-cells that each table hit takes in the searched rows.  `count_transversals`,
+most min(limit, DEFAULT_CANDIDATE_THRESHOLD) entries.  To count, the table
+holds the counts of the first rows, grown from row 0 down, in at most
+DEFAULT_CANDIDATE_THRESHOLD keys, and the search runs over the last rows.
+Each table grows in one loop that stops before the row that would take it
+past its bound and leaves that row to the search, so a small limit leaves
+a plain depth-first search.  The squares of a scan in lexicographic order
+share their first rows, so the last count table is kept, and a count whose
+first rows are the same reuses it (8 344 of the 9 408 counts of the order-6
+scan).  One is kept only at orders up to DEFAULT_EXACT_BOUND; there it
+covers the larger half of the rows, but never the last, and above that the
+smaller half.  Its keys come in the lexicographic order of their first
+partial transversals, so the first key that the search hits, which
+`_completion` completes on both sides, leads the lexicographically first
+transversal; the search also ORs together the cells that each table hit
+takes in the searched rows.  `count_transversals`,
 `iter_transversals`, `max_partial_transversal` and `decompose` call the
 engine.  The partial one relaxes k = 0, 1, ... rows to rows of one symbol
 until the square has a transversal: each relaxed row of symbol s takes
@@ -170,14 +172,14 @@ def _transversals(
     n = len(picks)
     full = (1 << n) - 1
     counting = out is None
-    bound = DEFAULT_CANDIDATE_THRESHOLD
-    if limit is not None:
-        bound = min(limit, bound)
     if counting:
-        start, table = _first_rows(picks, bound)
+        start, table = _first_rows(picks)
         stop = n
     else:
         start = 0
+        bound = DEFAULT_CANDIDATE_THRESHOLD
+        if limit is not None:
+            bound = min(limit, bound)
         stop, table = _table(picks, bound)
     leaf = stop - 1
     complement = full | full << n
@@ -259,23 +261,25 @@ def _completion(picks: list[list[int]], r: int, stop: int, rest: int) -> Optiona
 
 
 # The last count table grown at an order of at most DEFAULT_EXACT_BOUND, as
-# (bound, a copy of the picks of the rows it was grown from, top, table), or
-# None after a count at a higher order.
+# (the candidate threshold it grew under, a copy of the picks of the rows it
+# was grown from, top, table), or None after a count at a higher order.
 _count_memo: Optional[tuple[int, list[list[int]], int, dict[int, int]]] = None
 
 
-def _first_rows(picks: list[list[int]], bound: int) -> tuple[int, dict[int, int]]:
-    """`_count_table` of the first rows of picks, or the table of the last
-    count whose bound and first rows, all that the growth reads, were the
-    same.  The squares of a scan in lexicographic order share their first
-    rows, so consecutive counts reuse one table.  A table is kept only at
-    orders up to DEFAULT_EXACT_BOUND, where it has at most C(9, 4)^2 = 15 876
-    keys.  There its growth is shared and the search is not, so it takes the
+def _first_rows(picks: list[list[int]]) -> tuple[int, dict[int, int]]:
+    """`_count_table` of the first rows of picks under the candidate
+    threshold, or the table of the last count whose threshold and first
+    rows, all that the growth reads, were the same.  The squares of a scan
+    in lexicographic order share their first rows, so consecutive counts
+    reuse one table.  A table is kept only at orders up to
+    DEFAULT_EXACT_BOUND, where it has at most C(9, 4)^2 = 15 876 keys.
+    There its growth is shared and the search is not, so it takes the
     larger half of the rows, leaving the search at least the last row;
     elsewhere it takes the smaller half, the other half of the emitting
     table's split."""
     global _count_memo
     n = len(picks)
+    bound = DEFAULT_CANDIDATE_THRESHOLD
     kept = n <= DEFAULT_EXACT_BOUND
     rows = picks[: min(n - 1, (n + 1) // 2) if kept else n // 2]
     memo = _count_memo
@@ -289,83 +293,60 @@ def _first_rows(picks: list[list[int]], bound: int) -> tuple[int, dict[int, int]
 def _count_table(rows: list[list[int]], bound: int) -> tuple[int, dict[int, int]]:
     """The number top of rows in the table, and the table: the used bits of
     each partial transversal of rows 0..top-1 mapped to their number, in the
-    lexicographic order of each key's first partial transversal.  It takes
-    as many of the given rows, from the first, as fit in bound keys.  A table
-    grows from its last row up, with the new row as the outer loop, as
-    `_grow_masks` does, which keeps that order: it is the table that growing
-    from row 0 down with the keys as the outer loop would give, but that
-    loop is slower (a short inner loop per key)."""
-    top = len(rows)
-    while True:
-        counts: Optional[dict[int, int]] = {0: 1}
-        for row in reversed(rows[:top]):
-            counts = _grow_counts(counts, row, bound)
-            if counts is None:
-                break
-        else:
-            return top, counts
-        top -= 1
-
-
-def _grow_counts(
-    counts: dict[int, int], row: list[int], bound: int
-) -> Optional[dict[int, int]]:
-    """counts extended by one more significant row, equal keys merged, or
-    None past bound keys.  The new row is the outer loop, so the keys stay
-    in the order of their first partial transversals."""
-    grown: dict[int, int] = {}
-    get = grown.get
-    for u in row:
-        for key, count in counts.items():
-            if not key & u:
-                key |= u
-                grown[key] = get(key, 0) + count
-        if len(grown) > bound:
-            return None
-    return grown
+    lexicographic order of each key's first partial transversal.  It grows
+    from row 0 down, with the keys as the outer loop and the row's picks in
+    column order as the inner one, which keeps that order, and stops before
+    the first row that would take it past bound keys: the size is checked
+    after each key, so the abandoned row holds at most len(row) keys past
+    bound."""
+    table = {0: 1}
+    for top, row in enumerate(rows):
+        grown: dict[int, int] = {}
+        get = grown.get
+        for key, count in table.items():
+            for u in row:
+                if not key & u:
+                    used = key | u
+                    grown[used] = get(used, 0) + count
+            if len(grown) > bound:
+                return top, table
+        table = grown
+    return len(rows), table
 
 
 def _table(picks: list[list[int]], bound: int) -> tuple[int, dict[int, list[int]]]:
     """The first row top of the emitting table, and the table: the used bits
     of each partial transversal of rows top..n-1 mapped to its cell masks in
-    lexicographic order.  It grows from the bottom row up to n // 2 rows, and
-    by no row that would take it past bound masks."""
+    lexicographic order.  It grows from the bottom row up, with the new row
+    as the outer loop, which keeps the masks lexicographic, to n // 2 rows,
+    and stops before the first row that would take it past bound masks."""
     n = len(picks)
     top = n
-    level = ([0], [0])
+    keys, masks = [0], [0]
     while top > n - n // 2:
-        grown = _grow_masks(level, picks[top - 1], (top - 1) * n, bound)
-        if grown is None:
+        shift = (top - 1) * n
+        grown_keys: list[int] = []
+        grown_masks: list[int] = []
+        add_key, add_mask = grown_keys.append, grown_masks.append
+        for u in picks[top - 1]:
+            cell = (u & -u) << shift
+            for key, mask in zip(keys, masks):
+                if not key & u:
+                    add_key(key | u)
+                    add_mask(cell | mask)
+            if len(grown_masks) > bound:
+                break
+        if len(grown_masks) > bound:
             break
-        level, top = grown, top - 1
+        keys, masks, top = grown_keys, grown_masks, top - 1
     groups: dict[int, list[int]] = {}
-    for key, mask in zip(*level):
+    for key, mask in zip(keys, masks):
         group = groups.get(key)
         if group is None:
             groups[key] = [mask]
         else:
             group.append(mask)
     return top, groups
-
-
-def _grow_masks(
-    level: tuple[list[int], list[int]], row: list[int], shift: int, bound: int
-) -> Optional[tuple[list[int], list[int]]]:
-    """The keys and masks extended by one more significant row, the row at
-    bit shift of the masks, or None past bound masks.  The new row is the
-    outer loop, so the masks stay lexicographic."""
-    keys: list[int] = []
-    masks: list[int] = []
-    add_key, add_mask = keys.append, masks.append
-    for u in row:
-        cell = (u & -u) << shift
-        for key, mask in zip(*level):
-            if not key & u:
-                add_key(key | u)
-                add_mask(cell | mask)
-        if len(masks) > bound:
-            return None
-    return keys, masks
 
 
 def _cells(mask: int) -> list[int]:

@@ -695,3 +695,5 @@ def test_build_connector_rejects_infeasible():
         build_connector(64, 100, spread=2.0)
     with pytest.raises(ValueError):
         connector_depth(4, 100.0)
+    with pytest.raises(ValueError, match="spread >= 1"):
+        connector_depth(1024, float("nan"))

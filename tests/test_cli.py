@@ -478,6 +478,8 @@ def test_connector_demo_bad_input_exit_code(capsys):
     for argv, message in (
         (("--size", "64", "--roots", "100", "--spread", "2"), "root count must be in"),
         (("--size", "4", "--spread", "100"), "no feasible depth"),
+        (("--pairings", "-1"), "pairings must be non-negative, got -1"),
+        (("--spread", "nan"), "need size >= 4 and spread >= 1"),
     ):
         code, out, err = run(capsys, "connector-demo", *argv)
         assert code == 1 and out == "", argv

@@ -779,6 +779,40 @@ def test_count_table_memo_never_serves_a_wrong_table(monkeypatch):
     assert transversal._count_memo is None
 
 
+def test_count_table_stops_at_its_bound(monkeypatch):
+    # Under a small candidate threshold the count table stops before the row
+    # that would take it past the threshold, and the search covers the rest:
+    # the counts, "first" and dead cells answer as the reference does.
+    squares = list(enumerate_reduced(5)) + [cyclic_square(n) for n in range(1, 10)]
+    squares += [sample_uniform(n, SeededRng(3030).derive(t), burnin=300) for n in range(6, 10) for t in range(3)]
+    expected = []
+    for sq in squares:
+        every: list[int] = []
+        _reference_transversals(_symbol_bits(sq), out=every)
+        expected.append(every)
+    grow = transversal._count_table
+    short = []
+
+    def bounded(rows, bound):
+        top, table = grow(rows, bound)
+        assert len(table) <= bound, (bound, top)
+        short.append(top < len(rows))
+        return top, table
+
+    monkeypatch.setattr(transversal, "_count_table", bounded)
+    for threshold in (1, 2, 5, 50):
+        monkeypatch.setattr(transversal, "DEFAULT_CANDIDATE_THRESHOLD", threshold)
+        monkeypatch.setattr(transversal, "_count_memo", None)
+        for sq, every in zip(squares, expected):
+            copy = from_grid(sq.cells)
+            record = copy.transversal_record
+            assert count_transversals(copy) == len(every), (threshold, sq.cells)
+            assert record.get("first") == (every[0] if every else None), (threshold, sq.cells)
+            if "dead" in record:
+                assert not any(mask >> record["dead"] & 1 for mask in every), (threshold, sq.cells)
+    assert any(short) and not all(short)
+
+
 def test_public_calls_leave_no_cyclic_garbage():
     # A self-referencing closure left behind as garbage costs the benchmark
     # its tail latency when the collector runs; each call must free
