@@ -239,12 +239,14 @@ def random_correction_instance(
 ) -> CorrectionInstance:
     """A random feasible instance: surpluses drawn freely, then the same
     multiset dealt back out as chosen reservoir vertices by `_deal_chosen`,
-    a max flow.  Raises ValueError for a negative size, and when no deal
-    exists."""
+    a max flow.  Raises ValueError for a negative size, for a max_surplus
+    larger than the universe, and when no deal exists."""
     for name, size in (("indices", num_indices), ("universe", universe_size),
                        ("max_surplus", max_surplus)):
         if size < 0:
             raise ValueError(f"{name} must be non-negative, got {size}")
+    if max_surplus > universe_size:
+        raise ValueError(f"max_surplus {max_surplus} exceeds the universe size {universe_size}")
     indices = tuple(range(1, num_indices + 1))
     universe = tuple(range(1, universe_size + 1))
     surplus = {}

@@ -17,12 +17,13 @@ one side in ascending id order, i.e. in (side, index) order.  The cost is
 that of the branching steps: for ``repeat_pattern(k)`` the first k interior
 vertices branch and the others are forced, so one search costs O(n^k)
 table lookups, not near-linear time.  Enumeration places the start and the
-end first.  Counting places only the start when that still forces the end
-and branches no more, as for every ``repeat_pattern(k)``: one search from a
-start then counts the links to every end, the counts stay on the colouring
+end first.  Counting places only the start: one search from a start counts
+the links to every end, the counts stay on the colouring
 (``ProperColoring.link_counts``), and every further end from that start is
-a lookup.  The path-pair census and the closed-walk count read the same
-table.
+a lookup.  For ``repeat_pattern(k)`` that search forces the end last and
+costs about one search with both endpoints placed; a pattern whose start
+alone does not force the end cheaply pays more for its first count.  The
+path-pair census and the closed-walk count read the same table.
 
 The search's colour lookups keep every pattern edge between a row and a
 column: the table reads colour 0 between two vertices of one class, which
@@ -36,7 +37,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 
 from .core import LatinSquare, ProperColoring, check_limit
@@ -71,22 +71,6 @@ class Pattern:
             if key in seen:
                 raise ValueError(f"duplicate edge ({a},{b})")
             seen.add(key)
-
-    @cached_property
-    def _counts_every_end(self) -> bool:
-        """Whether one search from the start should count the embeddings to
-        every end: the plan with only the start placed forces the end, and
-        it branches at no more steps than the plan with both endpoints
-        placed, so it costs about one pair search.  This holds for every
-        ``repeat_pattern(k)``: both plans branch at the first k interior
-        vertices, and the start-only plan forces the end last.  Decided once
-        per pattern."""
-        one, _classes = _plan(self, (self.start,))
-        two, _classes = _plan(self, (self.start, self.end))
-        if next(fk for (w, _fz, fk, _checks) in one if w == self.end) < 0:
-            return False
-        branches = sum(fk < 0 for (_w, _fz, fk, _checks) in one)
-        return branches <= sum(fk < 0 for (_w, _fz, fk, _checks) in two[1:])
 
     def to_json(self) -> str:
         return json.dumps(
@@ -197,12 +181,13 @@ def _plan(pat: Pattern, first: tuple[int, ...]):
     return steps[1:], classes
 
 
-def _search(host: ProperColoring, ui: int, vi: int | None, pat: Pattern, limit, emit: bool):
-    """Count the embeddings of pat with the start at vertex id ``ui`` and
-    the end at ``vi``, and list them when ``emit``, in the order of the
-    elimination steps with candidates by ascending vertex id, i.e. by
-    (side, index).  With ``vi`` None the plan places only the start and one
-    search counts every end.  Returns (counts by end vertex id, links)."""
+def _search(host: ProperColoring, ui: int, vi: int | None, pat: Pattern, limit):
+    """With ``vi`` None, count the embeddings of pat with the start at
+    vertex id ``ui`` to every end: the plan places only the start.  With
+    ``vi`` given, list the first ``limit`` embeddings with the end at
+    ``vi``, in the order of the elimination steps with candidates by
+    ascending vertex id, i.e. by (side, index): the plan places the start
+    and the end.  Returns (counts by end vertex id, links)."""
     n = host.n
     m, s = 2 * n, n + 1
     ends = [0] * m
@@ -292,7 +277,7 @@ def _search(host: ProperColoring, ui: int, vi: int | None, pat: Pattern, limit, 
                 ends[x] += 1
             return False
         ends[emb[end]] += 1
-        if emit:
+        if vi is not None:  # enumerate_links lists its pair's links
             links.append(
                 Link(
                     pattern=pat,
@@ -322,26 +307,24 @@ def enumerate_links(
     int or None raises TypeError."""
     check_limit(limit)
     ui, vi = _pair_ids(host, u, v)
-    return _search(host, ui, vi, pat, limit, emit=True)[1]
+    return _search(host, ui, vi, pat, limit)[1]
 
 
 def count_links(host: ProperColoring, u: Vertex, v: Vertex, pat: Pattern) -> int:
     """Number of (u, v)-embeddings of pat, without materialising them.
 
-    When the plan with only the start placed forces the end and costs
-    about one pair search (``Pattern._counts_every_end``, true for every
-    ``repeat_pattern(k)``), the first call for a start u counts the
-    embeddings to every end in one search and keeps the counts on the
-    colouring, in ``host.link_counts`` under (u's vertex id, pat); a later
-    call for the same u and pat is a lookup.  Otherwise, when the start
-    alone does not force the end or forcing it costs more branching, each
-    call searches its own endpoint pair."""
+    The first call for a start u searches once from u alone, counts the
+    embeddings to every end and keeps the counts on the colouring, in
+    ``host.link_counts`` under (u's vertex id, pat); a later call for the
+    same u and pat is a lookup.  For ``repeat_pattern(k)`` that one search
+    forces the end and costs about one pair search.  A pattern whose start
+    does not force the end cheaply pays more for its first query: the path
+    with classes 1, 2, 1 branches at two steps from the start alone, where
+    a search with both endpoints placed branches at one."""
     ui, vi = _pair_ids(host, u, v)
     ends = host.link_counts.get((ui, pat))
     if ends is None:
-        if not pat._counts_every_end:
-            return _search(host, ui, vi, pat, None, emit=False)[0][vi]
-        ends = host.link_counts[ui, pat] = _search(host, ui, None, pat, None, emit=False)[0]
+        ends = host.link_counts[ui, pat] = _search(host, ui, None, pat, None)[0]
     return ends[vi]
 
 
@@ -384,11 +367,13 @@ def census_path_pairs(
         raise ValueError("path length must be positive")
     if length % 2 == 0:
         raise ValueError("path length must be odd")
-    if len(set(endpoints)) != 4:
-        raise ValueError("the four endpoints must be distinct")
+    if len(endpoints) != 4:
+        raise ValueError(f"expected four endpoints, got {len(endpoints)}")
     check_limit(limit)
     n = host.n
-    x1, y1, x2, y2 = (_vertex_id(n, p) for p in endpoints)
+    x1, y1, x2, y2 = ids = [_vertex_id(n, p) for p in endpoints]
+    if len(set(ids)) != 4:
+        raise ValueError("the four endpoints must be distinct")
     if limit == 0 or (x1 < n) == (y1 < n) or (x2 < n) == (y2 < n):
         return CensusResult(count=0)
     via, color = host.partners

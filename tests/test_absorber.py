@@ -258,6 +258,20 @@ def test_random_instance_deals_the_tight_shape():
     assert len(inst.indices) == 9
 
 
+def test_random_instance_rejects_a_surplus_larger_than_the_universe():
+    for seed in range(8):
+        rng = SeededRng(seed).derive(0)
+        with pytest.raises(ValueError, match="max_surplus 3 exceeds the universe size 2"):
+            random_correction_instance(rng, num_indices=2, universe_size=2, max_surplus=3)
+        # rejected before any draw: the stream is where a fresh one starts
+        assert rng.randint(1 << 30) == SeededRng(seed).derive(0).randint(1 << 30)
+        # at the bound only the deal can fail
+        try:
+            random_correction_instance(rng, num_indices=2, universe_size=2, max_surplus=2)
+        except ValueError as exc:
+            assert "no deal exists" in str(exc)
+
+
 def test_per_colour_degree_cap_after_final_stage():
     rng = SeededRng(321)
     inst = random_correction_instance(rng.derive(0), num_indices=10, universe_size=60)

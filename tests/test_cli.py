@@ -385,6 +385,7 @@ def test_absorber_demo_bad_input_exit_code(tmp_path, capsys):
         (("--universe", "3"), "could not deal"),
         (("--indices", "1"), "could not deal"),
         (("--max-surplus", "-1"), "max_surplus must be non-negative"),
+        (("--universe", "2", "--max-surplus", "3"), "max_surplus 3 exceeds the universe size 2"),
         (("--indices", "-1"), "indices must be non-negative"),
         (("--universe", "-5"), "universe must be non-negative"),
         (("--count", "-2"), "count must be non-negative"),

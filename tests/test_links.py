@@ -512,8 +512,12 @@ def test_link_functions_reject_bad_vertices():
             count_links(host, bad, ("A", 2), repeat_pattern(2))
         with pytest.raises(ValueError, match="bad vertex"):
             closed_alternating_walks(host, bad)
-    with pytest.raises(ValueError, match="bad vertex"):
-        census_path_pairs(host, 3, (("A", 1), ("B", 0), ("A", 2), ("B", 2)))
+        with pytest.raises(ValueError, match="bad vertex"):
+            census_path_pairs(host, 3, (("A", 1), bad, ("A", 2), ("B", 2)))
+    with pytest.raises(ValueError, match="expected four endpoints, got 3"):
+        census_path_pairs(host, 3, (("A", 1), ("B", 1), ("A", 2)))
+    with pytest.raises(ValueError, match="the four endpoints must be distinct"):
+        census_path_pairs(host, 3, (("A", 1), ("B", 1), ("A", 1), ("B", 2)))
 
 
 # --- per-start link counts kept on the colouring ------------------------------
@@ -605,43 +609,38 @@ def test_fresh_coloring_starts_with_an_empty_memo():
     assert second.link_counts is not first.link_counts
 
 
-def test_count_links_searches_all_ends_only_at_the_cost_of_a_pair():
-    host = to_coloring(cyclic_square(7))
-    for k in (1, 2, 3):
-        count_links(host, ("A", 1), ("A", 2), repeat_pattern(k))
-    # classes 1, 2, 1: with the end placed, the second interior vertex is
-    # forced from it, so one pair costs n nodes and all ends n^2
-    path = Pattern(num_vertices=4, edges=((0, 1, 1), (1, 2, 2), (2, 3, 1)), start=0, end=3)
-    assert count_links(host, ("A", 1), ("B", 2), path) == oracle_count(host, ("A", 1), ("B", 2), path)
-    assert list(host.link_counts) == [(0, repeat_pattern(k)) for k in (1, 2, 3)]
-
-
-def test_count_links_decides_the_search_once_per_pattern(monkeypatch):
+def test_count_links_searches_once_per_start_and_pattern(monkeypatch):
     import latinsq.links as links
 
     plans = []
     real_plan = links._plan
 
     def counting_plan(pat, first):
-        plans.append(first)
+        plans.append((pat, first))
         return real_plan(pat, first)
 
     monkeypatch.setattr(links, "_plan", counting_plan)
     host = to_coloring(cyclic_square(7))
-    # the pair search forces the second interior vertex from the end, so
-    # this pattern falls back to one search per pair
+    # classes 1, 2, 1: the start alone does not force the end cheaply,
+    # yet its counts to every end come from one search as well
     path = Pattern(num_vertices=4, edges=((0, 1, 1), (1, 2, 2), (2, 3, 1)), start=0, end=3)
-    ends = [("B", b) for b in range(1, 8)]
-    counts = [count_links(host, ("A", 1), v, path) for v in ends]
-    assert counts == [oracle_count(host, ("A", 1), v, path) for v in ends]
-    # the decision's two plans once, then only each search's own plan
-    assert plans == [(0,), (0, 3)] + [(0, 3)] * len(ends)
-    assert not path._counts_every_end and host.link_counts == {}
-    plans.clear()
-    pat = repeat_pattern(2)
-    for a in range(2, 8):
-        count_links(host, ("A", 1), ("A", a), pat)
-    assert plans == [(0,), (0, 4), (0,)] and pat._counts_every_end
+    pats = [path] + [repeat_pattern(k) for k in (1, 2, 3)]
+    starts = [("A", 1), ("B", 3)]
+    ends = [(side, i) for side in "AB" for i in range(1, 8)]
+    linked = set()
+    for u in starts:
+        for pat in pats:
+            plans.clear()
+            for v in ends:
+                if v != u:
+                    got = count_links(host, u, v, pat)
+                    assert got == oracle_count(host, u, v, pat), (pat, u, v)
+                    if got:
+                        linked.add(pat)
+            assert plans == [(pat, (pat.start,))], (pat, u)
+    assert {path, repeat_pattern(2)} <= linked
+    # A1 and B3 are vertex ids 0 and 9
+    assert set(host.link_counts) == {(ui, pat) for ui in (0, 9) for pat in pats}
 
 
 def _digest(parts) -> str:
