@@ -13,7 +13,7 @@ stderr after the answer.
 
 Exit codes: 0 success, 1 invalid input (usage errors included), 2 infeasible
 or undecided-dominated, 3 assertion failure (a reproduction claim was
-violated).
+violated, or an answer failed its own check, as `decompose`'s can).
 """
 
 from __future__ import annotations
@@ -590,6 +590,9 @@ def main(argv=None) -> int:
     except (ValidationError, ValueError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVALID
+    except AssertionError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_ASSERTION
     sys.stderr.write(note)
     return code
 

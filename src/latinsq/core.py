@@ -138,8 +138,9 @@ def _trusted_square(grid: list[list[int]] | tuple) -> LatinSquare:
 def from_grid(grid) -> LatinSquare:
     """Validate a grid of symbols and return it as a LatinSquare.
 
-    The grid must be square with entries in 1..n, no symbol repeated in a
-    row or column.  The first violation in row-major scan order is reported.
+    The grid must be square with int entries in 1..n (a bool is refused),
+    no symbol repeated in a row or column.  The first violation in row-major
+    scan order is reported.
     """
     rows = [list(r) for r in grid]
     n = len(rows)
@@ -153,7 +154,7 @@ def from_grid(grid) -> LatinSquare:
         seen_row = 0
         for c in range(n):
             s = rows[r][c]
-            if not isinstance(s, int) or not (1 <= s <= n):
+            if type(s) is not int or not (1 <= s <= n):
                 raise ValidationError(f"cell ({r + 1},{c + 1}): symbol {s!r} not in 1..{n}")
             bit = 1 << s
             if seen_row & bit:
@@ -216,7 +217,8 @@ def from_coloring(coloring: ProperColoring) -> LatinSquare:
 def check_transversal(square: LatinSquare, cells, partial: bool = False) -> str | None:
     """None if the cells form a (partial) transversal of the square, else the
     first violation in the given cell order, such as cells that are not a
-    tuple or list, or a cell that is not a tuple or list of two ints."""
+    tuple or list, or a cell that is not a tuple or list of two ints (a bool
+    is not taken for an int)."""
     n = square.n
     if not isinstance(cells, (tuple, list)):
         return f"cells {cells!r} are not a tuple or list"
@@ -226,7 +228,7 @@ def check_transversal(square: LatinSquare, cells, partial: bool = False) -> str 
     cols_seen: set[int] = set()
     syms_seen: set[int] = set()
     for cell in cells:
-        if not (isinstance(cell, (tuple, list)) and len(cell) == 2 and all(isinstance(k, int) for k in cell)):
+        if not (isinstance(cell, (tuple, list)) and len(cell) == 2 and all(type(k) is int for k in cell)):
             return f"cell {cell!r} is not a (row, column) pair"
         r, c = cell
         if not (1 <= r <= n and 1 <= c <= n):
@@ -246,9 +248,9 @@ def check_transversal(square: LatinSquare, cells, partial: bool = False) -> str 
 
 def check_limit(limit) -> None:
     """Accept None or a non-negative int as a search's `limit`: anything
-    else raises TypeError, a negative int ValueError."""
+    else, a bool too, raises TypeError, a negative int ValueError."""
     if limit is not None:
-        if not isinstance(limit, int):
+        if type(limit) is not int:
             raise TypeError(f"limit must be an int or None, got {type(limit).__name__}")
         if limit < 0:
             raise ValueError(f"limit must be non-negative, got {limit}")

@@ -9,21 +9,20 @@ each of its three lines.  The walk's proper states are uniform over all
 Latin squares in the limit; burn-in and thinning are counted in
 proper-state visits.
 
-The stored form of the cube, which `MarkovState` holds and checks, is three
-conjugate sets of line masks over its 1-entries (cell -> symbols, row and
-symbol -> columns, column and symbol -> rows).  A line through the -1 cell
-holds two 1-entries, every other line one.  The walk's working form is three
-plain int arrays (the symbol of each cell, the column of each row/symbol
-pair, the row of each column/symbol pair, held pre-scaled as row * n so that
-it indexes the other two arrays without a multiplication), with the two
-members of each doubled line held in locals.  Each proper move starts an
-excursion: an inner loop flips it and then makes the improper moves that
+The cube has one form, which `MarkovState` holds and checks and the walk
+moves in place: three plain int arrays (the symbol of each cell, the column
+of each row/symbol pair, the row of each column/symbol pair, held pre-scaled
+as row * n so that it indexes the other two arrays without a
+multiplication).  A line through the -1 cell holds two 1-entries, every
+other line one; the two members of each doubled line are held apart, in
+`MarkovState.doubled` between calls and in locals during one, and the
+arrays' entries on those three lines are not read.  Each proper move starts
+an excursion: an inner loop flips it and then makes the improper moves that
 follow, with no test of whether the state is proper, until an apex lands on
 a 1-entry.  A move costs about 0.8 us at orders 10-31 in CPython 3.11 on a
 shared 2-vCPU x86 host, and the walk makes about n moves per proper-state
-visit.  `_walk` unpacks the masks on entry and packs them back
-on exit, O(n^2) per call; `jm_step` is one move of the same loop, and
-`sample_squares` drives it.
+visit.  `jm_step` is one move of the same loop, about 2-3.5 us per call at
+order 31 on the same host; `sample_squares` drives it.
 
 The walk draws from `SeededRng`'s buffers of its two bounds (n^3 and 2)
 directly rather than through `randint`: it refills a buffer where `randint`
@@ -165,27 +164,31 @@ class SeededRng:
 class MarkovState:
     """Incidence-cube state of the walk; mutable, single-owner.
 
-    The 1-entries (r, c, s) are held three ways: bit s of `rc[r*n+c]`, bit c
-    of `rs[r*n+s]` and bit r of `cs[c*n+s]`.  The -1 entry, if any, is
-    `improper`.
+    The 1-entries (r, c, s) are held in the three arrays the walk moves in
+    place: `sym[r*n+c] = s`, `col[r*n+s] = c` and `row[c*n+s] = r*n`.  The
+    -1 entry, if any, is `improper`, and `doubled` is then
+    (r_lo*n, r_hi*n, c_lo, c_hi, s_lo, s_hi), the two 1-entries of each of
+    its three lines, lower first; the arrays' entries on those lines are not
+    read.  A proper state has both None.
     """
 
-    def __init__(self, n: int, rc: list[int], rs: list[int], cs: list[int],
-                 improper: tuple[int, int, int] | None):
-        self.n, self.rc, self.rs, self.cs = n, rc, rs, cs
-        self.improper = improper
+    def __init__(self, n: int, sym: list[int], col: list[int], row: list[int],
+                 improper: tuple[int, int, int] | None = None,
+                 doubled: tuple[int, int, int, int, int, int] | None = None):
+        self.n, self.sym, self.col, self.row = n, sym, col, row
+        self.improper, self.doubled = improper, doubled
 
     @classmethod
     def from_square(cls, square: LatinSquare) -> "MarkovState":
         n = square.n
-        rc, rs, cs = [0] * (n * n), [0] * (n * n), [0] * (n * n)
+        sym, col, row = [0] * (n * n), [0] * (n * n), [0] * (n * n)
         for r in range(n):
-            for c, sym in enumerate(square.cells[r]):
-                s = sym - 1
-                rc[r * n + c] = 1 << s
-                rs[r * n + s] = 1 << c
-                cs[c * n + s] = 1 << r
-        return cls(n, rc, rs, cs, None)
+            for c, s in enumerate(square.cells[r]):
+                s -= 1
+                sym[r * n + c] = s
+                col[r * n + s] = c
+                row[c * n + s] = r * n
+        return cls(n, sym, col, row)
 
     @property
     def is_proper(self) -> bool:
@@ -194,36 +197,34 @@ class MarkovState:
     def to_square(self) -> LatinSquare:
         if self.improper is not None:
             raise ValidationError("improper state does not project to a square")
-        n, rc = self.n, self.rc
-        return _trusted_square([[rc[r * n + c].bit_length() for c in range(n)] for r in range(n)])
+        n, sym = self.n, self.sym
+        return _trusted_square([[s + 1 for s in sym[rn : rn + n]] for rn in range(0, n * n, n)])
 
     def line_sums_ok(self) -> bool:
-        """The three mask sets hold the same 1-entries, and the 0/+-1 cube
-        they describe with `improper` has all 3n^2 line sums equal to 1."""
-        n = self.n
-        rc, rs, cs = self.rc, self.rs, self.cs
-        cube = [0] * n**3  # entry (r, c, s) at (r*n + c)*n + s
-        for r in range(n):
-            for c in range(n):
-                for s in range(n):
-                    one = rc[r * n + c] >> s & 1
-                    if one != rs[r * n + s] >> c & 1 or one != cs[c * n + s] >> r & 1:
-                        return False
-                    cube[(r * n + c) * n + s] = one
-        if any(m >> n for m in rc + rs + cs):
+        """The 0/+-1 cube that the arrays describe with `improper` and
+        `doubled` has all 3n^2 line sums equal to 1: each array gives one
+        1-entry on each of its lines, `doubled` two distinct ones, lower
+        first, on each line through the -1 cell, and the three give the same
+        set of 1-entries, without the -1 cell."""
+        n, sym, col, row = self.n, self.sym, self.col, self.row
+        span, scaled = range(n), range(0, n * n, n)
+        by_sym = {(rn, c, sym[rn + c]) for rn in scaled for c in span}
+        by_col = {(rn, col[rn + s], s) for rn in scaled for s in span}
+        by_row = {(row[c * n + s], c, s) for c in span for s in span}
+        if self.improper is None or self.doubled is None:
+            return self.improper is None and self.doubled is None and by_sym == by_col == by_row
+        r, c, s = self.improper
+        r_lo, r_hi, c_lo, c_hi, s_lo, s_hi = self.doubled
+        if not (0 <= r < n and 0 <= c < n and 0 <= s < n and r_lo < r_hi and c_lo < c_hi and s_lo < s_hi):
             return False
-        if self.improper is not None:
-            r, c, s = self.improper
-            if not (0 <= r < n and 0 <= c < n and 0 <= s < n) or cube[(r * n + c) * n + s]:
-                return False
-            cube[(r * n + c) * n + s] = -1
-        return all(
-            sum(cube[(a * n + b) * n + t] for t in range(n)) == 1
-            and sum(cube[(a * n + t) * n + b] for t in range(n)) == 1
-            and sum(cube[(t * n + a) * n + b] for t in range(n)) == 1
-            for a in range(n)
-            for b in range(n)
-        )
+        rn, cn = r * n, c * n
+        by_sym.remove((rn, c, sym[rn + c]))
+        by_col.remove((rn, col[rn + s], s))
+        by_row.remove((row[cn + s], c, s))
+        by_sym |= {(rn, c, s_lo), (rn, c, s_hi)}
+        by_col |= {(rn, c_lo, s), (rn, c_hi, s)}
+        by_row |= {(r_lo, c, s), (r_hi, c, s)}
+        return (rn, c, s) not in by_sym and by_sym == by_col == by_row
 
 
 def _coin_codes(buf: list) -> memoryview:
@@ -237,40 +238,28 @@ def _coin_codes(buf: list) -> memoryview:
     return buf[2]
 
 
-def _low_high(m: int) -> tuple[int, int]:
-    """The two set bits of a doubled line's mask, lower first."""
-    return (m & -m).bit_length() - 1, m.bit_length() - 1
-
-
 def _walk(state: MarkovState, rng: SeededRng, visits: int, one_move: bool = False) -> None:
     """Run the chain in place until it has made `visits` proper-state
     visits, or a single move when `one_move` is set.
 
-    The masks are unpacked into `sym[r*n+c]` (the symbol of a cell),
-    `col[r*n+s]` (the column of a row/symbol pair) and `row[c*n+s]` (the row
-    of a column/symbol pair, held as r*n so that it indexes the other two
-    arrays directly, as are the row locals `rn`, `r0`, `r1`, `r_lo` and
-    `r_hi`), and packed back on exit.  While the state is improper at
-    (r, c, s), the entries of its three doubled lines are stale and their
-    two members are held as (low, high) pairs in locals instead.  Each pass
-    of the outer loop makes one proper move, and the inner loop flips it and
+    The moves work on `state.sym`, `state.col` and `state.row` in place,
+    with rows held as r*n, as are the row locals `rn`, `r0`, `r1`, `r_lo`
+    and `r_hi`.  While the state is improper at (r, c, s), the two members
+    of each of its three doubled lines are held as (low, high) pairs in
+    locals, read from and written back to `state.doubled`.  Each pass of
+    the outer loop makes one proper move, and the inner loop flips it and
     then makes the improper moves that follow until an apex lands on a
     1-entry; `one_move` stops it after one flip.
     """
     n = state.n
     if n == 1 or visits <= 0:
         return  # a single square has nothing to move
-    sym = [m.bit_length() - 1 for m in state.rc]
-    col = [m.bit_length() - 1 for m in state.rs]
-    row = [(m.bit_length() - 1) * n for m in state.cs]
+    sym, col, row = state.sym, state.col, state.row
     proper = state.improper is None
     if not proper:
         r, c, s = state.improper
         rn, cn = r * n, c * n
-        r_lo, r_hi = _low_high(state.cs[cn + s])
-        r_lo, r_hi = r_lo * n, r_hi * n
-        c_lo, c_hi = _low_high(state.rs[rn + s])
-        s_lo, s_hi = _low_high(state.rc[rn + c])
+        r_lo, r_hi, c_lo, c_hi, s_lo, s_hi = state.doubled
         # the first move is an improper one that no proper move led into:
         # its three coins are drawn one at a time, as in the loop below,
         # before the buffers are held in locals
@@ -384,16 +373,11 @@ def _walk(state: MarkovState, rng: SeededRng, visits: int, one_move: bool = Fals
         cube[1] = cube_pos
     if coin is not None:
         coin[1] = coin_pos
-    state.rc[:] = [1 << v for v in sym]
-    state.rs[:] = [1 << v for v in col]
-    state.cs[:] = [1 << (v // n) for v in row]
     if proper:
-        state.improper = None
+        state.improper = state.doubled = None
     else:
-        state.rc[rn + c] = 1 << s_lo | 1 << s_hi
-        state.rs[rn + s] = 1 << c_lo | 1 << c_hi
-        state.cs[cn + s] = 1 << (r_lo // n) | 1 << (r_hi // n)
         state.improper = (rn // n, c, s)
+        state.doubled = (r_lo, r_hi, c_lo, c_hi, s_lo, s_hi)
 
 
 def jm_step(state: MarkovState, rng: SeededRng) -> MarkovState:
@@ -429,6 +413,8 @@ def sample_squares(
     if n < 1:
         raise ValidationError("order must be at least 1")
     for name, value in (("count", count), ("burnin", burnin), ("thin", thin)):
+        if type(value) is not int:  # a float burn-in would never count down to 0
+            raise TypeError(f"{name} must be an int, got {type(value).__name__}")
         if value < 0:
             raise ValueError(f"{name} must be non-negative, got {value}")
 

@@ -434,12 +434,14 @@ def max_partial_transversal(square: LatinSquare) -> PartialTransversal:
 def decompose(square: LatinSquare, node_budget: int = DEFAULT_NODE_BUDGET) -> DecomposeResult:
     """Split the square into n disjoint transversals, if possible.
 
-    Returns status "some" with a validated decomposition, a definite "none",
-    or "undecided" when the node budget is exhausted.  A square with more
-    than DEFAULT_CANDIDATE_THRESHOLD transversals is answered "undecided"
-    with 0 nodes and candidates None, at any budget, without a search.
+    Returns status "some" with a decomposition that `verify_decomposition`
+    accepts (an AssertionError naming the violation is raised otherwise), a
+    definite "none", or "undecided" when the node budget is exhausted.  A
+    square with more than DEFAULT_CANDIDATE_THRESHOLD transversals is
+    answered "undecided" with 0 nodes and candidates None, at any budget,
+    without a search.
     """
-    if not isinstance(node_budget, int):
+    if type(node_budget) is not int:
         raise TypeError(f"node budget must be an int, got {type(node_budget).__name__}")
     if node_budget < 0:
         raise ValueError(f"node budget must be non-negative, got {node_budget}")
@@ -456,7 +458,12 @@ def decompose(square: LatinSquare, node_budget: int = DEFAULT_NODE_BUDGET) -> De
     # A cell on no candidate ends the search at its root, at any budget.
     if reduce(or_, masks, 0) != (1 << n * n) - 1:
         return DecomposeResult("none", None, 0, len(masks))
-    return _exact_cover(masks, n, node_budget)
+    res = _exact_cover(masks, n, node_budget)
+    if res.status == "some":
+        ok, msg = verify_decomposition(square, res.decomposition)
+        if not ok:
+            raise AssertionError(f"decompose found an invalid decomposition: {msg}")
+    return res
 
 
 def _exact_cover(masks: list[int], n: int, node_budget: int) -> DecomposeResult:

@@ -8,11 +8,11 @@ from pathlib import Path
 import pytest
 
 import latinsq
-from latinsq import cli
+from latinsq import cli, transversal
 from latinsq.absorber import CorrectionSet
 from latinsq.cli import FORMATS, build_parser, main, wilson_interval
 from latinsq.core import Decomposition, cyclic_square, square_from_text, square_to_text, squares_from_text
-from latinsq.transversal import DecomposeResult, decompose
+from latinsq.transversal import DecomposeResult, decompose, iter_transversals
 
 
 def run(capsys, *argv):
@@ -79,6 +79,17 @@ def test_decompose_none_cli(tmp_path, capsys):
     sq.write_text(square_to_text(cyclic_square(4)))
     code, out, _ = run(capsys, "decompose", str(sq))
     assert code == 0 and out.strip() == "none"
+
+
+def test_decompose_cli_exits_3_when_its_answer_fails_verification(tmp_path, capsys, monkeypatch):
+    first = next(iter_transversals(cyclic_square(5)))
+    overlapping = DecomposeResult("some", Decomposition(parts=(first,) * 5), 1, 15)
+    monkeypatch.setattr(transversal, "_exact_cover", lambda masks, n, budget: overlapping)
+    sq = tmp_path / "sq.txt"
+    sq.write_text(square_to_text(cyclic_square(5)))
+    code, out, err = run(capsys, "decompose", str(sq))
+    assert code == 3 and out == ""
+    assert err == "error: decompose found an invalid decomposition: cell (1,1) covered twice\n"
 
 
 def test_verify_rejects_bad_mate(tmp_path, capsys):

@@ -41,6 +41,9 @@ def test_from_grid_reports_first_violation_row_major():
         from_grid([[1, 2], [1, 2]])
     with pytest.raises(ValidationError, match=r"not in 1..2"):
         from_grid([[1, 2], [2, 3]])
+    # a bool is not an int symbol, though True == 1
+    with pytest.raises(ValidationError, match=r"cell \(1,1\): symbol True not in 1..2"):
+        from_grid([[True, 2], [2, True]])
 
 
 def test_cyclic_square_small_values():
@@ -150,7 +153,7 @@ def test_transversal_checker_verdicts():
     assert check_transversal(sq, [(6, 1)] + diagonal[1:]) == "cell (6,1) out of range"
     assert check_transversal(sq, [(1, 1), (1, 2)] + diagonal[2:]) == "row 1 used twice"
     # a cell that is not a pair of ints gets a verdict in cell order
-    for cell in ((5,), ("5", 4), (1.0, 1), (1, 2, 3), 7, None):
+    for cell in ((5,), ("5", 4), (1.0, 1), (True, True), (1, 2, 3), 7, None):
         assert check_transversal(sq, [cell] + diagonal[1:]) == f"cell {cell!r} is not a (row, column) pair"
     assert check_transversal(sq, diagonal[:4] + [(5,)]) == "cell (5,) is not a (row, column) pair"
     assert check_transversal(sq, [(6, 1), (5,)], partial=True) == "cell (6,1) out of range"

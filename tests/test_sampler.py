@@ -111,6 +111,23 @@ INTERLEAVED_SHA256 = "03b90c057af4b9765d0881162ae718c8419c90ac44bf9d722b79feef14
 INTERLEAVED_DRAWS = 201_899
 
 
+def _masks(st):
+    """The line masks of a state, the form in which INTERLEAVED_SHA256 was
+    recorded: bit s of rc[r*n+c], bit c of rs[r*n+s] and bit r of cs[c*n+s]
+    for each 1-entry (r, c, s), two bits on a doubled line."""
+    n = st.n
+    rc = [1 << s for s in st.sym]
+    rs = [1 << c for c in st.col]
+    cs = [1 << rn // n for rn in st.row]
+    if st.improper is not None:
+        r, c, s = st.improper
+        r_lo, r_hi, c_lo, c_hi, s_lo, s_hi = st.doubled
+        rc[r * n + c] = 1 << s_lo | 1 << s_hi
+        rs[r * n + s] = 1 << c_lo | 1 << c_hi
+        cs[c * n + s] = 1 << r_lo // n | 1 << r_hi // n
+    return rc, rs, cs
+
+
 def _step_until(st, rng, proper):
     for _ in range(100):
         if st.is_proper == proper:
@@ -148,7 +165,7 @@ def _interleaved_walk(rng):
     draws.append(rng.randint(n3))
     # two walks in a row: the buffer positions carry from one to the next
     squares = [sq.cells for _ in range(2) for sq in sample_squares(7, rng, 3)]
-    return draws, squares, (st.rc, st.rs, st.cs, st.improper)
+    return draws, squares, (*_masks(st), st.improper)
 
 
 def test_walk_refills_lazily_and_writes_positions_back():
@@ -269,9 +286,9 @@ def test_derive_paths_do_not_collide():
 
 def test_jm_step_order1_is_identity():
     st = MarkovState.from_square(cyclic_square(1))
-    before = (list(st.rc), list(st.rs), list(st.cs))
+    before = (list(st.sym), list(st.col), list(st.row))
     jm_step(st, SeededRng(0))
-    assert (st.rc, st.rs, st.cs) == before and st.is_proper
+    assert (st.sym, st.col, st.row) == before and st.is_proper
     assert st.line_sums_ok() and st.to_square() == cyclic_square(1)
 
 
@@ -289,23 +306,45 @@ def test_jm_step_preserves_invariants():
 
 
 def test_line_sums_ok_rejects_broken_states():
-    def broken(edit):
-        st = MarkovState.from_square(cyclic_square(4))
+    proper = MarkovState.from_square(cyclic_square(4))
+    improper = MarkovState.from_square(cyclic_square(4))
+    _step_until(improper, SeededRng(4), proper=False)
+    r, c, s = improper.improper
+    r_lo, r_hi, c_lo, c_hi, s_lo, s_hi = improper.doubled
+    other = ({0, 1, 2, 3} - {s, s_lo, s_hi}).pop()  # on no line through the -1 cell
+
+    def broken(start, edit):
+        st = MarkovState(4, list(start.sym), list(start.col), list(start.row), start.improper, start.doubled)
         edit(st)
         return not st.line_sums_ok()
 
-    def second_symbol(st):  # entry (0, 0, 1) added consistently to all three masks
-        st.rc[0] |= 1 << 1
-        st.rs[1] |= 1 << 0
-        st.cs[1] |= 1 << 0
+    def on_its_own_cell(st):  # -1 at the 0-cell (0, 0, 1), also a member of its lines
+        st.improper, st.doubled = (0, 0, 1), (0, 4, 0, 1, 0, 1)
 
-    assert not broken(lambda st: None)
-    assert broken(lambda st: st.rc.__setitem__(0, 0b11))  # conjugates disagree
-    assert broken(lambda st: st.rc.__setitem__(0, 1 << 4))  # bit beyond the order
-    assert broken(second_symbol)
-    assert broken(lambda st: setattr(st, "improper", (0, 0, 0)))  # -1 on a 1-entry
-    assert broken(lambda st: setattr(st, "improper", (0, 0, 1)))  # sums off by -1
-    assert broken(lambda st: setattr(st, "improper", (4, 0, 0)))  # outside the cube
+    def doubled(st, **members):
+        names = ("r_lo", "r_hi", "c_lo", "c_hi", "s_lo", "s_hi")
+        values = dict(zip(names, st.doubled), **members)
+        st.doubled = tuple(values[name] for name in names)
+
+    assert not broken(proper, lambda st: None) and not broken(improper, lambda st: None)
+    assert broken(proper, lambda st: st.sym.__setitem__(0, 1))  # the arrays disagree
+    assert broken(proper, lambda st: st.col.__setitem__(0, 1))
+    assert broken(proper, lambda st: st.row.__setitem__(0, 4))
+    assert broken(proper, lambda st: st.sym.__setitem__(0, 4))  # a symbol beyond the order
+    assert broken(proper, lambda st: st.row.__setitem__(0, 1))  # a row not scaled by n
+    assert broken(proper, lambda st: setattr(st, "doubled", improper.doubled))  # doubled, no -1
+    assert broken(proper, lambda st: setattr(st, "improper", (0, 0, 1)))  # -1, no doubled lines
+    assert broken(improper, lambda st: setattr(st, "doubled", None))
+    assert broken(improper, lambda st: setattr(st, "improper", (4, c, s)))  # outside the cube
+    assert broken(improper, lambda st: doubled(st, s_hi=s_lo))  # equal members
+    assert broken(improper, lambda st: doubled(st, c_lo=c_hi))
+    assert broken(improper, lambda st: doubled(st, r_hi=r_lo))
+    assert broken(improper, lambda st: doubled(st, s_lo=s_hi, s_hi=s_lo))  # higher first
+    assert broken(proper, on_its_own_cell)  # the three views agree on it
+    lo, hi = sorted((s_lo, other))
+    assert broken(improper, lambda st: doubled(st, s_lo=lo, s_hi=hi))  # disagrees with col, row
+    # the stale entries on the doubled lines are not read
+    assert not broken(improper, lambda st: st.sym.__setitem__(r * 4 + c, 9))
 
 
 def _flat_jm_step(n, flat, improper, rng):
@@ -339,9 +378,9 @@ def _flat_jm_step(n, flat, improper, rng):
 
 
 def _cube(st):
-    """The flat 0/+-1 cube a mask state describes."""
-    n = st.n
-    flat = [st.rc[r * n + c] >> s & 1 for r in range(n) for c in range(n) for s in range(n)]
+    """The flat 0/+-1 cube a state describes."""
+    n, rc = st.n, _masks(st)[0]
+    flat = [rc[r * n + c] >> s & 1 for r in range(n) for c in range(n) for s in range(n)]
     if st.improper is not None:
         r, c, s = st.improper
         flat[(r * n + c) * n + s] = -1
@@ -392,7 +431,7 @@ def test_walk_reads_coin_codes_up_to_the_buffer_edge(spent):
     _step_until(improper_start, SeededRng(4), proper=False)
     for start in (MarkovState.from_square(cyclic_square(n)), improper_start):
         for pre in (spent, spent - 3):
-            st = MarkovState(n, list(start.rc), list(start.rs), list(start.cs), start.improper)
+            st = MarkovState(n, list(start.sym), list(start.col), list(start.row), start.improper, start.doubled)
             flat, improper = _cube(st), st.improper
             rng_mask, rng_flat = SeededRng(23, pre), SeededRng(23, pre)
             for rng in (rng_mask, rng_flat):
@@ -420,7 +459,7 @@ def test_walk_matches_repeated_jm_step(n):
     # one _walk call per segment against one jm_step per move, on the same
     # stream; odd segments first step both states into an improper one
     # (order 2 has none) and the zero-visit segment leaves it so for the
-    # next, so a lost doubled line in the unpack or the pack shows
+    # next, so a doubled line lost between calls shows
     for seed in (1, 2):
         stepped = MarkovState.from_square(cyclic_square(n))
         walked = MarkovState.from_square(cyclic_square(n))
@@ -432,13 +471,23 @@ def test_walk_matches_repeated_jm_step(n):
             entered_improper = not walked.is_proper
             _visits_by_steps(stepped, rng_step, visits)
             _walk(walked, rng_walk, visits)
-            assert (walked.rc, walked.rs, walked.cs) == (stepped.rc, stepped.rs, stepped.cs)
+            assert _masks(walked) == _masks(stepped)
             assert walked.improper == stepped.improper, (seed, i)
             assert walked.is_proper or (entered_improper and visits == 0)
             assert walked.line_sums_ok()
         next_draws = [[rng.randint(k) for k in (2, n**3) for _ in range(5)]
                       for rng in (rng_step, rng_walk)]
         assert next_draws[0] == next_draws[1]
+
+
+def test_walk_moves_the_state_arrays_in_place():
+    st = MarkovState.from_square(cyclic_square(6))
+    arrays = (st.sym, st.col, st.row)
+    rng = SeededRng(9)
+    for _ in range(50):
+        jm_step(st, rng)
+        _walk(st, rng, 3)
+        assert all(a is b for a, b in zip((st.sym, st.col, st.row), arrays))
 
 
 def test_order2_proper_states_are_the_two_squares():
@@ -461,6 +510,15 @@ def test_sample_uniform_reproducible_and_valid():
 
 def test_sample_uniform_order1():
     assert sample_uniform(1, SeededRng(0)).cells == ((1,),)
+
+
+def test_sample_squares_refuses_counts_that_are_not_ints():
+    # refused when the iterator is made: a float burn-in or thin would walk
+    # for ever, and a bool would be read as 0 or 1
+    for bad in ({"count": 2.5}, {"count": True}, {"burnin": 1.5}, {"thin": False}):
+        name = next(iter(bad))
+        with pytest.raises(TypeError, match=f"{name} must be an int"):
+            sample_squares(4, SeededRng(1), **{"count": 1, **bad})
 
 
 def test_sample_stream_thins_deterministically():

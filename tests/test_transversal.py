@@ -242,7 +242,7 @@ def test_iter_transversals_limit_zero_and_negative():
     for limit in (-1, -2):
         with pytest.raises(ValueError, match="limit must be non-negative"):
             iter_transversals(sq, limit=limit)
-    for limit in (1.5, 2.0, "3"):
+    for limit in (1.5, 2.0, "3", True):
         with pytest.raises(TypeError, match="limit must be an int"):
             iter_transversals(cyclic_square(3), limit=limit)
 
@@ -411,6 +411,15 @@ def test_decompose_output_always_verifies_on_random_samples():
     assert hits > 0
 
 
+def test_decompose_checks_its_some_answer(monkeypatch):
+    # a search that answers "some" with one transversal five times is caught
+    first = next(iter_transversals(cyclic_square(5)))
+    overlapping = DecomposeResult("some", Decomposition(parts=(first,) * 5), 1, 15)
+    monkeypatch.setattr(transversal, "_exact_cover", lambda masks, n, budget: overlapping)
+    with pytest.raises(AssertionError, match=r"invalid decomposition: cell \(1,1\) covered twice"):
+        decompose(cyclic_square(5))
+
+
 def test_undecided_on_tiny_budget():
     for budget in (0, 1):
         res = decompose(cyclic_square(9), node_budget=budget)
@@ -446,7 +455,7 @@ def test_negative_budget_rejected():
     with pytest.raises(ValueError, match="node budget"):
         decompose(cyclic_square(3), node_budget=-5)
     # a float budget would never equal the node count, so it must not pass
-    for budget in (1.5, 2.0, "3", None):
+    for budget in (1.5, 2.0, "3", None, True):
         with pytest.raises(TypeError, match="node budget must be an int"):
             decompose(cyclic_square(9), node_budget=budget)
 
