@@ -124,14 +124,9 @@ def _mc_trial(task) -> dict:
     seed, n, trial, budget = task
     rng = SeededRng(seed).derive(trial)
     square = sample_uniform(n, rng)
+    # decompose verifies its own "some" and raises AssertionError otherwise
     res = decompose(square, node_budget=budget)
-    record = {"trial": trial, "status": res.status, "nodes": res.nodes}
-    if res.status == "some":
-        ok, msg = verify_decomposition(square, res.decomposition)
-        record["verified"] = ok
-        if not ok:
-            record["violation"] = msg
-    return record
+    return {"trial": trial, "status": res.status, "nodes": res.nodes}
 
 
 def cmd_mc_decomposable(args) -> tuple[ExperimentReport, int]:
@@ -148,7 +143,6 @@ def cmd_mc_decomposable(args) -> tuple[ExperimentReport, int]:
     some = sum(1 for r in records if r["status"] == "some")
     none = sum(1 for r in records if r["status"] == "none")
     undecided = sum(1 for r in records if r["status"] == "undecided")
-    bad = [r for r in records if r["status"] == "some" and not r.get("verified")]
     # undecided trials are left out of the fraction, never counted as "none"
     decided = some + none
     interval = [round(x, 6) for x in wilson_interval(some, decided)] if decided else None
@@ -165,8 +159,6 @@ def cmd_mc_decomposable(args) -> tuple[ExperimentReport, int]:
             "ci95_wilson": interval,
         },
     )
-    if bad:
-        return report, EXIT_ASSERTION
     if undecided > some + none:
         return report, EXIT_INFEASIBLE
     return report, EXIT_OK

@@ -288,7 +288,10 @@ def _search(host: ProperColoring, ui: int, vi: int | None, pat: Pattern, limit):
             return len(links) == limit
         return False
 
-    rec(0, used, cmask)
+    try:
+        rec(0, used, cmask)
+    finally:
+        del rec  # it refers to itself; free it with this call
     return ends, links
 
 
@@ -415,7 +418,10 @@ def census_path_pairs(
                 return True
         return False
 
-    rec(x1, 0, 1 << x1)
+    try:
+        rec(x1, 0, 1 << x1)
+    finally:
+        del rec  # it refers to itself; free it with this call
     return CensusResult(count=count, saturated=saturated)
 
 

@@ -30,7 +30,8 @@ def same_side(u: Vertex, v: Vertex) -> bool:
 
 
 def _in_range(n: int, k) -> bool:
-    return isinstance(k, int) and 1 <= k <= n
+    # type, not isinstance: True is an int but no index
+    return type(k) is int and 1 <= k <= n
 
 
 def _is_vertex(n: int, v) -> bool:
@@ -344,7 +345,10 @@ def find_switcher(
                 path.pop()
             return None
 
-        found = dfs(x, 0)
+        try:
+            found = dfs(x, 0)
+        finally:
+            del dfs  # it refers to itself; free it with this length
         if found is not None:
             return found
     return None

@@ -28,11 +28,10 @@ The walk draws from `SeededRng`'s buffers of its two bounds (n^3 and 2)
 directly rather than through `randint`: it refills a buffer where `randint`
 would and writes the positions back on exit, so the stream is the one
 `randint` would give.  An improper move reads its three coins b[i], b[i+1],
-b[i+2] as one code b[i]*4 + b[i+1]*2 + b[i+2], made with numpy once per
-bound-2 buffer when the walk first reads it and kept with the buffer; a move
-that starts at one of the buffer's last two positions reads its coins one at
-a time.  A subclass that overrides `randint` does not see these draws;
-`SeededRng.draws` counts them.
+b[i+2] as one code b[i]*4 + b[i+1]*2 + b[i+2], made with numpy when a
+bound-2 buffer is filled and kept with it; a move that starts at one of the
+buffer's last two positions reads its coins one at a time.  A subclass that
+overrides `randint` does not see these draws; `SeededRng.draws` counts them.
 
 The enumerators build squares row by row.  Each row is a permutation of
 1..n with an n^2-bit code (bit c*n + s - 1 for symbol s in column c), so a
@@ -76,16 +75,16 @@ class SeededRng:
     refilling them where `randint` would, so a subclass that overrides
     `randint` does not see the walk's draws; `draws` counts them with the
     rest.  A bound-2 buffer also keeps the walk's three-coin codes (see the
-    module docstring), 64 KB, made when the walk first reads that buffer,
-    whether the walk or `randint(2)` refilled it.
+    module docstring), 64 KB, made with the buffer at each refill, whether
+    the walk or `randint(2)` refilled it.
     """
 
     def __init__(self, seed: int, stream: int = 0):
         self.seed = int(seed)
         self.stream = int(stream)
         # bound -> [memoryview of the draws, next position, the three-coin
-        # codes of a bound-2 buffer once the walk has asked for them];
-        # indexing a view yields a Python int without copying the buffer
+        # codes of a bound-2 buffer or None]; indexing a view yields a
+        # Python int without copying the buffer
         self._buffers: dict[int, list] = {}
         self._spent = 0  # draws in the buffers that refills retired
 
@@ -119,13 +118,15 @@ class SeededRng:
 
     def _refill(self, k: int) -> list:
         """Replace bound k's buffer, spent if there is one, with _BUF fresh
-        draws and return it as [view, 0, None]."""
+        draws and return it as [view, 0, codes], where codes views the
+        walk's three-coin codes of a bound-2 buffer and is None otherwise."""
         import numpy as np
 
         if k in self._buffers:
             self._spent += _BUF
         arr = self.generator.integers(0, k, size=_BUF, dtype=np.int64)
-        buf = self._buffers[k] = [memoryview(arr), 0, None]
+        codes = memoryview(4 * arr[:-2] + 2 * arr[1:-1] + arr[2:]) if k == 2 else None
+        buf = self._buffers[k] = [memoryview(arr), 0, codes]
         return buf
 
     def shuffle(self, items: list) -> None:
@@ -227,17 +228,6 @@ class MarkovState:
         return (rn, c, s) not in by_sym and by_sym == by_col == by_row
 
 
-def _coin_codes(buf: list) -> memoryview:
-    """The three-coin codes b[i]*4 + b[i+1]*2 + b[i+2] of a bound-2 buffer
-    b, for i < _BUF - 2; made on first use and kept in its third slot."""
-    if buf[2] is None:
-        import numpy as np
-
-        b = np.asarray(buf[0])
-        buf[2] = memoryview(4 * b[:-2] + 2 * b[1:-1] + b[2:])
-    return buf[2]
-
-
 def _walk(state: MarkovState, rng: SeededRng, visits: int, one_move: bool = False) -> None:
     """Run the chain in place until it has made `visits` proper-state
     visits, or a single move when `one_move` is set.
@@ -278,10 +268,7 @@ def _walk(state: MarkovState, rng: SeededRng, visits: int, one_move: bool = Fals
     cube = buffers.get(n3)
     cube_view, cube_pos = (cube[0], cube[1]) if cube is not None else (None, full)
     coin = buffers.get(2)
-    if coin is not None:
-        coin_view, coin_pos, codes = coin[0], coin[1], _coin_codes(coin)
-    else:
-        coin_view, coin_pos, codes = None, full, None
+    coin_view, coin_pos, codes = coin if coin is not None else (None, full, None)
     while True:
         if proper:
             while True:
@@ -349,7 +336,7 @@ def _walk(state: MarkovState, rng: SeededRng, visits: int, one_move: bool = Fals
                 for _ in range(3):
                     if coin_pos == full:
                         coin = refill(2)
-                        coin_view, coin_pos, codes = coin[0], 0, _coin_codes(coin)
+                        coin_view, coin_pos, codes = coin
                     code = 2 * code + coin_view[coin_pos]
                     coin_pos += 1
             if code & 4:

@@ -52,15 +52,15 @@ candidate list, which can reach 10^6 masks; that is why
 
 Decomposing a square into n disjoint transversals is an exact cover problem:
 the n^2 cells must be covered exactly once by cell sets of candidate
-transversals.  When the OR of the candidates' cell masks leaves a cell out,
-no cover exists, and `decompose` answers "none" with 0 nodes before it
-builds the index space, as the search's root would (9120 of the 9408 reduced
-squares of order 6 end here; after `count_transversals`, 8904 of them end at
-the record, before any enumeration).  The solver is Knuth's Algorithm X over
-bitsets: Python ints hold the set of candidates still alive and, per cell,
-the candidates through it.  Each node branches on the open cell with the
-fewest live candidates (lowest row-major cell on ties) and tries them in
-enumeration order.  It answers with a definite "some"/"none" or an explicit
+transversals.  When no candidate covers some cell, no cover exists, and the
+search's root answers "none" with 0 nodes at any budget, since it branches
+on that cell first (9120 of the 9408 reduced squares of order 6 end there;
+after `count_transversals`, 8904 of them end at the record, before any
+enumeration).  The solver is Knuth's Algorithm X over bitsets: Python ints
+hold the set of candidates still alive and, per cell, the candidates
+through it.  Each node branches on the open cell with the fewest live
+candidates (lowest row-major cell on ties) and tries them in enumeration
+order.  It answers with a definite "some"/"none" or an explicit
 "undecided" when the node budget runs out, so statistics never conflate
 timeouts with nonexistence.  A pick drops its conflicts with one AND, by a
 mask of the candidates that share no cell with it, made on the pick's first
@@ -84,9 +84,7 @@ past the threshold it answers "undecided" with 0 nodes at any budget, never
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from itertools import combinations
-from operator import or_
 from typing import Iterator, Literal, Optional
 
 from .core import (
@@ -445,20 +443,16 @@ def decompose(square: LatinSquare, node_budget: int = DEFAULT_NODE_BUDGET) -> De
         raise TypeError(f"node budget must be an int, got {type(node_budget).__name__}")
     if node_budget < 0:
         raise ValueError(f"node budget must be non-negative, got {node_budget}")
-    n = square.n
     record = square.transversal_record
     # A cell that the counting pass found on no transversal ends the search
-    # at its root, as the test below would.
+    # at its root, as a cell on no candidate does there.
     if "dead" in record and record["count"] <= DEFAULT_CANDIDATE_THRESHOLD:
         return DecomposeResult("none", None, 0, record["count"])
     masks: list[int] = []
     _transversals(_picks(square), masks, DEFAULT_CANDIDATE_THRESHOLD + 1)
     if len(masks) > DEFAULT_CANDIDATE_THRESHOLD:
         return DecomposeResult("undecided", None, 0, None)
-    # A cell on no candidate ends the search at its root, at any budget.
-    if reduce(or_, masks, 0) != (1 << n * n) - 1:
-        return DecomposeResult("none", None, 0, len(masks))
-    res = _exact_cover(masks, n, node_budget)
+    res = _exact_cover(masks, square.n, node_budget)
     if res.status == "some":
         ok, msg = verify_decomposition(square, res.decomposition)
         if not ok:
@@ -484,7 +478,8 @@ def _exact_cover(masks: list[int], n: int, node_budget: int) -> DecomposeResult:
     picked: list[int] = []
     frames: list[tuple] = []
     alive, open_cells = (1 << len(masks)) - 1, list(range(size))
-    # fewest live candidates, first open cell on ties
+    # fewest live candidates, first open cell on ties; a cell on no
+    # candidate answers "none" at the root, before the budget test
     counts = list(map(int.bit_count, cellrows))
     choices = cellrows[counts.index(min(counts))]
     above = len(masks) + 1  # more than any cell's count

@@ -197,9 +197,6 @@ def test_mc_decomposable_deterministic_across_workers(capsys):
         b.pop("elapsed_seconds")
     assert b1 == b2
     assert b1["summary"]["some"] + b1["summary"]["none"] + b1["summary"]["undecided"] == 6
-    for record in b1["trials"]:
-        if record["status"] == "some":
-            assert record["verified"]
 
 
 def test_wilson_interval_hand_computed():
@@ -459,19 +456,15 @@ def test_absorber_demo_failed_verification_exits_3(monkeypatch, capsys):
 
 
 def test_mc_decomposable_failed_verification_exits_3(monkeypatch, capsys):
-    # a "some" answer with no parts fails verify_decomposition, and each
-    # trial reports the violation
+    # a "some" answer with no parts fails the check inside decompose, which
+    # ends the run with no report
     empty = DecomposeResult("some", Decomposition(parts=()), 0, 0)
-    monkeypatch.setattr(cli, "decompose", lambda square, node_budget: empty)
-    code, out, _ = run(
+    monkeypatch.setattr(transversal, "_exact_cover", lambda masks, n, budget: empty)
+    code, out, err = run(
         capsys, "--seed", "11", "--format", "json", "mc-decomposable", "--order", "5", "--trials", "3"
     )
-    body = json.loads(out)
-    assert code == 3
-    assert body["trials"] == [
-        {"trial": t, "status": "some", "nodes": 0, "verified": False, "violation": "0 parts, expected 5"}
-        for t in range(3)
-    ]
+    assert code == 3 and out == ""
+    assert err == "error: decompose found an invalid decomposition: 0 parts, expected 5\n"
 
 
 def test_connector_demo(capsys):

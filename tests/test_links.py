@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import time
@@ -14,6 +15,7 @@ from latinsq.links import (
     repeat_pattern,
     subgraph_probability_probe,
 )
+from latinsq.rainbow import find_switcher, make_family
 from latinsq.sampler import SeededRng, sample_uniform
 
 
@@ -698,3 +700,30 @@ def test_identity_sweep_counts_digest_unchanged():
                     ]
                     parts.append(repr(counts))
     assert _digest(parts) == "54243cea74590594"
+
+
+def test_link_and_switcher_searches_leave_no_cyclic_garbage():
+    # As in the transversal engine, each recursive search closure refers to
+    # itself; each call must free it by reference counting alone.
+    sq = sample_uniform(7, SeededRng(11).derive(0), burnin=500)
+    pat = repeat_pattern(2)
+    fam = make_family(to_coloring(cyclic_square(5)), [[(1, 2), (3, 1)], [(3, 2), (2, 1)]])
+    calls = {
+        "count_links": lambda host: count_links(host, ("A", 1), ("A", 2), pat),
+        "enumerate_links": lambda host: enumerate_links(host, ("A", 1), ("A", 2), pat),
+        "census_path_pairs": lambda host: census_path_pairs(host, 3, (("A", 1), ("B", 2), ("A", 3), ("B", 4))),
+        "find_switcher": lambda host: find_switcher(fam, 1, 2, ("A", 1), ("A", 2)),
+    }
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for name, call in calls.items():
+            host = to_coloring(from_grid(sq.cells))
+            call(host)
+            assert gc.collect() == 0, name
+            call(host)
+            assert gc.collect() == 0, name
+    finally:
+        if enabled:
+            gc.enable()

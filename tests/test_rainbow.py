@@ -116,6 +116,11 @@ def test_out_of_range_input_reported():
     fam = make_family(host, [[(1, 1), (2, 2)], [(1, 2), (2, 3)]])
     sw = Switcher(1, 2, ("A", 1), ("A", 2), ((1, 6, 1), (2, 6, 2), (2, 1, 2), (1, 1, 1)))
     assert validate_switcher(fam, sw) == "edge (1,6) out of range for order 5"
+    # make_family's own checks: True equals 1 but is no row or column index
+    with pytest.raises(ValueError, match=re.escape("edge (True,2) out of range for order 5")):
+        make_family(host, [[(True, 2)]])
+    with pytest.raises(ValueError, match=re.escape("bad vertex ('B', True) for order 5")):
+        make_family(host, [[(1, 2)]], deg0=[[("B", True)]])
 
 
 def test_missing_exception_sets_reported():
@@ -319,10 +324,12 @@ def test_switcher_ends_get_one_verdict():
     cases = [
         (dict(i="1"), "bad matching indices ('1',2)"),
         (dict(i=1.5), "bad matching indices (1.5,2)"),
+        (dict(i=True), "bad matching indices (True,2)"),
         (dict(j=None), "bad matching indices (1,None)"),
         (dict(j=3), "bad matching indices (1,3)"),
         (dict(x=None), "bad vertex None for order 5"),
         (dict(x=("A", "1")), "bad vertex ('A', '1') for order 5"),
+        (dict(x=("A", True)), "bad vertex ('A', True) for order 5"),
         (dict(y=("C", 2)), "bad vertex ('C', 2) for order 5"),
         (dict(y=["A", 2]), "bad vertex ['A', 2] for order 5"),
         (dict(y=("A", 6)), "bad vertex ('A', 6) for order 5"),
