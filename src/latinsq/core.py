@@ -168,8 +168,7 @@ def from_grid(grid) -> LatinSquare:
 
 def cyclic_square(n: int) -> LatinSquare:
     """The addition-table square: cell (r, c) holds ((r + c - 2) mod n) + 1."""
-    if n < 1:
-        raise ValidationError("order must be at least 1")
+    check_order(n)
     return _trusted_square([[(r + c) % n + 1 for c in range(n)] for r in range(n)])
 
 
@@ -180,8 +179,7 @@ def cyclic_decomposition(n: int) -> Decomposition:
     the leading diagonal shifted right by t - 1.  For even n the shifted
     diagonals repeat symbols, so even orders are rejected.
     """
-    if n < 1:
-        raise ValidationError("order must be at least 1")
+    check_order(n)
     if n % 2 == 0:
         raise ValidationError(f"order {n} is even: shifted diagonals are not transversals")
     parts = []
@@ -244,6 +242,15 @@ def check_transversal(square: LatinSquare, cells, partial: bool = False) -> str 
         cols_seen.add(c)
         syms_seen.add(s)
     return None
+
+
+def check_order(n) -> None:
+    """Accept an int of at least 1 as a square's order: anything else, a
+    bool too, raises TypeError, an int below 1 ValidationError."""
+    if type(n) is not int:
+        raise TypeError(f"order must be an int, got {type(n).__name__}")
+    if n < 1:
+        raise ValidationError("order must be at least 1")
 
 
 def check_limit(limit) -> None:

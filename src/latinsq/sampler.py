@@ -10,18 +10,20 @@ Latin squares in the limit; burn-in and thinning are counted in
 proper-state visits.
 
 The cube has one form, which `MarkovState` holds and checks and the walk
-moves in place: three plain int arrays (the symbol of each cell, the column
-of each row/symbol pair, the row of each column/symbol pair, held pre-scaled
-as row * n so that it indexes the other two arrays without a
-multiplication).  A line through the -1 cell holds two 1-entries, every
-other line one; the two members of each doubled line are held apart, in
-`MarkovState.doubled` between calls and in locals during one, and the
-arrays' entries on those three lines are not read.  Each proper move starts
-an excursion: an inner loop flips it and then makes the improper moves that
-follow, with no test of whether the state is proper, until an apex lands on
-a 1-entry.  A move costs about 0.8 us at orders 10-31 in CPython 3.11 on a
+moves in place: three lists of n row lists (the symbol of each cell by row,
+the column of each row/symbol pair by row, the row of each column/symbol
+pair by column), every entry a plain index below n.  A line through the -1
+cell holds two 1-entries, every other line one; the two members of each
+doubled line are held apart, in `MarkovState.doubled` between calls and in
+locals during one, and the lists' entries on those three lines are not
+read.  Each proper move starts an excursion: an inner loop flips it and
+then makes the improper moves that follow, with no test of whether the
+state is proper, until an apex lands on a 1-entry.  A move touches six row
+lists, three through its corner and three through its apex; the apex's
+become the next move's corner lines, so an improper move computes no
+index.  A move costs about 0.4 us at orders 10 and 31 in CPython 3.11 on a
 shared 2-vCPU x86 host, and the walk makes about n moves per proper-state
-visit.  `jm_step` is one move of the same loop, about 2-3.5 us per call at
+visit.  `jm_step` is one move of the same loop, 1.4-1.6 us per call at
 order 31 on the same host; `sample_squares` drives it.
 
 The walk draws from `SeededRng`'s buffers of its two bounds (n^3 and 2)
@@ -49,7 +51,7 @@ import functools
 import itertools
 from typing import TYPE_CHECKING, Iterator
 
-from .core import LatinSquare, ValidationError, _trusted_square, cyclic_square
+from .core import LatinSquare, ValidationError, _trusted_square, check_order, cyclic_square
 
 if TYPE_CHECKING:
     import numpy as np  # imported at the first draw; see SeededRng
@@ -165,15 +167,17 @@ class SeededRng:
 class MarkovState:
     """Incidence-cube state of the walk; mutable, single-owner.
 
-    The 1-entries (r, c, s) are held in the three arrays the walk moves in
-    place: `sym[r*n+c] = s`, `col[r*n+s] = c` and `row[c*n+s] = r*n`.  The
-    -1 entry, if any, is `improper`, and `doubled` is then
-    (r_lo*n, r_hi*n, c_lo, c_hi, s_lo, s_hi), the two 1-entries of each of
-    its three lines, lower first; the arrays' entries on those lines are not
-    read.  A proper state has both None.
+    The 1-entries (r, c, s) are held in three lists of n row lists that the
+    walk moves in place: `sym[r][c] = s`, `col[r][s] = c` and
+    `row[c][s] = r`, each entry a plain index below n.  The -1 entry, if
+    any, is `improper`, and `doubled` is then (r_lo, r_hi, c_lo, c_hi, s_lo,
+    s_hi), the two 1-entries of each of its three lines, lower first; the
+    lists' entries on those lines are not read.  A proper state has both
+    None.  No row list may be shared, within one of the three or between
+    them: the walk writes each through its own name.
     """
 
-    def __init__(self, n: int, sym: list[int], col: list[int], row: list[int],
+    def __init__(self, n: int, sym: list[list[int]], col: list[list[int]], row: list[list[int]],
                  improper: tuple[int, int, int] | None = None,
                  doubled: tuple[int, int, int, int, int, int] | None = None):
         self.n, self.sym, self.col, self.row = n, sym, col, row
@@ -182,13 +186,13 @@ class MarkovState:
     @classmethod
     def from_square(cls, square: LatinSquare) -> "MarkovState":
         n = square.n
-        sym, col, row = [0] * (n * n), [0] * (n * n), [0] * (n * n)
-        for r in range(n):
-            for c, s in enumerate(square.cells[r]):
-                s -= 1
-                sym[r * n + c] = s
-                col[r * n + s] = c
-                row[c * n + s] = r * n
+        sym = [[s - 1 for s in cells] for cells in square.cells]
+        col, row = [[0] * n for _ in range(n)], [[0] * n for _ in range(n)]
+        for r, line in enumerate(sym):
+            col_r = col[r]
+            for c, s in enumerate(line):
+                col_r[s] = c
+                row[c][s] = r
         return cls(n, sym, col, row)
 
     @property
@@ -198,48 +202,55 @@ class MarkovState:
     def to_square(self) -> LatinSquare:
         if self.improper is not None:
             raise ValidationError("improper state does not project to a square")
-        n, sym = self.n, self.sym
-        return _trusted_square([[s + 1 for s in sym[rn : rn + n]] for rn in range(0, n * n, n)])
+        return _trusted_square([[s + 1 for s in line] for line in self.sym])
 
     def line_sums_ok(self) -> bool:
-        """The 0/+-1 cube that the arrays describe with `improper` and
-        `doubled` has all 3n^2 line sums equal to 1: each array gives one
-        1-entry on each of its lines, `doubled` two distinct ones, lower
-        first, on each line through the -1 cell, and the three give the same
-        set of 1-entries, without the -1 cell."""
+        """The 0/+-1 cube that the lists describe with `improper` and
+        `doubled` has all 3n^2 line sums equal to 1: the three hold n row
+        lists of n entries each, no list twice, each gives one 1-entry on
+        each of its lines, `doubled` two distinct ones, lower first, on each
+        line through the -1 cell, and the three give the same set of
+        1-entries, without the -1 cell."""
         n, sym, col, row = self.n, self.sym, self.col, self.row
-        span, scaled = range(n), range(0, n * n, n)
-        by_sym = {(rn, c, sym[rn + c]) for rn in scaled for c in span}
-        by_col = {(rn, col[rn + s], s) for rn in scaled for s in span}
-        by_row = {(row[c * n + s], c, s) for c in span for s in span}
+        lines = (*sym, *col, *row)
+        if (len(sym) != n or len(col) != n or len(row) != n or len(set(map(id, lines))) != 3 * n
+                or any(len(line) != n for line in lines)):
+            return False
+        span = range(n)
+        by_sym = {(r, c, sym[r][c]) for r in span for c in span}
+        by_col = {(r, col[r][s], s) for r in span for s in span}
+        by_row = {(row[c][s], c, s) for c in span for s in span}
         if self.improper is None or self.doubled is None:
             return self.improper is None and self.doubled is None and by_sym == by_col == by_row
         r, c, s = self.improper
         r_lo, r_hi, c_lo, c_hi, s_lo, s_hi = self.doubled
         if not (0 <= r < n and 0 <= c < n and 0 <= s < n and r_lo < r_hi and c_lo < c_hi and s_lo < s_hi):
             return False
-        rn, cn = r * n, c * n
-        by_sym.remove((rn, c, sym[rn + c]))
-        by_col.remove((rn, col[rn + s], s))
-        by_row.remove((row[cn + s], c, s))
-        by_sym |= {(rn, c, s_lo), (rn, c, s_hi)}
-        by_col |= {(rn, c_lo, s), (rn, c_hi, s)}
+        by_sym.remove((r, c, sym[r][c]))
+        by_col.remove((r, col[r][s], s))
+        by_row.remove((row[c][s], c, s))
+        by_sym |= {(r, c, s_lo), (r, c, s_hi)}
+        by_col |= {(r, c_lo, s), (r, c_hi, s)}
         by_row |= {(r_lo, c, s), (r_hi, c, s)}
-        return (rn, c, s) not in by_sym and by_sym == by_col == by_row
+        return (r, c, s) not in by_sym and by_sym == by_col == by_row
 
 
 def _walk(state: MarkovState, rng: SeededRng, visits: int, one_move: bool = False) -> None:
     """Run the chain in place until it has made `visits` proper-state
     visits, or a single move when `one_move` is set.
 
-    The moves work on `state.sym`, `state.col` and `state.row` in place,
-    with rows held as r*n, as are the row locals `rn`, `r0`, `r1`, `r_lo`
-    and `r_hi`.  While the state is improper at (r, c, s), the two members
-    of each of its three doubled lines are held as (low, high) pairs in
-    locals, read from and written back to `state.doubled`.  Each pass of
-    the outer loop makes one proper move, and the inner loop flips it and
-    then makes the improper moves that follow until an apex lands on a
-    1-entry; `one_move` stops it after one flip.
+    The moves work on the row lists of `state.sym`, `state.col` and
+    `state.row` in place.  A move from the corner (r, c, s) to the apex
+    (r1, c1, s1) touches only the lines `sym[r]`, `col[r]`, `row[c]` and
+    `sym[r1]`, `col[r1]`, `row[c1]`; the apex's three are fetched once, when
+    it is picked, and become the corner's when the move lands on a 0-entry,
+    so an improper move indexes each list by a plain row, column or symbol.
+    While the state is improper at (r, c, s), the two members of each of its
+    three doubled lines are held as (low, high) pairs in locals, read from
+    and written back to `state.doubled`.  Each pass of the outer loop makes
+    one proper move, and the inner loop flips it and then makes the improper
+    moves that follow until an apex lands on a 1-entry; `one_move` stops it
+    after one flip.
     """
     n = state.n
     if n == 1 or visits <= 0:
@@ -248,8 +259,8 @@ def _walk(state: MarkovState, rng: SeededRng, visits: int, one_move: bool = Fals
     proper = state.improper is None
     if not proper:
         r, c, s = state.improper
-        rn, cn = r * n, c * n
         r_lo, r_hi, c_lo, c_hi, s_lo, s_hi = state.doubled
+        sym_r, col_r, row_c = sym[r], col[r], row[c]
         # the first move is an improper one that no proper move led into:
         # its three coins are drawn one at a time, as in the loop below,
         # before the buffers are held in locals
@@ -257,6 +268,7 @@ def _walk(state: MarkovState, rng: SeededRng, visits: int, one_move: bool = Fals
         r1, r0 = (r_hi, r_lo) if draw(rng, 2) else (r_lo, r_hi)
         c1, c0 = (c_hi, c_lo) if draw(rng, 2) else (c_lo, c_hi)
         s1, s0 = (s_hi, s_lo) if draw(rng, 2) else (s_lo, s_hi)
+        sym_r1, col_r1, row_c1 = sym[r1], col[r1], row[c1]
     # the buffers of the two bounds, read in place of `rng.randint`: a
     # missing buffer counts as spent, each is refilled when a draw finds it
     # spent, and the positions are written back on exit.  An improper move
@@ -277,37 +289,39 @@ def _walk(state: MarkovState, rng: SeededRng, visits: int, one_move: bool = Fals
                     cube_view, cube_pos = cube[0], 0
                 x = cube_view[cube_pos]
                 cube_pos += 1
-                rcx = x // n  # rcx = r*n + c
-                s = x - rcx * n
-                s1 = sym[rcx]
+                rc = x // n  # rc = r*n + c
+                s = x - rc * n
+                r = rc // n
+                c = rc - r * n
+                sym_r = sym[r]
+                s1 = sym_r[c]
                 if s1 != s:
                     break
-            c = rcx % n
-            rn, cn = rcx - c, c * n
             # each line through the 0-cell holds one 1-entry; (r, c, s)
             # turns from 0 to 1 and becomes the entry left on its lines
-            r1, c1 = row[cn + s], col[rn + s]
-            r0, c0, s0 = rn, c, s
+            col_r, row_c = col[r], row[c]
+            r1, c1 = row_c[s], col_r[s]
+            r0, c0, s0 = r, c, s
+            sym_r1, col_r1, row_c1 = sym[r1], col[r1], row[c1]
         while True:
             # flip the 2x2x2 subcube spanned by (r,c,s) and (r1,c1,s1): on
             # each of its 12 lines the 1-entry moves to the other corner,
             # except on the three lines through the apex (r1,c1,s1) when it
             # becomes -1
-            c1n = c1 * n
-            sym[rn + c] = s0
-            sym[rn + c1] = sym[r1 + c] = s1
-            col[rn + s] = c0
-            col[rn + s1] = col[r1 + s] = c1
-            row[cn + s] = r0
-            row[cn + s1] = row[c1n + s] = r1
-            t = sym[r1 + c1]
+            sym_r[c] = s0
+            sym_r[c1] = sym_r1[c] = s1
+            col_r[s] = c0
+            col_r[s1] = col_r1[s] = c1
+            row_c[s] = r0
+            row_c[s1] = row_c1[s] = r1
+            t = sym_r1[c1]
             if t == s1:
-                sym[r1 + c1], col[r1 + s1], row[c1n + s1] = s, c, rn
+                sym_r1[c1], col_r1[s1], row_c1[s1] = s, c, r
                 proper = True
                 break
             # the apex turns from 0 to -1; each of its lines keeps its old
             # 1-entry and gains the one the flip put there
-            u, w = col[r1 + s1], row[c1n + s1]
+            u, w = col_r1[s1], row_c1[s1]
             if s < t:
                 s_lo, s_hi = s, t
             else:
@@ -316,12 +330,12 @@ def _walk(state: MarkovState, rng: SeededRng, visits: int, one_move: bool = Fals
                 c_lo, c_hi = c, u
             else:
                 c_lo, c_hi = u, c
-            if rn < w:
-                r_lo, r_hi = rn, w
+            if r < w:
+                r_lo, r_hi = r, w
             else:
-                r_lo, r_hi = w, rn
-            rn, c, s = r1, c1, s1
-            cn = c1n
+                r_lo, r_hi = w, r
+            r, c, s = r1, c1, s1
+            sym_r, col_r, row_c = sym_r1, col_r1, row_c1
             if one_move:
                 proper = False
                 break
@@ -351,6 +365,7 @@ def _walk(state: MarkovState, rng: SeededRng, visits: int, one_move: bool = Fals
                 s1, s0 = s_hi, s_lo
             else:
                 s1, s0 = s_lo, s_hi
+            sym_r1, col_r1, row_c1 = sym[r1], col[r1], row[c1]
         if not proper:
             break
         visits -= 1
@@ -363,12 +378,14 @@ def _walk(state: MarkovState, rng: SeededRng, visits: int, one_move: bool = Fals
     if proper:
         state.improper = state.doubled = None
     else:
-        state.improper = (rn // n, c, s)
+        state.improper = (r, c, s)
         state.doubled = (r_lo, r_hi, c_lo, c_hi, s_lo, s_hi)
 
 
 def jm_step(state: MarkovState, rng: SeededRng) -> MarkovState:
-    """One move of the chain, in place; returns the state for chaining."""
+    """One move of the chain on the state's row lists, in place; returns the
+    state for chaining.  Each call holds and writes back the RNG buffers, as
+    a whole walk does once, so a call costs about four moves of `_walk`."""
     _walk(state, rng, 1, one_move=True)
     return state
 
@@ -393,12 +410,11 @@ def sample_squares(
 ) -> Iterator[LatinSquare]:
     """A stream of `count` samples from one walk; thinned between samples.
     The arguments are checked when the iterator is made."""
+    check_order(n)
     if burnin is None:
         burnin = DEFAULT_BURNIN_FACTOR * n**3
     if thin is None:
         thin = n**3
-    if n < 1:
-        raise ValidationError("order must be at least 1")
     for name, value in (("count", count), ("burnin", burnin), ("thin", thin)):
         if type(value) is not int:  # a float burn-in would never count down to 0
             raise TypeError(f"{name} must be an int, got {type(value).__name__}")
@@ -427,6 +443,7 @@ def enumerate_reduced(n: int, row_prefix: list[list[int]] | None = None) -> Iter
     `row_prefix` optionally restricts the output to squares whose leading
     rows equal the given ones.
     """
+    check_order(n)
     if n > REDUCED_LIMIT:
         raise ValidationError(f"reduced enumeration refused for order {n} > {REDUCED_LIMIT}")
     perms = _permutations(n)
@@ -442,6 +459,7 @@ def enumerate_reduced(n: int, row_prefix: list[list[int]] | None = None) -> Iter
 def enumerate_all(n: int) -> Iterator[LatinSquare]:
     """Every square of order n exactly once, n <= 5, in row-major
     lexicographic order; n is checked when this is called."""
+    check_order(n)
     if n > ALL_LIMIT:
         raise ValidationError(f"full enumeration refused for order {n} > {ALL_LIMIT}")
     return _row_search(n, [_permutations(n)] * n)
@@ -450,8 +468,6 @@ def enumerate_all(n: int) -> Iterator[LatinSquare]:
 def _permutations(n: int) -> list[tuple[tuple[int, ...], int]]:
     """The permutations of 1..n in lexicographic order, each with its code:
     bit c*n + s - 1 set for symbol s in column c."""
-    if n < 1:
-        raise ValidationError("order must be at least 1")
     return [
         (p, sum(1 << (c * n + s - 1) for c, s in enumerate(p)))
         for p in itertools.permutations(range(1, n + 1))

@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from latinsq.core import ValidationError, cyclic_square, from_grid
+from latinsq.core import ValidationError, cyclic_decomposition, cyclic_square, from_grid
 from latinsq.sampler import (
     MarkovState,
     SeededRng,
@@ -116,16 +116,22 @@ def _masks(st):
     recorded: bit s of rc[r*n+c], bit c of rs[r*n+s] and bit r of cs[c*n+s]
     for each 1-entry (r, c, s), two bits on a doubled line."""
     n = st.n
-    rc = [1 << s for s in st.sym]
-    rs = [1 << c for c in st.col]
-    cs = [1 << rn // n for rn in st.row]
+    rc = [1 << s for line in st.sym for s in line]
+    rs = [1 << c for line in st.col for c in line]
+    cs = [1 << r for line in st.row for r in line]
     if st.improper is not None:
         r, c, s = st.improper
         r_lo, r_hi, c_lo, c_hi, s_lo, s_hi = st.doubled
         rc[r * n + c] = 1 << s_lo | 1 << s_hi
         rs[r * n + s] = 1 << c_lo | 1 << c_hi
-        cs[c * n + s] = 1 << r_lo // n | 1 << r_hi // n
+        cs[c * n + s] = 1 << r_lo | 1 << r_hi
     return rc, rs, cs
+
+
+def _copy(st):
+    """A state with the same entries and its own row lists."""
+    sym, col, row = ([list(line) for line in lines] for lines in (st.sym, st.col, st.row))
+    return MarkovState(st.n, sym, col, row, st.improper, st.doubled)
 
 
 def _step_until(st, rng, proper):
@@ -286,9 +292,9 @@ def test_derive_paths_do_not_collide():
 
 def test_jm_step_order1_is_identity():
     st = MarkovState.from_square(cyclic_square(1))
-    before = (list(st.sym), list(st.col), list(st.row))
+    before = _copy(st)
     jm_step(st, SeededRng(0))
-    assert (st.sym, st.col, st.row) == before and st.is_proper
+    assert (st.sym, st.col, st.row) == (before.sym, before.col, before.row) and st.is_proper
     assert st.line_sums_ok() and st.to_square() == cyclic_square(1)
 
 
@@ -314,12 +320,12 @@ def test_line_sums_ok_rejects_broken_states():
     other = ({0, 1, 2, 3} - {s, s_lo, s_hi}).pop()  # on no line through the -1 cell
 
     def broken(start, edit):
-        st = MarkovState(4, list(start.sym), list(start.col), list(start.row), start.improper, start.doubled)
+        st = _copy(start)
         edit(st)
         return not st.line_sums_ok()
 
     def on_its_own_cell(st):  # -1 at the 0-cell (0, 0, 1), also a member of its lines
-        st.improper, st.doubled = (0, 0, 1), (0, 4, 0, 1, 0, 1)
+        st.improper, st.doubled = (0, 0, 1), (0, 1, 0, 1, 0, 1)
 
     def doubled(st, **members):
         names = ("r_lo", "r_hi", "c_lo", "c_hi", "s_lo", "s_hi")
@@ -327,11 +333,17 @@ def test_line_sums_ok_rejects_broken_states():
         st.doubled = tuple(values[name] for name in names)
 
     assert not broken(proper, lambda st: None) and not broken(improper, lambda st: None)
-    assert broken(proper, lambda st: st.sym.__setitem__(0, 1))  # the arrays disagree
-    assert broken(proper, lambda st: st.col.__setitem__(0, 1))
-    assert broken(proper, lambda st: st.row.__setitem__(0, 4))
-    assert broken(proper, lambda st: st.sym.__setitem__(0, 4))  # a symbol beyond the order
-    assert broken(proper, lambda st: st.row.__setitem__(0, 1))  # a row not scaled by n
+    assert broken(proper, lambda st: st.sym[0].__setitem__(0, 1))  # the lists disagree
+    assert broken(proper, lambda st: st.col[0].__setitem__(0, 1))
+    assert broken(proper, lambda st: st.row[0].__setitem__(0, 1))
+    assert broken(proper, lambda st: st.sym[0].__setitem__(0, 4))  # a symbol beyond the order
+    assert broken(proper, lambda st: st.row[0].__setitem__(0, 4))  # a row index >= n
+    assert broken(proper, lambda st: setattr(st, "sym", [st.sym[0]] * 4))  # aliased rows
+    # row 0 of the cyclic square reads 0, 1, 2, 3 in all three lists, so
+    # sharing it passes every line sum, but a move would write it twice
+    assert broken(proper, lambda st: st.col.__setitem__(0, st.sym[0]))
+    assert broken(proper, lambda st: st.sym[1].pop())  # a short row
+    assert broken(proper, lambda st: st.row.pop())  # a missing row
     assert broken(proper, lambda st: setattr(st, "doubled", improper.doubled))  # doubled, no -1
     assert broken(proper, lambda st: setattr(st, "improper", (0, 0, 1)))  # -1, no doubled lines
     assert broken(improper, lambda st: setattr(st, "doubled", None))
@@ -344,7 +356,9 @@ def test_line_sums_ok_rejects_broken_states():
     lo, hi = sorted((s_lo, other))
     assert broken(improper, lambda st: doubled(st, s_lo=lo, s_hi=hi))  # disagrees with col, row
     # the stale entries on the doubled lines are not read
-    assert not broken(improper, lambda st: st.sym.__setitem__(r * 4 + c, 9))
+    assert not broken(improper, lambda st: st.sym[r].__setitem__(c, 9))
+    assert not broken(improper, lambda st: st.col[r].__setitem__(s, 9))
+    assert not broken(improper, lambda st: st.row[c].__setitem__(s, 9))
 
 
 def _flat_jm_step(n, flat, improper, rng):
@@ -431,7 +445,7 @@ def test_walk_reads_coin_codes_up_to_the_buffer_edge(spent):
     _step_until(improper_start, SeededRng(4), proper=False)
     for start in (MarkovState.from_square(cyclic_square(n)), improper_start):
         for pre in (spent, spent - 3):
-            st = MarkovState(n, list(start.sym), list(start.col), list(start.row), start.improper, start.doubled)
+            st = _copy(start)
             flat, improper = _cube(st), st.improper
             rng_mask, rng_flat = SeededRng(23, pre), SeededRng(23, pre)
             for rng in (rng_mask, rng_flat):
@@ -482,12 +496,14 @@ def test_walk_matches_repeated_jm_step(n):
 
 def test_walk_moves_the_state_arrays_in_place():
     st = MarkovState.from_square(cyclic_square(6))
-    arrays = (st.sym, st.col, st.row)
+    lists = (st.sym, st.col, st.row)
+    lines = [*st.sym, *st.col, *st.row]
     rng = SeededRng(9)
     for _ in range(50):
         jm_step(st, rng)
         _walk(st, rng, 3)
-        assert all(a is b for a, b in zip((st.sym, st.col, st.row), arrays))
+        assert all(a is b for a, b in zip((st.sym, st.col, st.row), lists))
+        assert all(a is b for a, b in zip([*st.sym, *st.col, *st.row], lines))
 
 
 def test_order2_proper_states_are_the_two_squares():
@@ -519,6 +535,21 @@ def test_sample_squares_refuses_counts_that_are_not_ints():
         name = next(iter(bad))
         with pytest.raises(TypeError, match=f"{name} must be an int"):
             sample_squares(4, SeededRng(1), **{"count": 1, **bad})
+    # the order is checked first, so a float order is not blamed on the
+    # burn-in that defaults to 10 n^3, nor a string left to fail in n**3
+    for n, kind in ((True, "bool"), (2.0, "float"), ("3", "str")):
+        with pytest.raises(TypeError, match=f"^order must be an int, got {kind}$"):
+            sample_squares(n, SeededRng(1), 1)
+        with pytest.raises(TypeError, match=f"^order must be an int, got {kind}$"):
+            sample_uniform(n, SeededRng(1))
+
+
+def test_constructors_refuse_an_order_that_is_not_an_int():
+    # a bool would be read as order 1 or 0, a float fail inside range
+    for make in (cyclic_square, cyclic_decomposition, enumerate_reduced, enumerate_all):
+        for n, kind in ((True, "bool"), (False, "bool"), (3.0, "float"), ("3", "str")):
+            with pytest.raises(TypeError, match=f"^order must be an int, got {kind}$"):
+                make(n)
 
 
 def test_sample_stream_thins_deterministically():
