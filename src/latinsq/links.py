@@ -22,8 +22,13 @@ the links to every end, the counts stay on the colouring
 (``ProperColoring.link_counts``), and every further end from that start is
 a lookup.  For ``repeat_pattern(k)`` that search forces the end last and
 costs about one search with both endpoints placed; a pattern whose start
-alone does not force the end cheaply pays more for its first count.  The
-path-pair census and the closed-walk count read the same table.
+alone does not force the end cheaply pays more for its first count.  When
+the plan ends in forced steps that check no class, after a branching step,
+that step follows them for each of its candidates and counts the end, so
+no leaf of a count opens a frame.  The path-pair census and the
+closed-walk count read the same table; the census moves its second path
+one edge with each edge of the first, along the same colour, and drops a
+branch at the first vertex that either path has already used.
 
 The search's colour lookups keep every pattern edge between a row and a
 column: the table reads colour 0 between two vertices of one class, which
@@ -201,12 +206,18 @@ def _search(host: ProperColoring, ui: int, vi: int | None, pat: Pattern, limit):
     used = 1 << ui
     cc = [0] * len(classes)  # class slot -> colour
     cmask = 0  # colours bound to some class
-    # a last step that forces the end and checks nothing is left to the leaf
-    w, ez, ek, checks = steps[-1]
-    tail = vi is None and w == pat.end and ek >= 0 and not checks
-    if tail:
-        steps = steps[:-1]
-    elif vi is not None:
+    run = ()
+    if vi is None:
+        # the forced steps at the end of the plan that check nothing: when
+        # a branching step with checks comes just before them, that step
+        # follows this run for each of its candidates, and no leaf opens a
+        # frame
+        r = len(steps)
+        while r > 1 and steps[r - 1][2] >= 0 and not steps[r - 1][3]:
+            r -= 1
+        if r < len(steps) and steps[r - 1][2] < 0 and steps[r - 1][3]:
+            steps, run = steps[:r], tuple(step[:3] for step in steps[r:])
+    else:
         (_w, _fz, _fk, end_checks), steps = steps[0], steps[1:]
         emb[pat.end] = vi
         used |= 1 << vi
@@ -251,6 +262,7 @@ def _search(host: ProperColoring, ui: int, vi: int | None, pat: Pattern, limit):
             (z0, k0, _bind), rest = checks[0], checks[1:]
             e0 = emb[z0]
             lo = n if e0 < n else 0
+            follow = i + 1 == last and run
             for x, c0 in enumerate(color[e0 * m + lo:e0 * m + lo + n], lo):
                 if used >> x & 1 or cmask >> c0 & 1:
                     continue
@@ -268,13 +280,19 @@ def _search(host: ProperColoring, ui: int, vi: int | None, pat: Pattern, limit):
                         break
                 else:
                     emb[w] = x
-                    if rec(i + 1, used | 1 << x, cm):
-                        return True
-            return False
-        if tail:  # the end, forced from the image of ez by class ek
-            x = via[emb[ez] * s + cc[ek]]
-            if not used >> x & 1:
-                ends[x] += 1
+                    if not follow:
+                        if rec(i + 1, used | 1 << x, cm):
+                            return True
+                        continue
+                    u = used | 1 << x
+                    for (v, fz, fk) in run:  # the forced run, to a count
+                        y = via[emb[fz] * s + cc[fk]]
+                        if u >> y & 1:
+                            break
+                        emb[v] = y
+                        u |= 1 << y
+                    else:
+                        ends[emb[end]] += 1
             return False
         ends[emb[end]] += 1
         if vi is not None:  # enumerate_links lists its pair's links
@@ -361,11 +379,15 @@ def census_path_pairs(
 ) -> CensusResult:
     """Ordered pairs (P1, P2) of vertex-disjoint paths with the same colour
     sequence: P1 from x1 to y1, P2 from x2 to y2, both of the given odd
-    length.  P1 is enumerated; P2 is the forced colour walk from x2.  The
-    count stops at `limit` pairs when one is given; a `limit` that is not
-    an int or None raises TypeError.  The result holds the count and
-    whether it saturated, not the time the call took.
+    length.  P1 is enumerated, and each of its edges moves P2 one edge
+    along the same colour from x2, so a branch ends at the first vertex of
+    either path that is already on one of them.  The count stops at
+    `limit` pairs when one is given.  A `length` that is not an int, or a
+    `limit` that is not an int or None, raises TypeError.  The result holds
+    the count and whether it saturated, not the time the call took.
     """
+    if type(length) is not int:
+        raise TypeError(f"length must be an int, got {type(length).__name__}")
     if length < 1:
         raise ValueError("path length must be positive")
     if length % 2 == 0:
@@ -382,44 +404,36 @@ def census_path_pairs(
     via, color = host.partners
     m, s = 2 * n, n + 1
     cap = limit if limit is not None else float("inf")
-    colors = [0] * length
+    last = length - 1
     count = 0
     saturated = False
 
-    def walk_forced(p1: int) -> bool:
-        # the walk from x2 along P1's colours: a path, disjoint from P1, to y2
-        if p1 >> x2 & 1:
-            return False
-        cur, seen = x2, p1 | 1 << x2
-        for c in colors:
-            cur = via[cur * s + c]
-            if seen >> cur & 1:
-                return False
-            seen |= 1 << cur
-        return cur == y2
-
-    def rec(cur: int, depth: int, p1: int) -> bool:
+    def rec(a: int, b: int, depth: int, used: int) -> bool:
+        # P1 is at a and P2 at b after `depth` edges; `used` holds both
+        # paths and the two ends, which only the last edges may reach
         nonlocal count, saturated
-        if depth == length - 1:
-            colors[depth] = color[cur * m + y1]
-            if walk_forced(p1 | 1 << y1):
+        if depth == last:
+            if via[b * s + color[a * m + y1]] == y2:
                 if count >= INT64_MAX:
                     saturated = True
                 else:
                     count += 1
             return count >= cap
-        lo = n if cur < n else 0
-        row = cur * m
-        for nxt in range(lo, lo + n):
-            if p1 >> nxt & 1 or nxt == y1:
+        lo = n if a < n else 0
+        row, b_s = a * m + lo, b * s
+        for x, c in enumerate(color[row:row + n], lo):
+            if used >> x & 1:
                 continue
-            colors[depth] = color[row + nxt]
-            if rec(nxt, depth + 1, p1 | 1 << nxt):
+            z = via[b_s + c]
+            both = used | 1 << x
+            if both >> z & 1:
+                continue
+            if rec(x, z, depth + 1, both | 1 << z):
                 return True
         return False
 
     try:
-        rec(x1, 0, 1 << x1)
+        rec(x1, x2, 0, 1 << x1 | 1 << y1 | 1 << x2 | 1 << y2)
     finally:
         del rec  # it refers to itself; free it with this call
     return CensusResult(count=count, saturated=saturated)

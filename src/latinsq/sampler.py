@@ -210,7 +210,8 @@ class MarkovState:
         lists of n entries each, no list twice, each gives one 1-entry on
         each of its lines, `doubled` two distinct ones, lower first, on each
         line through the -1 cell, and the three give the same set of
-        1-entries, without the -1 cell."""
+        1-entries, without the -1 cell.  Every entry that this reads is an
+        int; the stale ones on the doubled lines are not read."""
         n, sym, col, row = self.n, self.sym, self.col, self.row
         lines = (*sym, *col, *row)
         if (len(sym) != n or len(col) != n or len(row) != n or len(set(map(id, lines))) != 3 * n
@@ -221,18 +222,25 @@ class MarkovState:
         by_col = {(r, col[r][s], s) for r in span for s in span}
         by_row = {(row[c][s], c, s) for c in span for s in span}
         if self.improper is None or self.doubled is None:
-            return self.improper is None and self.doubled is None and by_sym == by_col == by_row
-        r, c, s = self.improper
-        r_lo, r_hi, c_lo, c_hi, s_lo, s_hi = self.doubled
-        if not (0 <= r < n and 0 <= c < n and 0 <= s < n and r_lo < r_hi and c_lo < c_hi and s_lo < s_hi):
-            return False
-        by_sym.remove((r, c, sym[r][c]))
-        by_col.remove((r, col[r][s], s))
-        by_row.remove((row[c][s], c, s))
-        by_sym |= {(r, c, s_lo), (r, c, s_hi)}
-        by_col |= {(r, c_lo, s), (r, c_hi, s)}
-        by_row |= {(r_lo, c, s), (r_hi, c, s)}
-        return (r, c, s) not in by_sym and by_sym == by_col == by_row
+            if self.improper is not None or self.doubled is not None:
+                return False
+        else:
+            r, c, s = self.improper
+            r_lo, r_hi, c_lo, c_hi, s_lo, s_hi = self.doubled
+            if not (0 <= r < n and 0 <= c < n and 0 <= s < n
+                    and r_lo < r_hi and c_lo < c_hi and s_lo < s_hi):
+                return False
+            by_sym.remove((r, c, sym[r][c]))
+            by_col.remove((r, col[r][s], s))
+            by_row.remove((row[c][s], c, s))
+            by_sym |= {(r, c, s_lo), (r, c, s_hi)}
+            by_col |= {(r, c_lo, s), (r, c_hi, s)}
+            by_row |= {(r_lo, c, s), (r_hi, c, s)}
+            if (r, c, s) in by_sym:
+                return False
+        # the sets compare entries by value, so 1.0 or True would pass for 1
+        return by_sym == by_col == by_row and all(
+            type(x) is int for entries in (by_sym, by_col, by_row) for entry in entries for x in entry)
 
 
 def _walk(state: MarkovState, rng: SeededRng, visits: int, one_move: bool = False) -> None:

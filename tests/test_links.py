@@ -167,6 +167,25 @@ def test_count_links_matches_oracle_randomised():
         assert got == want, (pat, u, v, got, want)
         checked += 1
     assert checked > 40
+    # A start-only count follows the forced steps at the end of its plan in
+    # the last branching loop when none of them checks a class, as in
+    # repeat_pattern(3) and (4).  A compare check among them keeps the count
+    # on the leaf: the chord from vertex 2 to 5 of class 1, and the closing
+    # edge of a 4-cycle at the end.
+    host = hosts[2]
+    rp3 = repeat_pattern(3)
+    chord = Pattern(num_vertices=7, edges=rp3.edges + ((2, 5, 1),), start=0, end=6)
+    cycle = Pattern(num_vertices=4, edges=((0, 1, 1), (1, 2, 2), (2, 3, 1), (3, 0, 2)), start=0, end=3)
+    every_end = [(side, i) for side in "AB" for i in range(1, 6) if (side, i) != ("A", 1)]
+    for pat, ends in (
+        (rp3, every_end),
+        (repeat_pattern(4), [("A", 2), ("A", 3), ("B", 2)]),
+        (chord, every_end),
+        (cycle, every_end),
+    ):
+        counts = [count_links(host, ("A", 1), v, pat) for v in ends]
+        assert counts == [oracle_count(host, ("A", 1), v, pat) for v in ends], pat
+        assert any(counts), pat
 
 
 def test_l2_identity_small():
@@ -286,6 +305,10 @@ def test_census_limit():
     for limit in (1.5, "2"):
         with pytest.raises(TypeError, match="limit must be an int"):
             census_path_pairs(host, 5, endpoints, limit=limit)
+    # so is a length: True is not read as 1, nor 5.0 as 5
+    for length in (True, 5.0):
+        with pytest.raises(TypeError, match=f"length must be an int, got {type(length).__name__}"):
+            census_path_pairs(host, length, endpoints)
 
 
 def test_enumerate_links_limit():
@@ -482,6 +505,55 @@ def test_census_length5_matches_naive_oracle_order6():
             assert census_path_pairs(host, 5, endpoints).count == want
             total += want
     assert total > 0
+
+
+def colour_sequence_pairs(host, length, endpoints):
+    """Oracle for census_path_pairs: a pair is fixed by its colour
+    sequence, since each colour moves either path one forced edge.  Count
+    the sequences whose two walks from x1 and x2 stay disjoint paths and
+    end at y1 and y2."""
+    n = host.n
+    step = {}
+    for a in range(1, n + 1):
+        for b in range(1, n + 1):
+            c = host.edge_color(a, b)
+            step[("A", a), c] = ("B", b)
+            step[("B", b), c] = ("A", a)
+    x1, y1, x2, y2 = endpoints
+
+    def rec(p1, p2, seen, depth):
+        if depth == length:
+            return int(p1 == y1 and p2 == y2)
+        total = 0
+        for c in range(1, n + 1):
+            a, b = step[p1, c], step[p2, c]
+            if a != b and a not in seen and b not in seen:
+                total += rec(a, b, seen | {a, b}, depth + 1)
+        return total
+
+    return rec(x1, x2, {x1, x2}, 0)
+
+
+def test_census_length7_matches_colour_sequence_oracle_order8():
+    # order 8 is the smallest where two disjoint length-7 paths fit: they
+    # cover all sixteen vertices of K_{8,8}
+    small = to_coloring(sample_uniform(5, SeededRng(5857).derive(0), burnin=250))
+    ends = (("A", 1), ("B", 2), ("A", 3), ("B", 4))
+    assert colour_sequence_pairs(small, 3, ends) == naive_path_pairs(small, 3, ends) > 0
+    counts = []
+    for seed in (5858, 5859):
+        host = to_coloring(sample_uniform(8, SeededRng(seed).derive(0), burnin=640))
+        for endpoints in [
+            (("A", 1), ("B", 1), ("A", 2), ("B", 2)),
+            (("B", 3), ("A", 5), ("B", 6), ("A", 2)),
+            (("A", 4), ("B", 8), ("B", 5), ("A", 7)),
+        ]:
+            want = colour_sequence_pairs(host, 7, endpoints)
+            assert census_path_pairs(host, 7, endpoints).count == want, (seed, endpoints)
+            counts.append(want)
+            if want > 1:  # a limit below the total stops at the limit
+                assert census_path_pairs(host, 7, endpoints, limit=want - 1).count == want - 1
+    assert min(counts) > 0 and max(counts) > 1
 
 
 def test_partner_table_inverts_edge_color():

@@ -355,6 +355,21 @@ def test_line_sums_ok_rejects_broken_states():
     assert broken(proper, on_its_own_cell)  # the three views agree on it
     lo, hi = sorted((s_lo, other))
     assert broken(improper, lambda st: doubled(st, s_lo=lo, s_hi=hi))  # disagrees with col, row
+    # an entry equal to an index but not an int: the sets compare by value
+    def retyped(name, i, j, kind=float):
+        def edit(st):
+            line = getattr(st, name)[i]
+            line[j] = kind(line[j])
+        return edit
+
+    assert broken(proper, lambda st: st.sym[0].__setitem__(1, 1.0))
+    assert broken(proper, retyped("col", 2, 3))
+    assert broken(proper, retyped("row", 3, 0))
+    assert broken(proper, retyped("sym", 0, 1, bool))
+    assert broken(improper, retyped("sym", (r + 1) % 4, c))  # a row off the doubled lines
+    assert broken(improper, retyped("col", r, (s + 1) % 4))
+    assert broken(improper, retyped("row", c, (s + 1) % 4))
+    assert broken(improper, lambda st: doubled(st, s_lo=float(s_lo)))
     # the stale entries on the doubled lines are not read
     assert not broken(improper, lambda st: st.sym[r].__setitem__(c, 9))
     assert not broken(improper, lambda st: st.col[r].__setitem__(s, 9))
